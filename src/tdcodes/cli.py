@@ -29,19 +29,20 @@ def _max_n() -> int:
     return int(os.environ.get("TD_MAX_N", str(1 << 20)))
 
 
-def _s_of_q(q: int) -> int:
+def _checked_s(q: int, m: int) -> int:
+    """s for q = 2^s, once q is valid and n = q^m - 1 is within TD_MAX_N."""
     s = q.bit_length() - 1
     if q != 1 << s or not 1 <= s <= 8:
         raise click.UsageError(f"--q must be a power of two in 2..256, got {q}")
-    return s
-
-
-def _build_field(q: int, m: int, field_spec_path) -> FieldSpec:
-    s = _s_of_q(q)
     n = q ** m - 1
     if n > _max_n():
         raise click.UsageError(
             f"n = {n} exceeds TD_MAX_N = {_max_n()}; raise the env var to override")
+    return s
+
+
+def _build_field(q: int, m: int, field_spec_path) -> FieldSpec:
+    s = _checked_s(q, m)
     if s == 1:
         click.echo("warning: q = 2 is outside the verified bound analysis; "
                    "constructions are exploratory", err=True)
@@ -131,10 +132,8 @@ def construct(q, m, parity, variant, fmt, pretty_flag, field_spec_path, out):
               default="pretty", show_default=True)
 def inspect(q, m, parity, fmt):
     """Summarize a defining set without building the generator polynomial."""
-    _s_of_q(q)
+    _checked_s(q, m)
     n = q ** m - 1
-    if n > _max_n():
-        raise click.UsageError(f"n = {n} exceeds TD_MAX_N = {_max_n()}")
     T = coset.build_T(q, m, parity)
     leaders = sorted({coset.coset_leader(e, q, n) for e in T.elems})
     data = {"q": q, "m": m, "parity": parity, "n": n, "set_size": len(T),
@@ -160,7 +159,7 @@ def inspect(q, m, parity, fmt):
 def verify_cmd(ctx, claim_id, q, m, field_spec_path, fmt):
     """Check every sub-claim of a named structural statement."""
     field = None
-    if field_spec_path or claim_id in ("thm2", "thm3", "thm16", "thm18"):
+    if field_spec_path or claim_id in verify.FIELD_SUITES:
         field = _build_field(q, m, field_spec_path)
     try:
         checks = verify.run_suite(claim_id, q, m, field=field)
@@ -196,10 +195,7 @@ main.add_command(verify_cmd, name="verify")
 @click.option("--out", type=click.Path(), default=None)
 def bound(q, m, parity, search, budget, out):
     """Report a progression-based lower bound for a code of the family."""
-    _s_of_q(q)
-    n = q ** m - 1
-    if n > _max_n():
-        raise click.UsageError(f"n = {n} exceeds TD_MAX_N = {_max_n()}")
+    _checked_s(q, m)
     try:
         if search:
             report = bounds.bch_search(coset.build_T(q, m, parity), budget=budget)

@@ -86,10 +86,6 @@ def code_from_T(field: FieldSpec, T: DefiningSet) -> CyclicCode:
     return CyclicCode(field, T)
 
 
-def dimension(code: CyclicCode) -> int:
-    return code.k
-
-
 def even_like(code: CyclicCode) -> CyclicCode:
     """Adjoin 0 to the defining set, dropping the dimension by one."""
     if 0 in code.T:

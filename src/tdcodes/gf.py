@@ -7,18 +7,21 @@ coefficients in s-bit groups, which makes extension addition plain XOR as
 well.  Multiplication reduces modulo the chosen moduli; discrete-log
 tables accelerate both fields whenever the field fits (q^m <= 2^20),
 with polynomial-basis arithmetic as the fallback above that.
+
+A modulus is validated by the order of its root alone: a root of full
+order q^m - 1 makes every nonzero residue a unit, so the modulus is
+irreducible, and Rabin's irreducibility test runs only to word a rejection.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from sympy import factorint
-
-from tdcodes import polys
 
 MAX_TABLE_ORDER = 1 << 20
 
@@ -27,8 +30,80 @@ class FieldError(ValueError):
     """Bad modulus, unsupported size, or invalid element operation."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin with the first 13 prime bases: deterministic below
+    # 3.3e24; the field orders above that are cross-checked in the tests
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the composite n (Brent's cycle search, gcds
+    batched over 128 steps)."""
+    for c in itertools.count(1):
+        y, r, g, prod = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def _prime_factors(n: int) -> list[int]:
-    return sorted(factorint(n))
+    """Distinct prime factors of n >= 1, ascending."""
+    found = set()
+    p = 2
+    while p < 1000 and p * p <= n:  # composite p never divides what is left
+        if n % p == 0:
+            found.add(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    rest = [n] if n > 1 else []
+    while rest:
+        k = rest.pop()
+        if _is_prime(k):
+            found.add(k)
+        else:
+            d = _pollard_brent(k)
+            rest += [d, k // d]
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -58,45 +133,8 @@ def _gf2_powmod(a: int, e: int, f: int) -> int:
     return r
 
 
-def _gf2_mod(a: int, b: int) -> int:
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_mod(a, b)
-    return a
-
-
-def _gf2_is_irreducible(f: int) -> bool:
-    d = f.bit_length() - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if not f & 1:
-        return False
-
-    def x_frob(times: int) -> int:
-        # x^(2^times) mod f via repeated squaring of the class of x
-        h = 2
-        for _ in range(times):
-            h = _gf2_mulmod(h, h, f)
-        return h
-
-    if x_frob(d) != 2:
-        return False
-    for p in _prime_factors(d):
-        if _gf2_gcd(x_frob(d // p) ^ 2, f) != 1:
-            return False
-    return True
-
-
 def _gf2_x_is_primitive(f: int, group_order: int) -> bool:
-    # assumes f irreducible; the class of x must have the full order
+    # the class of x has the full order, which also makes f irreducible
     if _gf2_powmod(2, group_order, f) != 1:
         return False
     return all(_gf2_powmod(2, group_order // p, f) != 1
@@ -106,7 +144,7 @@ def _gf2_x_is_primitive(f: int, group_order: int) -> bool:
 def default_base_modulus(s: int) -> int:
     """Smallest primitive degree-s polynomial over GF(2) in ascending encoding."""
     for f in range((1 << s) | 1, 1 << (s + 1), 2):
-        if _gf2_is_irreducible(f) and _gf2_x_is_primitive(f, (1 << s) - 1):
+        if _gf2_x_is_primitive(f, (1 << s) - 1):
             return f
     raise FieldError(f"no primitive polynomial of degree {s} found")
 
@@ -124,7 +162,7 @@ class FieldSpec:
     whose root (the class of x, called beta) generates GF(q^m)^*.
 
     Use :func:`make_field` to get a validated instance; constructing
-    directly skips the irreducibility and primitivity checks.
+    directly skips the primitivity check.
     """
 
     s: int
@@ -338,14 +376,6 @@ class FieldSpec:
             return self._ext_pow_poly(self.beta, i % self.n)
         return t[0][i % self.n]
 
-    def ext_log(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("log of zero")
-        t = self._ext_tables
-        if t is None:
-            raise FieldError("discrete log unavailable for fields above 2^20")
-        return t[1][a]
-
     # -- subfield embedding --------------------------------------------------
 
     def embed_base(self, a: int) -> int:
@@ -406,23 +436,22 @@ def _ext_x_order_is_full(spec: FieldSpec, n_factors: list[int]) -> bool:
     return all(spec._ext_pow_poly(x, spec.n // p) != 1 for p in n_factors)
 
 
-def _ext_is_irreducible(spec: FieldSpec) -> bool:
-    f = spec.ext_modulus
-    if f[0] == 0:
+def _is_irreducible(pow_mod, x: int, q: int, d: int) -> bool:
+    """Rabin's test for a degree-d modulus over GF(q), given its residue
+    power ``pow_mod`` and the residue x of the indeterminate: x^(q^d) = x,
+    and x^(q^(d/p)) - x is a unit for every prime p | d."""
+    if d == 1:  # always irreducible; x need not even be reduced mod it
+        return True
+    if pow_mod(x, q ** d) != x:
         return False
-    x = (0, 1)
-    h = x
-    frob = {0: x}
-    for j in range(1, spec.m + 1):
-        h = polys.powmod(spec, h, spec.q, f)
-        frob[j] = h
-    if frob[spec.m] != x:
-        return False
-    for p in _prime_factors(spec.m):
-        g = polys.gcd(spec, polys.add(spec, frob[spec.m // p], x), f)
-        if polys.degree(g) != 0:
-            return False
-    return True
+    return all(pow_mod(pow_mod(x, q ** (d // p)) ^ x, q ** d - 1) == 1
+               for p in _prime_factors(d))
+
+
+def _rejection(which: str, irreducible: bool) -> FieldError:
+    if irreducible:
+        return FieldError(f"{which} modulus root is not primitive")
+    return FieldError(f"reducible {which} modulus")
 
 
 def default_ext_modulus(s: int, m: int, base_modulus: int) -> tuple[int, ...]:
@@ -452,19 +481,17 @@ def make_field(s: int, m: int,
     else:
         if base_modulus.bit_length() - 1 != s:
             raise FieldError("base modulus has wrong degree")
-        if not _gf2_is_irreducible(base_modulus):
-            raise FieldError("reducible base modulus")
         if not _gf2_x_is_primitive(base_modulus, (1 << s) - 1):
-            raise FieldError("base modulus root is not primitive")
+            raise _rejection("base", _is_irreducible(
+                lambda a, e: _gf2_powmod(a, e, base_modulus), 2, 2, s))
     if ext_modulus is None:
         ext_modulus = default_ext_modulus(s, m, base_modulus)
         return FieldSpec(s, m, base_modulus, tuple(ext_modulus))
 
     spec = FieldSpec(s, m, base_modulus, tuple(ext_modulus))
-    if not _ext_is_irreducible(spec):
-        raise FieldError("reducible extension modulus")
     if not _ext_x_order_is_full(spec, _prime_factors(spec.n)):
-        raise FieldError("extension modulus root is not primitive")
+        raise _rejection("extension", _is_irreducible(
+            spec._ext_pow_poly, spec.beta, spec.q, m))
     return spec
 
 

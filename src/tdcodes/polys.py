@@ -1,8 +1,8 @@
 """Polynomial arithmetic over GF(q) with coefficients as base-field reprs.
 
 Polynomials are little-endian tuples of ints with no trailing zeros; the
-zero polynomial is the empty tuple.  Every function takes the field first
-and never mutates its arguments.
+zero polynomial is the empty tuple.  Functions that need field arithmetic
+take the field first; none mutates its arguments.
 """
 
 from __future__ import annotations
@@ -13,28 +13,6 @@ def trim(coeffs) -> tuple[int, ...]:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def degree(p) -> int:
-    """Degree, with -1 for the zero polynomial."""
-    return len(p) - 1
-
-
-def add(field, a, b) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] ^= c
-    return trim(out)
-
-
-def scale(field, c: int, a) -> tuple[int, ...]:
-    if c == 0:
-        return ()
-    if c == 1:
-        return tuple(a)
-    return tuple(field.base_mul(c, x) for x in a)
 
 
 def mul(field, a, b) -> tuple[int, ...]:
@@ -69,43 +47,6 @@ def divmod_(field, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 a[da - db + j] ^= field.base_mul(factor, cb)
         a.pop()
     return trim(quot), trim(a)
-
-
-def mod(field, a, b) -> tuple[int, ...]:
-    return divmod_(field, a, b)[1]
-
-
-def monic(field, a) -> tuple[int, ...]:
-    a = trim(a)
-    if not a or a[-1] == 1:
-        return a
-    return scale(field, field.base_inv(a[-1]), a)
-
-
-def gcd(field, a, b) -> tuple[int, ...]:
-    a, b = trim(a), trim(b)
-    while b:
-        a, b = b, mod(field, a, b)
-    return monic(field, a)
-
-
-def powmod(field, a, e: int, f) -> tuple[int, ...]:
-    r: tuple[int, ...] = (1,)
-    a = mod(field, a, f)
-    while e:
-        if e & 1:
-            r = mod(field, mul(field, r, a), f)
-        a = mod(field, mul(field, a, a), f)
-        e >>= 1
-    return r
-
-
-def eval_base(field, p, x: int) -> int:
-    """Evaluate at a base-field point (Horner)."""
-    acc = 0
-    for c in reversed(p):
-        acc = field.base_mul(acc, x) ^ c
-    return acc
 
 
 def eval_ext(field, p, x: int) -> int:

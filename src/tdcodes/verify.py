@@ -19,6 +19,8 @@ from tdcodes.gf import FieldSpec, make_field
 
 MATRIX_CHECK_MAX_N = 4095
 HULL_CHECK_MAX_N = 255
+# suites that build codes, and so accept a caller-supplied field
+FIELD_SUITES = ("thm2", "thm3", "thm16", "thm18")
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,17 @@ def verify_witness(lemma_id: str, q: int, m: int) -> list[ClaimCheck]:
 _WITNESS_IDS = ("lemma7", "lemma9", "lemma10", "lemma11", "lemma13", "lemma14")
 
 
+def _bounds_witnessed(q: int, m: int, defining_set) -> bool:
+    """For each parity p, the witness-backed bound's progression lies in
+    ``defining_set(p)`` and implies the closed-form bound."""
+    for parity in Parity:
+        report = bounds.lemma_bound_report(q, m, parity)
+        if not (bounds.ap_in_set(defining_set(parity), report.witness)
+                and report.delta == bounds.theorem_bound(q, m, parity)):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Structure of the codes
 # ---------------------------------------------------------------------------
@@ -222,8 +235,9 @@ def verify_thm8(q: int, m: int) -> list[ClaimCheck]:
     _require(m >= 3 and m % 2 == 1, f"need odd m >= 3, got m={m}")
     checks = verify_witness("lemma7", q, m)
     d = bounds.theorem_bound(q, m, Parity.EVEN)
+    witnessed = _bounds_witnessed(q, m, lambda p: coset.build_T(q, m, p))
     checks.append(ClaimCheck("shared lower bound for both codes of the pair",
-                             d == q ** ((m - 1) // 2) + 2 * q - 1, f"d >= {d}"))
+                             witnessed, f"d >= {d}"))
     return checks
 
 
@@ -270,7 +284,7 @@ def verify_thm16(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimCh
                    all(cyclic.even_like(c).k == (n - 1) // 2 for c in (c0, c1)),
                    ""),
         ClaimCheck("distance bound q^((m-1)/2) + 2q - 1",
-                   d == q ** ((m - 1) // 2) + 2 * q - 1, f"d >= {d}"),
+                   _bounds_witnessed(q, m, lambda p: (c0, c1)[p].T), f"d >= {d}"),
     ]
 
 
@@ -281,15 +295,6 @@ def verify_thm18(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimCh
     n = f.n
     d0 = bounds.theorem_bound(q, m, Parity.EVEN)
     d1 = bounds.theorem_bound(q, m, Parity.ODD)
-    if m == 2:
-        want0 = want1 = (q + 2) // 2
-    elif m % 4 == 0:
-        want0 = want1 = q ** ((m - 2) // 2) + 1
-    elif m == 6:
-        want0 = 2 * q * q - 2 * q + 2
-        want1 = q ** ((m - 2) // 2) + 2 * q - 1
-    else:
-        want0 = want1 = q ** ((m - 2) // 2) + 2 * q - 1
     return [
         ClaimCheck("LCD codes (defining-set level)",
                    cyclic.is_lcd(c0) and cyclic.is_lcd(c1), ""),
@@ -297,7 +302,8 @@ def verify_thm18(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimCh
                    c0.k == (n + 3) // 2 and c1.k == (n - 1) // 2,
                    f"k0={c0.k}, k1={c1.k}"),
         ClaimCheck("distance bounds per the case table",
-                   d0 == want0 and d1 == want1, f"d0 >= {d0}, d1 >= {d1}"),
+                   _bounds_witnessed(q, m, lambda p: (c0, c1)[p].T),
+                   f"d0 >= {d0}, d1 >= {d1}"),
     ]
 
 
@@ -328,6 +334,6 @@ def run_suite(claim_id: str, q: int, m: int,
     except KeyError:
         raise DomainError(f"unknown claim id {claim_id!r}; "
                           f"known: {sorted(SUITES)}") from None
-    if field is not None and claim_id in ("thm2", "thm3", "thm16", "thm18"):
+    if field is not None and claim_id in FIELD_SUITES:
         return suite(q, m, field=field)
     return suite(q, m)

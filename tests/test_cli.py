@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import tdcodes
 from tdcodes.cli import main
 
 
@@ -175,3 +179,12 @@ def test_out_flag_writes_file(runner, tmp_path):
                                "--parity", "0", "--out", str(out)])
     assert res.exit_code == 0
     assert json.loads(out.read_text())["delta"] == 11
+
+
+def test_cli_import_does_not_load_sympy():
+    src = os.path.dirname(os.path.dirname(tdcodes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import sys, tdcodes.cli; assert 'sympy' not in sys.modules"],
+                   env=env, check=True)

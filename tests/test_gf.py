@@ -1,10 +1,14 @@
+import itertools
 import json
+import math
 import random
 
 import pytest
 
-from tdcodes.gf import (FieldError, FieldSpec, default_base_modulus,
-                        field_spec_from_json, field_spec_to_json, make_field)
+from tdcodes import polys
+from tdcodes.gf import (FieldError, FieldSpec, _prime_factors,
+                        default_base_modulus, field_spec_from_json,
+                        field_spec_to_json, make_field)
 
 EXAMPLE_FIELD = dict(s=2, m=3, base_modulus=0b111, ext_modulus=(2, 1, 1, 1))
 
@@ -61,29 +65,86 @@ def test_default_base_moduli_are_the_classics():
     assert default_base_modulus(4) == 0b10011      # x^4+x+1
 
 
+def totient(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def gf2_has_factor(f):
+    """Brute force: some GF(2) polynomial of degree 1..deg(f)/2 divides f."""
+    def rem(a, b):
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        return a
+    d = f.bit_length() - 1
+    return any(rem(f, g) == 0 for g in range(2, 1 << (d // 2 + 1)))
+
+
+def ext_has_factor(base, f):
+    """Brute force: some monic polynomial over GF(q) of degree 1..deg(f)/2
+    divides f, with GF(q) arithmetic from the field ``base``."""
+    d = len(f) - 1
+    return any(not polys.divmod_(base, f, tail + (1,))[1]
+               for deg in range(1, d // 2 + 1)
+               for tail in itertools.product(range(base.q), repeat=deg))
+
+
+def monic_polys(q, m):
+    return [tail + (1,) for tail in itertools.product(range(q), repeat=m)]
+
+
+def assert_verdicts(candidates, build, has_factor, accepted):
+    """make_field accepts exactly ``accepted`` candidates, and a rejection
+    says "reducible" exactly when brute-force division finds a factor."""
+    good = 0
+    for cand in candidates:
+        try:
+            build(cand)
+        except FieldError as exc:
+            msg = str(exc)
+            assert ("reducible" in msg) == has_factor(cand), (cand, msg)
+            assert "reducible" in msg or "not primitive" in msg, (cand, msg)
+        else:
+            assert not has_factor(cand), cand
+            good += 1
+    assert good == accepted
+
+
 def test_reducible_base_modulus_rejected():
     with pytest.raises(FieldError, match="reducible"):
         make_field(2, 2, base_modulus=0b101)  # x^2+1 = (x+1)^2
+    # every degree-s polynomial over GF(2); phi(2^s - 1)/s are primitive
+    for s in range(1, 7):
+        assert_verdicts(range(1 << s, 1 << (s + 1)),
+                        lambda f: make_field(s, 2, base_modulus=f),
+                        gf2_has_factor, totient(2 ** s - 1) // s)
 
 
 def test_reducible_ext_modulus_rejected():
     with pytest.raises(FieldError, match="reducible"):
         make_field(2, 2, ext_modulus=(1, 0, 1))  # x^2+1
+    # every monic cubic over GF(4): phi(63)/3 = 12 are primitive
+    gf4 = make_field(2, 2)
+    assert_verdicts(monic_polys(4, 3),
+                    lambda f: make_field(2, 3, ext_modulus=f),
+                    lambda f: ext_has_factor(gf4, f), 12)
 
 
 def test_non_primitive_ext_modulus_rejected():
     # x^2+x+1 over GF(4) splits over GF(4); any irreducible-but-imprimitive
-    # case must also be refused, so probe every monic quadratic
-    good = 0
-    for packed in range(16):
-        coeffs = (packed & 3, packed >> 2, 1)
-        try:
-            make_field(2, 2, ext_modulus=coeffs)
-            good += 1
-        except FieldError:
-            pass
-    # primitive quadratics over GF(4): phi(15)/2 = 4 of them
-    assert good == 4
+    # case must also be refused, so probe every monic quadratic over GF(4)
+    # and GF(8): phi(15)/2 = 4 and phi(63)/2 = 18 of them are primitive
+    for s, accepted in ((2, 4), (3, 18)):
+        base = make_field(s, 2)
+        assert_verdicts(monic_polys(1 << s, 2),
+                        lambda f: make_field(s, 2, ext_modulus=f),
+                        lambda f: ext_has_factor(base, f), accepted)
+
+
+def test_prime_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    orders = {2 ** (s * m) - 1 for s in range(1, 9) for m in range(2, 17)}
+    for n in sorted(orders | set(range(1, 2001))):
+        assert _prime_factors(n) == sorted(sympy.factorint(n)), n
 
 
 def test_unsupported_sizes():

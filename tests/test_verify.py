@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from tdcodes import bounds
 from tdcodes.bounds import DomainError
 from tdcodes.gf import make_field
 from tdcodes.verify import SUITES, run_suite
@@ -75,6 +78,25 @@ def test_thm16_suite(q, m):
 @pytest.mark.parametrize("q,m", [(4, 2), (4, 4), (8, 2)])
 def test_thm18_suite(q, m):
     all_ok(run_suite("thm18", q, m))
+
+
+@pytest.mark.parametrize("suite,wid,q,m,claim", [
+    ("thm8", "lemma7", 4, 3, "shared lower bound for both codes of the pair"),
+    ("thm16", "lemma7", 4, 3, "distance bound q^((m-1)/2) + 2q - 1"),
+    ("thm18", "lemma13", 4, 4, "distance bounds per the case table"),
+    ("thm18", "lemma14", 8, 4, "distance bounds per the case table"),
+])
+def test_distance_bound_claims_fail_on_a_broken_witness(monkeypatch, suite, wid,
+                                                        q, m, claim):
+    good = bounds.WITNESS_BUILDERS[wid]
+
+    def shifted(q, m):
+        w, parity = good(q, m)
+        return dataclasses.replace(w, b=w.b + 1), parity
+
+    monkeypatch.setitem(bounds.WITNESS_BUILDERS, wid, shifted)
+    checks = {c.claim: c.ok for c in run_suite(suite, q, m)}
+    assert checks[claim] is False
 
 
 @pytest.mark.parametrize("wid,q,m", [
