@@ -8,6 +8,9 @@ parameter summaries of the two code families.
 
 Exit codes: 0 all good, 1 a verified claim failed, 2 usage or domain
 error, 3 internal failure (for example a bad field-spec file).
+
+Every ``click.echo`` names its stream: click's default-stream cache never
+frees a stream it need not wrap, so in-process calls would leak their output.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def _build_field(q: int, m: int, field_spec_path) -> FieldSpec:
     s = _checked_s(q, m)
     if s == 1:
         click.echo("warning: q = 2 is outside the verified bound analysis; "
-                   "constructions are exploratory", err=True)
+                   "constructions are exploratory", file=sys.stderr)
     try:
         if field_spec_path:
             spec = load_field_spec(field_spec_path)
@@ -56,7 +59,7 @@ def _build_field(q: int, m: int, field_spec_path) -> FieldSpec:
             return spec
         return make_field(s, m)
     except FieldError as exc:
-        click.echo(f"field construction failed: {exc}", err=True)
+        click.echo(f"field construction failed: {exc}", file=sys.stderr)
         sys.exit(3)
 
 
@@ -69,7 +72,7 @@ def _emit(data, fmt: str, out, pretty_text: str | None = None):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
-        click.echo(payload)
+        click.echo(payload, file=sys.stdout)
 
 
 def _code_for(field: FieldSpec, parity: int, variant: str):
@@ -110,10 +113,9 @@ def construct(q, m, parity, variant, fmt, pretty_flag, field_spec_path, out):
     field = _build_field(q, m, field_spec_path)
     if variant == "extended":
         base = _code_for(field, parity, "plain")
-        mat = cyclic.extend_code(base)
         data = {"q": q, "m": m, "parity": parity, "variant": "extended",
-                "n": mat.cols, "k": mat.rows, "base_n": base.n}
-        text = f"extended code: [{mat.cols}, {mat.rows}] over GF({q})"
+                "n": base.n + 1, "k": base.k, "base_n": base.n}
+        text = f"extended code: [{base.n + 1}, {base.k}] over GF({q})"
         _emit(data, fmt, out, text)
         return
     code = _code_for(field, parity, variant)
@@ -175,7 +177,7 @@ def verify_cmd(ctx, claim_id, q, m, field_spec_path, fmt):
             line = f"[{row['status']:>4}] {row['claim']}"
             if row["detail"]:
                 line += f"  ({row['detail']})"
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
     if any(c.ok is False for c in checks):
         ctx.exit(1)
 
@@ -302,7 +304,8 @@ def table(section, s_values, max_n, with_search, fmt):
         extra = f"  search delta {row['search_delta']}" \
             if "search_delta" in row else ""
         click.echo(f"q={row['q']:<4} m={row['m']:<3} {row['family']:<10} "
-                   f"[{row['n']}, {row['k']}, >={row['d_bound']}]{extra}")
+                   f"[{row['n']}, {row['k']}, >={row['d_bound']}]{extra}",
+                   file=sys.stdout)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Cyclic codes over GF(q) from defining sets: minimal and generator
 polynomials, dimensions, derived codes (dual, complement, even-like,
-extended), and the matrix-level structure checks (LCD, self-orthogonal,
-self-dual).
+extended), generator matrices for the distance engine, and the structure
+checks (LCD, self-orthogonal, self-dual extension, hull dimension), which
+read the Gram matrix off the autocorrelation of g(x), not a k x n matrix.
 
 Code equality is equality of (field, defining set); the generator
 polynomial is computed lazily since set-level derivations never need it.
@@ -154,33 +155,6 @@ def extend_code(code: CyclicCode) -> GeneratorMatrix:
     return GeneratorMatrix(code.field, arr)
 
 
-def gram_matrix(mat: GeneratorMatrix) -> np.ndarray:
-    """G * G^T over GF(q) with the Euclidean inner product."""
-    mul = mat.field.np_mul_table
-    a = mat.array
-    out = np.zeros((mat.rows, mat.rows), dtype=np.uint8)
-    for i in range(mat.rows):
-        out[i] = np.bitwise_xor.reduce(mul[a[i][None, :], a], axis=1)
-    return out
-
-
-def is_self_orthogonal(mat: GeneratorMatrix) -> bool:
-    return not gram_matrix(mat).any()
-
-
-def is_self_dual(mat: GeneratorMatrix) -> bool:
-    return 2 * mat.rows == mat.cols and is_self_orthogonal(mat)
-
-
-def products_are_zero(a: GeneratorMatrix, b: GeneratorMatrix) -> bool:
-    """Whether every row of a is orthogonal to every row of b."""
-    mul = a.field.np_mul_table
-    for i in range(a.rows):
-        if np.bitwise_xor.reduce(mul[a.array[i][None, :], b.array], axis=1).any():
-            return False
-    return True
-
-
 def row_reduce(field: FieldSpec, array: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(q); returns (rref, pivot columns)."""
     a = array.astype(np.uint8).copy()
@@ -207,17 +181,39 @@ def row_reduce(field: FieldSpec, array: np.ndarray) -> tuple[np.ndarray, list[in
     return a, pivots
 
 
-def matrix_rank(mat: GeneratorMatrix) -> int:
-    return len(row_reduce(mat.field, mat.array)[1])
+def _gram_band(code: CyclicCode) -> np.ndarray:
+    """(r(0), ..., r(k-1)), r(d) = sum_u g_u g_(u+d).
+
+    The rows x^j g(x), j < k, never wrap around, so their Gram matrix is
+    Toeplitz with entries r(|i - j|).  r(d) is the coefficient of
+    x^(deg g + d) in g(x) * x^(deg g) g(1/x); lags past deg g are zero."""
+    g = code.generator
+    lags = polys.mul(code.field, g, g[::-1])[len(g) - 1:][:code.k]
+    band = np.zeros(code.k, dtype=np.uint8)
+    band[:len(lags)] = lags
+    return band
+
+
+def is_self_orthogonal(code: CyclicCode) -> bool:
+    return not _gram_band(code).any()
+
+
+def extension_is_self_dual(code: CyclicCode) -> bool:
+    """Whether the code extended by the overall-sum coordinate is self-dual:
+    each extended row gains the coordinate g(1), which adds g(1)^2 to every
+    Gram entry."""
+    if 2 * code.k != code.n + 1:
+        return False
+    g1 = int(np.bitwise_xor.reduce(code.generator))
+    return bool((_gram_band(code) == code.field.base_mul(g1, g1)).all())
 
 
 def hull_dimension(code: CyclicCode) -> int:
-    """dim(C intersect C-dual) = n - rank of the stacked generator matrices."""
-    g = generator_matrix(code)
-    d = generator_matrix(dual_code(code))
-    stacked = np.concatenate([g.array, d.array], axis=0)
-    _, pivots = row_reduce(code.field, stacked)
-    return code.n - len(pivots)
+    """dim(C intersect C-dual) = k - rank(G G^T), with G G^T the Toeplitz
+    matrix of the Gram band."""
+    idx = np.arange(code.k)
+    gram = _gram_band(code)[np.abs(idx[:, None] - idx[None, :])]
+    return code.k - len(row_reduce(code.field, gram)[1])
 
 
 # ---------------------------------------------------------------------------

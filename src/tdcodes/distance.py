@@ -169,8 +169,9 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     while done < trials:
         batch = min(512, trials - done)
         msgs = rng_msg.integers(0, field.q, size=(batch, k), dtype=np.uint8)
-        words = np.bitwise_xor.reduce(mul[msgs[:, :, None], mat.array[None, :, :]],
-                                      axis=1)
+        words = np.zeros((batch, n), dtype=np.uint8)
+        for j in range(k):  # batch x n working memory, whatever k is
+            words ^= mul[msgs[:, j, None], mat.array[j]]
         weights = np.count_nonzero(words, axis=1)
         weights[weights == 0] = n + 1
         j = int(weights.argmin())

@@ -7,6 +7,8 @@ take the field first; none mutates its arguments.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def trim(coeffs) -> tuple[int, ...]:
     cs = list(coeffs)
@@ -16,16 +18,18 @@ def trim(coeffs) -> tuple[int, ...]:
 
 
 def mul(field, a, b) -> tuple[int, ...]:
+    """Product of a and b: one table-row XOR per nonzero coefficient of the
+    shorter operand."""
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] ^= field.base_mul(ca, cb)
-    return tuple(out)
+    a, b = sorted((a, b), key=len)
+    table = field.np_mul_table
+    row = np.asarray(b, dtype=np.uint8)
+    out = np.zeros(len(a) + row.size - 1, dtype=np.uint8)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + row.size] ^= table[c, row]
+    return tuple(out.tolist())
 
 
 def divmod_(field, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:

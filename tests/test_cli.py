@@ -1,7 +1,11 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -36,6 +40,48 @@ def test_construct_extended_summary(runner):
     assert res.exit_code == 0
     data = json.loads(res.stdout)
     assert data["n"] == 64 and data["k"] == 32
+
+
+@pytest.fixture
+def no_generator_matrix(monkeypatch):
+    from tdcodes import cyclic
+
+    def refuse(code):
+        raise AssertionError("a k x n generator matrix was built")
+
+    monkeypatch.setattr(cyclic, "generator_matrix", refuse)
+
+
+@pytest.mark.parametrize("args,stdout", [
+    (["construct", "--q", "4", "--m", "3", "--variant", "extended"],
+     '{"base_n":63,"k":32,"m":3,"n":64,"parity":0,"q":4,'
+     '"variant":"extended"}\n'),
+    (["construct", "--q", "8", "--m", "3", "--variant", "extended", "--pretty"],
+     "extended code: [512, 256] over GF(8)\n"),
+    (["verify", "--id", "thm16", "--q", "4", "--m", "5", "--format", "json"],
+     '{"checks":[{"claim":"pair has parameters [n, (n+1)/2]",'
+     '"detail":"[1023, 512]","status":"pass"},'
+     '{"claim":"extension has parameters [n+1, (n+1)/2]",'
+     '"detail":"[1024, 512]","status":"pass"},'
+     '{"claim":"even-like codes have parameters [n, (n-1)/2]",'
+     '"detail":"","status":"pass"},'
+     '{"claim":"distance bound q^((m-1)/2) + 2q - 1",'
+     '"detail":"d >= 23","status":"pass"}],"id":"thm16","m":5,"q":4}\n'),
+], ids=["extended", "extended-pretty", "thm16"])
+def test_structure_commands_build_no_generator_matrix(runner, no_generator_matrix,
+                                                      args, stdout):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.stdout == stdout
+
+
+@pytest.mark.parametrize("claim,m", [("thm2", 3), ("thm3", 4)])
+def test_structure_suites_build_no_generator_matrix(runner, no_generator_matrix,
+                                                    claim, m):
+    res = runner.invoke(main, ["verify", "--id", claim, "--q", "4",
+                               "--m", str(m)])
+    assert res.exit_code == 0, res.output
+    assert res.stdout.count("[pass]") == 4
 
 
 def test_construct_is_byte_identical_across_runs(runner):
@@ -188,3 +234,14 @@ def test_cli_import_does_not_load_sympy():
     subprocess.run([sys.executable, "-c",
                     "import sys, tdcodes.cli; assert 'sympy' not in sys.modules"],
                    env=env, check=True)
+
+
+def test_in_process_calls_do_not_keep_their_output_alive():
+    out = io.StringIO()
+    ref = weakref.ref(out)
+    with contextlib.redirect_stdout(out):
+        main.main(args=["inspect", "--q", "4", "--m", "2"], standalone_mode=False)
+    assert out.getvalue().startswith("T_(4,2;0)")
+    del out
+    gc.collect()
+    assert ref() is None

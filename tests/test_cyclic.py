@@ -3,15 +3,15 @@ import random
 import numpy as np
 import pytest
 
+import oracle
 from tdcodes import polys
 from tdcodes.coset import DefiningSet, build_T, coset_partition, defining_set
-from tdcodes.cyclic import (GeneratorMatrix, code_from_T, complement_code,
+from tdcodes.cyclic import (_gram_band, code_from_T, complement_code,
                             dual_code, encode, even_like, extend_code,
-                            generator_matrix, generator_polynomial,
-                            gram_matrix, hull_dimension, is_lcd, is_self_dual,
-                            is_self_orthogonal, matrix_rank,
-                            minimal_polynomial, poly_pretty,
-                            products_are_zero, code_to_json, code_from_json)
+                            extension_is_self_dual, generator_matrix,
+                            generator_polynomial, hull_dimension, is_lcd,
+                            is_self_orthogonal, minimal_polynomial,
+                            poly_pretty, code_to_json, code_from_json)
 from tdcodes.gf import make_field
 
 # generator polynomials of the two quaternary length-63 codes, little-endian
@@ -40,6 +40,23 @@ def test_minimal_polynomial_degree_one_coset():
     mp = minimal_polynomial(f, 5)
     assert len(mp) == 2 and mp[1] == 1
     assert f.embed_base(mp[0]) == f.beta_power(5)
+
+
+@pytest.mark.parametrize("s", [1, 2, 4, 8])
+def test_poly_mul_matches_schoolbook(s):
+    f = make_field(s, 2)
+    rng = random.Random(s)
+
+    def poly():
+        p = [rng.randrange(f.q) for _ in range(rng.randrange(40))]
+        if p:
+            p[-1] = rng.randrange(1, f.q)
+        return tuple(p)
+
+    for _ in range(60):
+        a, b = poly(), poly()
+        assert polys.mul(f, a, b) == oracle.poly_mul(f, a, b)
+    assert polys.mul(f, (), (1, 1)) == polys.mul(f, (1,), ()) == ()
 
 
 @pytest.mark.parametrize("s,m", [(2, 2), (2, 3), (3, 2), (2, 4)])
@@ -122,8 +139,8 @@ def test_dual_code_agrees_with_matrix_orthogonality():
         c = code_from_T(f, build_T(f.q, f.m, 0))
         d = dual_code(c)
         G, D = generator_matrix(c), generator_matrix(d)
-        assert products_are_zero(G, D)
-        assert matrix_rank(D) == c.n - c.k
+        assert oracle.products_are_zero(G, D)
+        assert oracle.matrix_rank(D) == c.n - c.k
 
 
 def test_complement_code():
@@ -140,7 +157,7 @@ def test_generator_matrix_and_encode():
     c0, _ = pair(f, 4, 3)
     mat = generator_matrix(c0)
     assert (mat.rows, mat.cols) == (32, 63)
-    assert matrix_rank(mat) == 32
+    assert oracle.matrix_rank(mat) == 32
     assert not encode(c0, [0] * 32).any()
     e0 = [1] + [0] * 31
     cw = encode(c0, e0)
@@ -161,7 +178,7 @@ def test_extend_code():
     c0, _ = pair(f, 4, 3)
     ext = extend_code(c0)
     assert (ext.rows, ext.cols) == (32, 64)
-    assert matrix_rank(ext) == 32
+    assert oracle.matrix_rank(ext) == 32
     # every row, hence every codeword, sums to zero
     assert not np.bitwise_xor.reduce(ext.array, axis=1).any()
 
@@ -191,21 +208,71 @@ def test_hull_dimension():
 def test_self_dual_and_self_orthogonal():
     f = gf64()
     c0, c1 = pair(f, 4, 3)
-    assert is_self_dual(extend_code(c0))
-    assert is_self_dual(extend_code(c1))
+    assert extension_is_self_dual(c0)
+    assert extension_is_self_dual(c1)
+    assert not is_self_orthogonal(c0)  # k = 32 > n/2
     el = even_like(c0)
-    mat = generator_matrix(el)
-    assert is_self_orthogonal(mat)
-    assert not is_self_dual(mat)  # 2k = 62 != 63
-    zero_row = GeneratorMatrix(f, np.zeros((1, 63), dtype=np.uint8))
-    assert is_self_orthogonal(zero_row)
-    assert not is_self_dual(zero_row)
+    assert is_self_orthogonal(el)
+    assert not extension_is_self_dual(el)  # 2k = 62 != 64
 
 
 def test_gram_matrix_detects_non_orthogonality():
     f = make_field(2, 2)
     c0, _ = pair(f, 4, 2)
-    assert gram_matrix(generator_matrix(c0)).any()  # LCD code: hull is 0
+    assert oracle.gram_matrix(generator_matrix(c0)).any()  # LCD code: hull is 0
+    assert not is_self_orthogonal(c0)
+
+
+def _toeplitz(band):
+    idx = np.arange(band.size)
+    return band[np.abs(idx[:, None] - idx[None, :])]
+
+
+def _assert_matches_oracle(code):
+    """The band checks against the dense k x n computations."""
+    gram = oracle.gram_matrix(generator_matrix(code))
+    assert np.array_equal(_toeplitz(_gram_band(code)), gram)
+    assert is_self_orthogonal(code) == (not gram.any())
+    if 2 * code.k == code.n + 1:
+        assert extension_is_self_dual(code) == (
+            not oracle.gram_matrix(extend_code(code)).any())
+    else:
+        assert not extension_is_self_dual(code)
+    assert hull_dimension(code) == oracle.hull_dimension(code)
+
+
+SMALL_FIELDS = [(s, m) for s in (1, 2, 3, 4) for m in range(2, 9)
+                if (1 << s) ** m - 1 <= 255]
+
+
+@pytest.mark.parametrize("s,m", SMALL_FIELDS)
+def test_structure_checks_match_the_dense_oracle_on_the_parity_codes(s, m):
+    f = make_field(s, m)
+    for c in pair(f, f.q, m):
+        _assert_matches_oracle(c)
+        _assert_matches_oracle(even_like(c))
+
+
+@pytest.mark.parametrize("s,m", SMALL_FIELDS)
+def test_structure_checks_match_the_dense_oracle_on_random_coset_unions(s, m):
+    f = make_field(s, m)
+    part = coset_partition(f.q, f.n)
+    cosets = [part.coset(leader) for leader in part.leaders]
+    rng = random.Random(1000 * s + m)
+    # the dense oracle costs about 0.1 s per code at n = 255
+    for trial in range(25 if f.n < 255 else 2):
+        rng.shuffle(cosets)
+        if trial % 2:
+            # aim at |T| = (n - 1)/2, where the extension can be self-dual
+            T: list[int] = []
+            for c in cosets:
+                if len(T) + len(c) <= (f.n - 1) // 2:
+                    T += c
+        else:
+            # any size, so k > (n + 1)/2 and lags past deg g occur too
+            keep = rng.random()
+            T = [e for c in cosets if rng.random() < keep for e in c]
+        _assert_matches_oracle(code_from_T(f, defining_set(f.n, f.q, T)))
 
 
 def test_poly_pretty():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ def test_sampled_upper_reaches_the_known_weights_at_n63():
     assert sampled_upper(c1, trials=2048, seed=0).upper <= 15
     assert sampled_upper(extend_code(c0), trials=2048, seed=0).upper <= 16
     assert sampled_upper(extend_code(c1), trials=2048, seed=0).upper <= 16
+
+
+def test_sampled_upper_working_memory_does_not_grow_with_k():
+    f = make_field(2, 4)
+    c = code_from_T(f, build_T(4, 4, 0))  # [255, 129]
+    tracemalloc.start()
+    try:
+        r = sampled_upper(c, trials=512, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.upper == 77
+    # a (trials, k, n) gather of the messages would take 16.8 MB
+    assert peak < 4 * 2 ** 20
 
 
 def test_sampled_upper_witness_is_a_codeword():

@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 
 import pytest
 
 from tdcodes import bounds
 from tdcodes.bounds import DomainError
-from tdcodes.gf import make_field
-from tdcodes.verify import SUITES, run_suite
+from tdcodes.gf import FieldError, make_field
+from tdcodes.verify import SUITES, run_suite, verify_thm2, verify_thm3
 
 
 def all_ok(checks):
@@ -117,6 +118,29 @@ def test_suite_accepts_supplied_field():
     all_ok(run_suite("thm2", 4, 3, field=f))
     with pytest.raises(ValueError, match="supplied field"):
         run_suite("thm2", 8, 3, field=f)
+
+
+def _primitive_fields_gf4(m):
+    """GF(4^m) under every primitive monic modulus of degree m over GF(4)."""
+    fields = []
+    for low in itertools.product(range(4), repeat=m):
+        if low[0] == 0:
+            continue
+        try:
+            fields.append(make_field(2, m, ext_modulus=low + (1,)))
+        except FieldError:
+            pass
+    return fields
+
+
+@pytest.mark.parametrize("suite,m,count", [(verify_thm2, 3, 12),
+                                           (verify_thm3, 2, 4)])
+def test_structure_suites_agree_under_every_primitive_modulus(suite, m, count):
+    fields = _primitive_fields_gf4(m)
+    assert len(fields) == count  # phi(4^m - 1) / m
+    expected = all_ok(suite(4, m))
+    for f in fields:
+        assert suite(4, m, field=f) == expected, f.ext_modulus
 
 
 def test_registry_is_complete():
