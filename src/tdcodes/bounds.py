@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -59,12 +60,11 @@ def negate_witness(w: APWitness, n: int) -> APWitness:
 
 
 def ap_in_set(T: DefiningSet, w: APWitness) -> bool:
-    """Whether every progression member lies in T."""
+    """Whether every progression member lies in T (a DefiningSet, or any
+    set of residues modulo ``T.n`` that supports ``in``)."""
     if math.gcd(w.a, T.n) != 1:
         raise ValueError(f"common difference {w.a} is not coprime to {T.n}")
-    members = T.members
-    return all((w.b + w.a * i) % T.n in members
-               for i in range(w.i_lo, w.i_hi + 1))
+    return all((w.b + w.a * i) % T.n in T for i in range(w.i_lo, w.i_hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +156,45 @@ def lemma_witness(lemma_id: str, q: int, m: int) -> tuple[APWitness, Parity]:
     return builder(q, m)
 
 
+@dataclass(frozen=True)
+class BoundCase:
+    """One class of m: its theorem, the witnesses the theorem's suite checks
+    (in claim order), and per parity the strongest witness and the
+    closed-form bound d(q, m)."""
+
+    theorem: str
+    covers: Callable[[int], bool]
+    witnesses: tuple[str, ...]
+    witness: tuple[str, str]
+    bound: tuple[Callable[[int, int], int], Callable[[int, int], int]]
+
+
+BOUND_CASES = (
+    # odd m: the lemma7 witness, negated, lies in the mirror set T_1
+    BoundCase("thm8", lambda m: m % 2 == 1 and m >= 3, ("lemma7",), ("lemma7",) * 2,
+              (lambda q, m: q ** ((m - 1) // 2) + 2 * q - 1,) * 2),
+    BoundCase("thm12", lambda m: m == 2, ("thm12m2p0", "thm12m2p1"),
+              ("thm12m2p0", "thm12m2p1"), (lambda q, m: (q + 2) // 2,) * 2),
+    BoundCase("thm12", lambda m: m == 6, ("lemma9", "lemma11"), ("lemma11", "lemma9"),
+              (lambda q, m: 2 * q * q - 2 * q + 2, lambda q, m: q * q + 2 * q - 1)),
+    BoundCase("thm12", lambda m: m % 4 == 2 and m >= 10, ("lemma9", "lemma10"),
+              ("lemma10", "lemma9"),
+              (lambda q, m: q ** ((m - 2) // 2) + 2 * q - 1,) * 2),
+    BoundCase("thm15", lambda m: m % 4 == 0 and m >= 4, ("lemma13", "lemma14"),
+              ("lemma13", "lemma14"), (lambda q, m: q ** ((m - 2) // 2) + 1,) * 2),
+)
+
+
+def bound_case(m: int) -> BoundCase:
+    """The row of BOUND_CASES that covers m."""
+    case = next((c for c in BOUND_CASES if c.covers(m)), None)
+    _require(case is not None, f"m must be at least 2, got {m}")
+    return case
+
+
 def witnesses_for(q: int, m: int, parity: Parity | int) -> list[str]:
     """Witness ids applicable to T_(q,m;parity), strongest first."""
-    parity = Parity(parity)
-    if m % 2 == 1:
-        return ["lemma7"]  # parity 1 is covered by negating the lemma7 witness
-    if m == 2:
-        return ["thm12m2p0" if parity is Parity.EVEN else "thm12m2p1"]
-    if m % 4 == 2:
-        if parity is Parity.ODD:
-            return ["lemma9"]
-        return ["lemma11"] if m == 6 else ["lemma10"]
-    return ["lemma13" if parity is Parity.EVEN else "lemma14"]
+    return [bound_case(m).witness[Parity(parity)]]
 
 
 def theorem_bound(q: int, m: int, parity: Parity | int) -> int:
@@ -176,17 +203,7 @@ def theorem_bound(q: int, m: int, parity: Parity | int) -> int:
     if q == 2:
         raise DomainError("the binary family is out of scope (q >= 4 required)")
     _check_q(q)
-    _require(m >= 2, f"m must be at least 2, got {m}")
-    parity = Parity(parity)
-    if m % 2 == 1:
-        return q ** ((m - 1) // 2) + 2 * q - 1
-    if m == 2:
-        return (q + 2) // 2
-    if m % 4 == 2:
-        if parity is Parity.EVEN and m == 6:
-            return 2 * q * q - 2 * q + 2
-        return q ** ((m - 2) // 2) + 2 * q - 1
-    return q ** ((m - 2) // 2) + 1
+    return bound_case(m).bound[Parity(parity)](q, m)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from tdcodes.bounds import DomainError
 from tdcodes.gf import FieldError, FieldSpec, load_field_spec, make_field
 
 VARIANTS = ("plain", "even_like", "dual", "complement", "extended")
+DISTANCE_MAX_BYTES = 1 << 28  # largest k x n generator matrix `distance` builds
 
 
 def _max_n() -> int:
@@ -76,16 +77,11 @@ def _emit(data, fmt: str, out, pretty_text: str | None = None):
 
 
 def _code_for(field: FieldSpec, parity: int, variant: str):
+    """The cyclic code of the variant; the base code for "extended"."""
     base = cyclic.code_from_T(field, coset.build_T(field.q, field.m, parity))
-    if variant == "plain":
-        return base
-    if variant == "even_like":
-        return cyclic.even_like(base)
-    if variant == "dual":
-        return cyclic.dual_code(base)
-    if variant == "complement":
-        return cyclic.complement_code(base)
-    return base  # extended handled by the caller
+    derive = {"even_like": cyclic.even_like, "dual": cyclic.dual_code,
+              "complement": cyclic.complement_code}.get(variant)
+    return derive(base) if derive else base
 
 
 @click.group()
@@ -163,6 +159,8 @@ def verify_cmd(ctx, claim_id, q, m, field_spec_path, fmt):
     field = None
     if field_spec_path or claim_id in verify.FIELD_SUITES:
         field = _build_field(q, m, field_spec_path)
+    elif claim_id in verify.SIZED_SUITES:
+        _checked_s(q, m)
     try:
         checks = verify.run_suite(claim_id, q, m, field=field)
     except DomainError as exc:
@@ -225,20 +223,21 @@ def distance_cmd(q, m, parity, variant, seed, cap, trials, field_spec_path, out)
     """Certify a distance interval: progression lower bound plus an exact or
     sampled upper bound."""
     field = _build_field(q, m, field_spec_path)
+    code = _code_for(field, parity, variant)
+    k = code.k
+    cols = code.n + 1 if variant == "extended" else code.n
+    if k * cols > DISTANCE_MAX_BYTES:
+        raise click.UsageError(
+            f"the {k} x {cols} generator matrix needs {k * cols} bytes, "
+            f"over the limit of {DISTANCE_MAX_BYTES}")
     try:
-        lower = bounds.theorem_bound(q, m, parity)
+        lower = bounds.theorem_bound(q, m, parity) \
+            if variant in ("plain", "extended") else 1
     except DomainError:
         lower = 1
     if field.n <= 4096 and variant == "plain":
-        lower = max(lower, bounds.bch_search(coset.build_T(q, m, parity)).delta)
-    if variant == "extended":
-        target = cyclic.extend_code(_code_for(field, parity, "plain"))
-        lower = max(lower, 1)
-    else:
-        target = _code_for(field, parity, variant)
-        if variant != "plain":
-            lower = 1
-    k = target.rows if isinstance(target, cyclic.GeneratorMatrix) else target.k
+        lower = max(lower, bounds.bch_search(code.T).delta)
+    target = cyclic.extend_code(code) if variant == "extended" else code
     if q ** k <= cap:
         report = distance.exact_distance(target, cap=cap, lower=lower)
     else:
@@ -273,29 +272,22 @@ def table(section, s_values, max_n, with_search, fmt):
             n = q ** m - 1
             if n > cap:
                 break
-            if section == "16" and m % 2 == 1 and m >= 3:
-                d = bounds.theorem_bound(q, m, 0)
-                entries = [("pair", n, (n + 1) // 2, d),
-                           ("extended", n + 1, (n + 1) // 2, d),
-                           ("even_like", n, (n - 1) // 2, d)]
-            elif section == "18" and m % 2 == 0:
-                entries = [("parity0", n, (n + 3) // 2,
-                            bounds.theorem_bound(q, m, 0)),
-                           ("parity1", n, (n - 1) // 2,
-                            bounds.theorem_bound(q, m, 1))]
-            else:
+            if (m % 2 == 1) != (section == "16"):
                 continue
-            searched = None
-            if with_search and n <= 4096:
-                searched = {p: bounds.bch_search(coset.build_T(q, m, p)).delta
-                            for p in (0, 1)}
-            for family, length, k, d in entries:
-                row = {"s": s, "q": q, "m": m, "family": family,
-                       "n": length, "k": k, "d_bound": d}
-                if searched is not None and family in ("pair", "parity0"):
-                    row["search_delta"] = searched[0]
-                if searched is not None and family in ("even_like", "parity1"):
-                    row["search_delta"] = searched[1]
+            # (family, n, k, the parity of its bound, gets that parity's search)
+            if section == "16":
+                entries = [("pair", n, (n + 1) // 2, 0, True),
+                           ("extended", n + 1, (n + 1) // 2, 0, False),
+                           ("even_like", n, (n - 1) // 2, 1, True)]
+            else:
+                entries = [("parity0", n, (n + 3) // 2, 0, True),
+                           ("parity1", n, (n - 1) // 2, 1, True)]
+            for family, length, k, p, searched in entries:
+                row = {"s": s, "q": q, "m": m, "family": family, "n": length,
+                       "k": k, "d_bound": bounds.theorem_bound(q, m, p)}
+                if searched and with_search and n <= 4096:
+                    row["search_delta"] = bounds.bch_search(
+                        coset.build_T(q, m, p)).delta
                 rows.append(row)
     if fmt == "json":
         _emit(rows, "json", None)

@@ -39,18 +39,18 @@ def minimal_polynomial(field: FieldSpec, i: int) -> tuple[int, ...]:
 
 def generator_polynomial(field: FieldSpec, T: DefiningSet) -> tuple[int, ...]:
     """Product of the minimal polynomials of the distinct cosets in T."""
-    g: tuple[int, ...] = (1,)
+    g = np.ones(1, dtype=np.uint8)
     seen: set[int] = set()
     for e in T.elems:
         if e in seen:
             continue
         orbit = cyclotomic_coset(e, field.q, field.n)
         seen.update(orbit)
-        g = polys.mul(field, g, minimal_polynomial(field, e))
+        g = polys._mul_array(field.np_mul_table, g, minimal_polynomial(field, e))
     if seen - T.members:
         raise ValueError("defining set is not closed under multiplication by q")
-    assert len(g) - 1 == len(T)
-    return g
+    assert g.size - 1 == len(T)
+    return tuple(g.tolist())
 
 
 @dataclass(frozen=True)

@@ -120,12 +120,16 @@ def weight_distribution(code_or_matrix, cap: int = 1 << 20) -> dict[int, int]:
 # Randomized upper bound
 # ---------------------------------------------------------------------------
 
-def _pairwise_min(field, rows: np.ndarray, best_w: int, best_cw):
-    """Scan c = r_i + lam * r_j over all row pairs and nonzero lam."""
-    mul = field.np_mul_table
+def _lightest(field, rows: np.ndarray, pair_scan: bool):
+    """The lightest row, or with ``pair_scan`` the lightest nonzero word
+    among the lightest row and every r_i + lam * r_j (i != j, lam != 0)."""
     weights = np.count_nonzero(rows, axis=1)
     j = int(weights.argmin())
-    if weights[j] and weights[j] < best_w:
+    if not pair_scan:
+        return int(weights[j]), rows[j].copy()
+    mul = field.np_mul_table
+    best_w, best_cw = rows.shape[1] + 1, None
+    if weights[j]:
         best_w, best_cw = int(weights[j]), rows[j].copy()
     for lam in range(1, field.q):
         combos = rows[:, None, :] ^ mul[lam, rows][None, :, :]
@@ -154,15 +158,7 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     mul = field.np_mul_table
     n = mat.cols
     k = mat.rows
-
-    best_w = n + 1
-    best_cw = None
-    if k <= _PAIR_SCAN_MAX_K:
-        best_w, best_cw = _pairwise_min(field, mat.array, best_w, best_cw)
-    else:
-        weights = np.count_nonzero(mat.array, axis=1)
-        j = int(weights.argmin())
-        best_w, best_cw = int(weights[j]), mat.array[j].copy()
+    best_w, best_cw = _lightest(field, mat.array, k <= _PAIR_SCAN_MAX_K)
 
     rng_msg = np.random.default_rng(seed)
     done = 0
@@ -183,13 +179,8 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     for _ in range(max(1, trials // 16)):
         perm = rng_sys.permutation(n)
         reduced, pivots = cyclic.row_reduce(field, mat.array[:, perm])
-        rows = reduced[:len(pivots)]
-        if k <= _PAIR_SCAN_MAX_K:
-            w, cw_perm = _pairwise_min(field, rows, n + 1, None)
-        else:
-            weights = np.count_nonzero(rows, axis=1)
-            j = int(weights.argmin())
-            w, cw_perm = int(weights[j]), rows[j].copy()
+        w, cw_perm = _lightest(field, reduced[:len(pivots)],
+                               k <= _PAIR_SCAN_MAX_K)
         if w < best_w and cw_perm is not None:
             best_w = w
             best_cw = np.zeros(n, dtype=np.uint8)

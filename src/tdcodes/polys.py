@@ -17,19 +17,20 @@ def trim(coeffs) -> tuple[int, ...]:
     return tuple(cs)
 
 
-def mul(field, a, b) -> tuple[int, ...]:
-    """Product of a and b: one table-row XOR per nonzero coefficient of the
+def _mul_array(table: np.ndarray, a, b) -> np.ndarray:
+    """Product of two nonempty coefficient sequences as a uint8 array: one
+    row XOR of the multiplication table per nonzero coefficient of the
     shorter operand."""
-    if not a or not b:
-        return ()
-    a, b = sorted((a, b), key=len)
-    table = field.np_mul_table
-    row = np.asarray(b, dtype=np.uint8)
-    out = np.zeros(len(a) + row.size - 1, dtype=np.uint8)
-    for i, c in enumerate(a):
-        if c:
-            out[i:i + row.size] ^= table[c, row]
-    return tuple(out.tolist())
+    a, b = (np.asarray(c, dtype=np.uint8) for c in sorted((a, b), key=len))
+    out = np.zeros(a.size + b.size - 1, dtype=np.uint8)
+    for i in np.flatnonzero(a):
+        out[i:i + b.size] ^= table[a[i], b]
+    return out
+
+
+def mul(field, a, b) -> tuple[int, ...]:
+    """Product of a and b."""
+    return tuple(_mul_array(field.np_mul_table, a, b).tolist()) if a and b else ()
 
 
 def divmod_(field, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:

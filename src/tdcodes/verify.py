@@ -19,8 +19,13 @@ from tdcodes.gf import FieldSpec, make_field
 
 MATRIX_CHECK_MAX_N = 4095
 HULL_CHECK_MAX_N = 255
+WITNESS_MAX_LENGTH = 1 << 22
 # suites that build codes, and so accept a caller-supplied field
 FIELD_SUITES = ("thm2", "thm3", "thm16", "thm18")
+SIZED_SUITES = FIELD_SUITES + ("lemma1", "lemma6")  # work grows with n
+# the theorems whose cases are the rows of bounds.BOUND_CASES
+_THEOREM_DOMAINS = {"thm8": "odd m >= 3", "thm12": "m = 2 mod 4",
+                    "thm15": "m = 0 mod 4"}
 
 
 @dataclass(frozen=True)
@@ -122,13 +127,28 @@ def verify_lemma6(q: int, m: int) -> list[ClaimCheck]:
 # Progression witnesses
 # ---------------------------------------------------------------------------
 
+class _ImplicitT:
+    """T_(q,m;parity) as a membership test, never built: as in coset.build_T,
+    the nonzero i whose digit-sum parity (popcount parity of i & mask) is
+    the requested one."""
+
+    def __init__(self, q: int, m: int, parity: Parity | int):
+        self.n = q ** m - 1
+        self._mask = coset._parity_mask(q.bit_length() - 1, m)
+        self._parity = int(parity)
+
+    def __contains__(self, i: int) -> bool:
+        return i != 0 and (i & self._mask).bit_count() & 1 == self._parity
+
+
 def verify_witness(lemma_id: str, q: int, m: int) -> list[ClaimCheck]:
     witness, parity = bounds.lemma_witness(lemma_id, q, m)
-    n = q ** m - 1
-    T = coset.build_T(q, m, parity)
+    _require(witness.length <= WITNESS_MAX_LENGTH, f"the {lemma_id} progression "
+             f"has {witness.length} members, over the cap of {WITNESS_MAX_LENGTH}")
+    T = _ImplicitT(q, m, parity)
     checks = [
-        ClaimCheck("gcd(a, n) = 1", math.gcd(witness.a, n) == 1,
-                   f"a={witness.a}, n={n}"),
+        ClaimCheck("gcd(a, n) = 1", math.gcd(witness.a, T.n) == 1,
+                   f"a={witness.a}, n={T.n}"),
         ClaimCheck(f"progression lies in T_{int(parity)}",
                    bounds.ap_in_set(T, witness),
                    f"b={witness.b}, a={witness.a}, "
@@ -139,9 +159,6 @@ def verify_witness(lemma_id: str, q: int, m: int) -> list[ClaimCheck]:
                              witness.delta == expected,
                              f"delta={witness.delta}, closed form={expected}"))
     return checks
-
-
-_WITNESS_IDS = ("lemma7", "lemma9", "lemma10", "lemma11", "lemma13", "lemma14")
 
 
 def _bounds_witnessed(q: int, m: int, defining_set) -> bool:
@@ -228,39 +245,20 @@ def verify_thm3(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimChe
     return checks
 
 
-def verify_thm8(q: int, m: int) -> list[ClaimCheck]:
-    _require(m >= 3 and m % 2 == 1, f"need odd m >= 3, got m={m}")
-    checks = verify_witness("lemma7", q, m)
-    d = bounds.theorem_bound(q, m, Parity.EVEN)
-    witnessed = _bounds_witnessed(q, m, lambda p: coset.build_T(q, m, p))
-    checks.append(ClaimCheck("shared lower bound for both codes of the pair",
-                             witnessed, f"d >= {d}"))
-    return checks
-
-
-def verify_thm12(q: int, m: int) -> list[ClaimCheck]:
-    _require(m == 2 or (m % 4 == 2 and m >= 6),
-             f"need m = 2 mod 4, got m={m}")
-    checks = []
-    if m == 2:
-        for wid in ("thm12m2p0", "thm12m2p1"):
-            checks += [ClaimCheck(f"[{wid}] {c.claim}", c.ok, c.detail)
-                       for c in verify_witness(wid, q, m)]
-        return checks
-    ids = ["lemma9", "lemma11"] if m == 6 else ["lemma9", "lemma10"]
-    for wid in ids:
-        checks += [ClaimCheck(f"[{wid}] {c.claim}", c.ok, c.detail)
-                   for c in verify_witness(wid, q, m)]
-    return checks
-
-
-def verify_thm15(q: int, m: int) -> list[ClaimCheck]:
-    _require(m % 4 == 0 and m >= 4, f"need m = 0 mod 4, got m={m}")
-    checks = []
-    for wid in ("lemma13", "lemma14"):
-        checks += [ClaimCheck(f"[{wid}] {c.claim}", c.ok, c.detail)
-                   for c in verify_witness(wid, q, m)]
-    return checks
+def verify_bound_theorem(theorem: str, q: int, m: int) -> list[ClaimCheck]:
+    """Theorem 8, 12 or 15: re-prove the witnesses of the case of m.  A case
+    with one witness also checks the bound it gives both parities."""
+    case = next((c for c in bounds.BOUND_CASES
+                 if c.theorem == theorem and c.covers(m)), None)
+    _require(case is not None, f"need {_THEOREM_DOMAINS[theorem]}, got m={m}")
+    if len(case.witnesses) > 1:
+        return [ClaimCheck(f"[{wid}] {c.claim}", c.ok, c.detail)
+                for wid in case.witnesses for c in verify_witness(wid, q, m)]
+    checks = verify_witness(case.witnesses[0], q, m)  # first: it caps the length
+    return checks + [ClaimCheck(
+        "shared lower bound for both codes of the pair",
+        _bounds_witnessed(q, m, lambda p: _ImplicitT(q, m, p)),
+        f"d >= {bounds.theorem_bound(q, m, Parity.EVEN)}")]
 
 
 def verify_thm16(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimCheck]:
@@ -312,14 +310,14 @@ SUITES = {
     "lemma6": verify_lemma6,
     "thm2": verify_thm2,
     "thm3": verify_thm3,
-    "thm8": verify_thm8,
-    "thm12": verify_thm12,
-    "thm15": verify_thm15,
     "thm16": verify_thm16,
     "thm18": verify_thm18,
 }
+SUITES.update({thm: (lambda q, m, _t=thm: verify_bound_theorem(_t, q, m))
+               for thm in _THEOREM_DOMAINS})
 SUITES.update({wid: (lambda q, m, _w=wid: verify_witness(_w, q, m))
-               for wid in _WITNESS_IDS})
+               for case in bounds.BOUND_CASES for wid in case.witnesses
+               if wid.startswith("lemma")})
 
 
 def run_suite(claim_id: str, q: int, m: int,

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from tdcodes.bounds import (APWitness, BoundReport, DomainError, ap_in_set,
-                            bch_search, lemma_bound_report, lemma_witness,
-                            negate_witness, progression_members,
-                            report_to_json, theorem_bound, witnesses_for)
+from tdcodes.bounds import (BOUND_CASES, APWitness, BoundReport, DomainError,
+                            ap_in_set, bch_search, bound_case,
+                            lemma_bound_report, lemma_witness, negate_witness,
+                            progression_members, report_to_json, theorem_bound,
+                            witnesses_for)
 from tdcodes.coset import DefiningSet, Parity, build_T, q_weight
 
 
@@ -195,3 +196,14 @@ def test_report_json():
                                  "i_hi": 6, "source": "lemma7"}
     empty = BoundReport(1, None, "exhaustive search")
     assert report_to_json(empty)["b"] is None
+
+
+def test_one_case_row_covers_each_m():
+    for m in range(2, 65):
+        rows = [case for case in BOUND_CASES if case.covers(m)]
+        assert rows == [bound_case(m)], m
+        assert set(rows[0].witness) <= set(rows[0].witnesses), m
+    for m in (-1, 0, 1):
+        assert not any(case.covers(m) for case in BOUND_CASES)
+        with pytest.raises(DomainError, match="at least 2"):
+            bound_case(m)

@@ -126,9 +126,45 @@ def test_construct_usage_error(runner):
 
 def test_max_n_guard(runner, monkeypatch):
     monkeypatch.setenv("TD_MAX_N", "100")
-    res = runner.invoke(main, ["construct", "--q", "4", "--m", "4"])
+    for args in (["construct", "--q", "4", "--m", "4"],
+                 ["verify", "--id", "lemma1", "--q", "4", "--m", "4"],
+                 ["verify", "--id", "lemma6", "--q", "4", "--m", "4"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, args
+        assert "TD_MAX_N" in res.stderr, args
+
+
+def test_verify_rejects_a_witness_over_the_length_cap(runner, monkeypatch):
+    from tdcodes import coset
+
+    def refuse(*args):
+        raise AssertionError("a defining set was built")
+
+    monkeypatch.setattr(coset, "build_T", refuse)
+    for claim, m, length in (("lemma13", 16, 72057594037927936),
+                             ("thm8", 15, 72057594037928446)):
+        res = runner.invoke(main, ["verify", "--id", claim, "--q", "256",
+                                   "--m", str(m)])
+        assert res.exit_code == 2, claim
+        assert f"has {length} members" in res.stderr, claim
+
+
+@pytest.mark.parametrize("variant,size", [
+    ("plain", "32769 x 65535"), ("extended", "32769 x 65536"),
+    ("dual", "32766 x 65535")])
+def test_distance_rejects_an_oversized_generator_matrix(runner, monkeypatch,
+                                                        variant, size):
+    from tdcodes import cyclic
+
+    def refuse(*args):
+        raise AssertionError("a generator polynomial was computed")
+
+    monkeypatch.setattr(cyclic, "generator_polynomial", refuse)
+    res = runner.invoke(main, ["distance", "--q", "4", "--m", "8",
+                               "--variant", variant])
     assert res.exit_code == 2
-    assert "TD_MAX_N" in res.stderr
+    assert f"the {size} generator matrix needs" in res.stderr
+    assert "bytes" in res.stderr
 
 
 def test_verify_pass_and_exit_codes(runner):

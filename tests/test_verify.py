@@ -3,10 +3,11 @@ import itertools
 
 import pytest
 
-from tdcodes import bounds
+from tdcodes import bounds, coset
 from tdcodes.bounds import DomainError
 from tdcodes.gf import FieldError, make_field
-from tdcodes.verify import SUITES, run_suite, verify_thm2, verify_thm3
+from tdcodes.verify import (SUITES, _ImplicitT, run_suite, verify_thm2,
+                            verify_thm3)
 
 
 def all_ok(checks):
@@ -147,3 +148,77 @@ def test_registry_is_complete():
     assert {"lemma1", "lemma5", "lemma6", "lemma7", "lemma9", "lemma10",
             "lemma11", "lemma13", "lemma14", "thm2", "thm3", "thm8",
             "thm12", "thm15", "thm16", "thm18"} <= set(SUITES)
+
+
+def test_implicit_T_matches_build_T_on_every_residue():
+    for s in range(1, 9):
+        q = 1 << s
+        for m in range(2, 17):
+            n = q ** m - 1
+            if n > 1 << 16:
+                break
+            for parity in (0, 1):
+                T = _ImplicitT(q, m, parity)
+                assert T.n == n
+                assert [i for i in range(n) if i in T] == \
+                    list(coset.build_T(q, m, parity).elems), (q, m, parity)
+
+
+def test_bound_theorems_hold_across_the_table():
+    """s = 2..8, m = 2..16, wherever every witness the theorem checks has at
+    most 2^16 members."""
+    cases = 0
+    for s in range(2, 9):
+        q = 1 << s
+        for m in range(2, 17):
+            case = bounds.bound_case(m)
+            if all(bounds.lemma_witness(wid, q, m)[0].length <= 1 << 16
+                   for wid in case.witnesses):
+                checks = all_ok(run_suite(case.theorem, q, m))
+                assert all(c.ok for c in checks), (case.theorem, q, m)
+                cases += 1
+    assert cases == 53
+
+
+@pytest.mark.parametrize("theorem,m,claims", [
+    ("thm8", 3, ["gcd(a, n) = 1", "progression lies in T_0",
+                 "implied bound matches the closed form",
+                 "shared lower bound for both codes of the pair"]),
+    ("thm12", 2, [f"[thm12m2p{p}] {c}" for p in (0, 1) for c in (
+        "gcd(a, n) = 1", f"progression lies in T_{p}",
+        "implied bound matches the closed form")]),
+    ("thm12", 6, [f"[{w}] {c}" for w, p in (("lemma9", 1), ("lemma11", 0))
+                  for c in ("gcd(a, n) = 1", f"progression lies in T_{p}",
+                            "implied bound matches the closed form")]),
+    ("thm15", 4, [f"[{w}] {c}" for w, p in (("lemma13", 0), ("lemma14", 1))
+                  for c in ("gcd(a, n) = 1", f"progression lies in T_{p}",
+                            "implied bound matches the closed form")]),
+])
+def test_bound_theorem_claims_keep_their_names_and_order(theorem, m, claims):
+    assert [c.claim for c in run_suite(theorem, 4, m)] == claims
+
+
+@pytest.mark.parametrize("theorem,m,domain", [
+    ("thm8", 2, "odd m >= 3"), ("thm8", 1, "odd m >= 3"),
+    ("thm12", 4, "m = 2 mod 4"), ("thm12", 3, "m = 2 mod 4"),
+    ("thm15", 6, "m = 0 mod 4"), ("thm15", 0, "m = 0 mod 4"),
+])
+def test_bound_theorem_domain_messages(theorem, m, domain):
+    with pytest.raises(DomainError, match=f"^need {domain}, got m={m}$"):
+        run_suite(theorem, 4, m)
+
+
+@pytest.fixture
+def no_build_T(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a defining set was built")
+
+    monkeypatch.setattr(coset, "build_T", refuse)
+
+
+@pytest.mark.parametrize("claim,q,m", [
+    ("lemma7", 4, 11), ("thm8", 4, 3), ("thm8", 8, 5), ("thm12", 4, 2),
+    ("thm12", 4, 6), ("thm12", 8, 10), ("thm15", 4, 4), ("thm15", 16, 8),
+])
+def test_witness_suites_never_build_T(no_build_T, claim, q, m):
+    all_ok(run_suite(claim, q, m))
