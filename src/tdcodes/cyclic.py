@@ -1,8 +1,9 @@
 """Cyclic codes over GF(q) from defining sets: minimal and generator
 polynomials, dimensions, derived codes (dual, complement, even-like,
 extended), generator matrices for the distance engine, and the structure
-checks (LCD, self-orthogonal, self-dual extension, hull dimension), which
-read the Gram matrix off the autocorrelation of g(x), not a k x n matrix.
+checks (LCD, self-orthogonal, self-dual extension, hull dimension).  These
+read g(x) alone, never a matrix: the Gram matrix of the rows x^j g(x) off
+the autocorrelation of g, and the hull off gcd(g, g*) with the reciprocal g*.
 
 Code equality is equality of (field, defining set); the generator
 polynomial is computed lazily since set-level derivations never need it.
@@ -209,11 +210,12 @@ def extension_is_self_dual(code: CyclicCode) -> bool:
 
 
 def hull_dimension(code: CyclicCode) -> int:
-    """dim(C intersect C-dual) = k - rank(G G^T), with G G^T the Toeplitz
-    matrix of the Gram band."""
-    idx = np.arange(code.k)
-    gram = _gram_band(code)[np.abs(idx[:, None] - idx[None, :])]
-    return code.k - len(row_reduce(code.field, gram)[1])
+    """dim(C intersect C-dual) = |T minus -T| = deg g - deg gcd(g, g*): the
+    reciprocal g*(x) = x^(deg g) g(1/x) has the roots beta^(-i), i in T.
+    Zero exactly when g is self-reciprocal, the LCD criterion of Yang and
+    Massey."""
+    g = code.generator
+    return len(g) - len(polys.gcd(code.field, g, g[::-1]))
 
 
 # ---------------------------------------------------------------------------

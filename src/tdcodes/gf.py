@@ -235,11 +235,6 @@ class FieldSpec:
         exp, log = self._base_tables
         return exp[(log[a] * e) % (self.q - 1)]
 
-    def base_generator_power(self, k: int) -> int:
-        """k-th power of the base-field generator (the class of x)."""
-        exp, _ = self._base_tables
-        return exp[k % (self.q - 1)]
-
     def base_log(self, a: int) -> int:
         if a == 0:
             raise FieldError("log of zero")

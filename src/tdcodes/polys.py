@@ -33,38 +33,32 @@ def mul(field, a, b) -> tuple[int, ...]:
     return tuple(_mul_array(field.np_mul_table, a, b).tolist()) if a and b else ()
 
 
+def _divmod_array(field, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Quotient and trimmed remainder of uint8 coefficient arrays, b with a
+    nonzero leading coefficient: one multiplication-table row XOR of the
+    monic divisor per quotient degree."""
+    table, inv = field.np_mul_table, field.base_inv(int(b[-1]))
+    monic, rem = table[inv, b], a.copy()
+    quot = np.zeros(max(a.size - b.size + 1, 0), dtype=np.uint8)
+    for i in range(quot.size - 1, -1, -1):
+        if c := rem[i + b.size - 1]:
+            quot[i] = c
+            rem[i:i + b.size] ^= table[c, monic]
+    nz = np.flatnonzero(rem[:b.size - 1])
+    return table[inv, quot], rem[:nz[-1] + 1 if nz.size else 0]
+
+
 def divmod_(field, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = field.base_inv(b[-1])
-    quot = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = field.base_mul(a[-1], inv_lead)
-        quot[da - db] = factor
-        for j, cb in enumerate(b):
-            if cb:
-                a[da - db + j] ^= field.base_mul(factor, cb)
-        a.pop()
-    return trim(quot), trim(a)
+    quot, rem = _divmod_array(field, np.asarray(a, dtype=np.uint8),
+                              np.asarray(b, dtype=np.uint8))
+    return trim(quot.tolist()), tuple(rem.tolist())
 
 
-def eval_ext(field, p, x: int) -> int:
-    """Evaluate at an extension-field point, coefficients embedded."""
-    acc = 0
-    for c in reversed(p):
-        acc = field.ext_mul(acc, x) ^ field.embed_base(c)
-    return acc
-
-
-def x_pow_n_plus_1(n: int) -> tuple[int, ...]:
-    """x^n - 1, which in characteristic 2 is x^n + 1."""
-    out = [0] * (n + 1)
-    out[0] = 1
-    out[-1] = 1
-    return tuple(out)
+def gcd(field, a, b) -> tuple[int, ...]:
+    """Monic greatest common divisor, by Euclid's algorithm; gcd(0, 0) = 0."""
+    a, b = np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
+    while b.size:
+        a, b = b, _divmod_array(field, a, b)[1]
+    return tuple(_divmod_array(field, a, a[-1:])[0].tolist()) if a.size else ()

@@ -4,7 +4,10 @@ dimensions, progression witnesses, closed-form bounds) is packaged as a
 named suite returning one ClaimCheck per sub-claim.
 
 Suites raise DomainError when (q, m) is outside a claim's domain, and mark
-a check's ``ok`` as None when it is skipped for size reasons.
+a check's ``ok`` as None when it is skipped for size reasons.  The one such
+reason is STRUCTURE_CHECK_MAX_N: thm2 and thm3 check every structure claim
+on g(x) up to that length and, above it, skip those claims without building
+g (thm2 still checks the even-like dimensions at set level).
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from tdcodes.bounds import DomainError
 from tdcodes.coset import Parity
 from tdcodes.gf import FieldSpec, make_field
 
-MATRIX_CHECK_MAX_N = 4095
-HULL_CHECK_MAX_N = 255
+STRUCTURE_CHECK_MAX_N = 16383
 WITNESS_MAX_LENGTH = 1 << 22
 # suites that build codes, and so accept a caller-supplied field
 FIELD_SUITES = ("thm2", "thm3", "thm16", "thm18")
@@ -176,6 +178,10 @@ def _bounds_witnessed(q: int, m: int, defining_set) -> bool:
 # Structure of the codes
 # ---------------------------------------------------------------------------
 
+def _skipped(n: int) -> str:
+    return f"skipped: n={n} is over the structure-check limit {STRUCTURE_CHECK_MAX_N}"
+
+
 def verify_thm2(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimCheck]:
     """Odd m: duadic pair under -1, self-dual extension, self-orthogonal
     even-like codes, and dual-vs-complement parameter agreement."""
@@ -193,7 +199,7 @@ def verify_thm2(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimChe
 
     dims_el = all(cyclic.even_like(c).k == (n - 1) // 2 for c in (c0, c1))
     claim_el = "even-like codes are self-orthogonal with dimension (n-1)/2"
-    if n <= MATRIX_CHECK_MAX_N:
+    if n <= STRUCTURE_CHECK_MAX_N:
         sd = all(cyclic.extension_is_self_dual(c) for c in (c0, c1))
         checks.append(ClaimCheck("extended codes are self-dual", sd,
                                  f"[{n + 1}, {(n + 1) // 2}]"))
@@ -202,9 +208,8 @@ def verify_thm2(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimChe
         checks.append(ClaimCheck(claim_el, so and dims_el, ""))
     else:
         checks.append(ClaimCheck("extended codes are self-dual", None,
-                                 f"matrix check skipped (n={n})"))
-        checks.append(ClaimCheck(claim_el, dims_el,
-                                 f"matrix check skipped (n={n})"))
+                                 _skipped(n)))
+        checks.append(ClaimCheck(claim_el, dims_el, _skipped(n)))
 
     params_agree = all(
         (cyclic.dual_code(a).n, cyclic.dual_code(a).k)
@@ -235,13 +240,12 @@ def verify_thm3(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimChe
                              c0.k == (n + 3) // 2 and c1.k == (n - 1) // 2,
                              f"k0={c0.k}, k1={c1.k}"))
 
-    if n <= HULL_CHECK_MAX_N:
+    claim_hull = "hull dimension is 0 (polynomial level)"
+    if n <= STRUCTURE_CHECK_MAX_N:
         hulls = (cyclic.hull_dimension(c0), cyclic.hull_dimension(c1))
-        checks.append(ClaimCheck("hull dimension is 0 (matrix level)",
-                                 hulls == (0, 0), f"dims {hulls}"))
+        checks.append(ClaimCheck(claim_hull, hulls == (0, 0), f"dims {hulls}"))
     else:
-        checks.append(ClaimCheck("hull dimension is 0 (matrix level)", None,
-                                 f"matrix check skipped (n={n})"))
+        checks.append(ClaimCheck(claim_hull, None, _skipped(n)))
     return checks
 
 

@@ -1,14 +1,16 @@
 """Slow dense references for the fast paths of tdcodes.
 
-The library reads its structure checks off the Gram band of g(x) and
-multiplies polynomials with vectorized table rows; these references build
-the k x n generator matrices and run the schoolbook product instead, so the
-tests can compare two independent computations.
+The library reads its structure checks off g(x) (the Gram band and
+gcd(g, g*)) and multiplies and divides polynomials with vectorized table
+rows; these references build the k x n generator matrices and run the
+schoolbook product and long division instead, so the tests can compare two
+independent computations.
 """
 
 import numpy as np
 
 from tdcodes.cyclic import GeneratorMatrix, dual_code, generator_matrix, row_reduce
+from tdcodes.polys import trim
 
 
 def poly_mul(field, a, b) -> tuple[int, ...]:
@@ -22,6 +24,44 @@ def poly_mul(field, a, b) -> tuple[int, ...]:
         for j, cb in enumerate(b):
             if cb:
                 out[i + j] ^= field.base_mul(ca, cb)
+    return tuple(out)
+
+
+def poly_divmod(field, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Schoolbook long division, one coefficient at a time."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    db = len(b) - 1
+    inv_lead = field.base_inv(b[-1])
+    quot = [0] * max(len(a) - db, 0)
+    while len(a) - 1 >= db and any(a):
+        da = len(a) - 1
+        if a[-1] == 0:
+            a.pop()
+            continue
+        factor = field.base_mul(a[-1], inv_lead)
+        quot[da - db] = factor
+        for j, cb in enumerate(b):
+            if cb:
+                a[da - db + j] ^= field.base_mul(factor, cb)
+        a.pop()
+    return trim(quot), trim(a)
+
+
+def eval_ext(field, p, x: int) -> int:
+    """Evaluate at an extension-field point, coefficients embedded."""
+    acc = 0
+    for c in reversed(p):
+        acc = field.ext_mul(acc, x) ^ field.embed_base(c)
+    return acc
+
+
+def x_pow_n_plus_1(n: int) -> tuple[int, ...]:
+    """x^n - 1, which in characteristic 2 is x^n + 1."""
+    out = [0] * (n + 1)
+    out[0] = 1
+    out[-1] = 1
     return tuple(out)
 
 

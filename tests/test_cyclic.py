@@ -5,7 +5,8 @@ import pytest
 
 import oracle
 from tdcodes import polys
-from tdcodes.coset import DefiningSet, build_T, coset_partition, defining_set
+from tdcodes.coset import (DefiningSet, build_T, coset_partition, defining_set,
+                           negate_set)
 from tdcodes.cyclic import (_gram_band, code_from_T, complement_code,
                             dual_code, encode, even_like, extend_code,
                             extension_is_self_dual, generator_matrix,
@@ -59,6 +60,79 @@ def test_poly_mul_matches_schoolbook(s):
     assert polys.mul(f, (), (1, 1)) == polys.mul(f, (1,), ()) == ()
 
 
+def _add(a, b):
+    out = [0] * max(len(a), len(b))
+    for p in (a, b):
+        for i, c in enumerate(p):
+            out[i] ^= c
+    return polys.trim(out)
+
+
+def _random_poly(rng, q, length, lead=None):
+    p = [rng.randrange(q) for _ in range(length)]
+    if p:
+        p[-1] = rng.randrange(1, q) if lead is None else lead
+    return tuple(p)
+
+
+@pytest.mark.parametrize("s", [1, 2, 4, 8])
+def test_poly_divmod_matches_long_division(s):
+    f = make_field(s, 2)
+    rng = random.Random(100 + s)
+    top = f.q - 1  # not 1 unless s = 1, so b is non-monic
+    pairs = [(_random_poly(rng, f.q, rng.randrange(60)),
+              _random_poly(rng, f.q, rng.randrange(1, 30))) for _ in range(60)]
+    pairs += [
+        (_random_poly(rng, f.q, 5), _random_poly(rng, f.q, 9)),  # deg a < deg b
+        ((), _random_poly(rng, f.q, 4)),
+        (_random_poly(rng, f.q, 20), (rng.randrange(1, f.q),)),  # constant b
+        (_random_poly(rng, f.q, 40), _random_poly(rng, f.q, 7, lead=top)),
+    ]
+    for a, b in pairs:
+        quot, rem = polys.divmod_(f, a, b)
+        assert (quot, rem) == oracle.poly_divmod(f, a, b), (a, b)
+        assert len(rem) < len(b)
+        assert _add(polys.mul(f, quot, b), rem) == a
+    for div in (polys.divmod_, oracle.poly_divmod):
+        with pytest.raises(ZeroDivisionError):
+            div(f, (1, 1), ())
+
+
+@pytest.mark.parametrize("s", [1, 2, 4, 8])
+def test_poly_gcd(s):
+    f = make_field(s, 2)
+    rng = random.Random(200 + s)
+    for _ in range(30):
+        a, b, c = (_random_poly(rng, f.q, rng.randrange(1, 25)) for _ in range(3))
+        g = polys.gcd(f, polys.mul(f, a, c), polys.mul(f, b, c))
+        assert g[-1] == 1
+        assert polys.divmod_(f, g, c)[1] == ()
+        assert polys.divmod_(f, polys.mul(f, a, c), g)[1] == ()
+    assert polys.gcd(f, (), ()) == ()
+    top = f.q - 1
+    assert polys.gcd(f, (), (1, top)) == polys.gcd(f, (1, top), ()) \
+        == (f.base_inv(top), 1)
+    part = coset_partition(f.q, f.n)
+    leaders = rng.sample(part.leaders, min(6, len(part.leaders)))
+    for i, j in zip(leaders, leaders[1:]):
+        mi, mj = minimal_polynomial(f, i), minimal_polynomial(f, j)
+        assert polys.gcd(f, mi, mj) == (1,)
+        assert polys.gcd(f, polys.mul(f, mi, mj), mi) == mi
+
+
+def test_poly_gcd_of_generators_is_the_generator_of_the_intersection():
+    f = make_field(2, 3)
+    part = coset_partition(f.q, f.n)
+    cosets = [part.coset(leader) for leader in part.leaders]
+    rng = random.Random(7)
+    for _ in range(20):
+        T1, T2 = ([e for c in cosets if rng.random() < 0.5 for e in c]
+                  for _ in range(2))
+        g1, g2, g12 = (generator_polynomial(f, defining_set(f.n, f.q, T))
+                       for T in (T1, T2, set(T1) & set(T2)))
+        assert polys.gcd(f, g1, g2) == g12
+
+
 @pytest.mark.parametrize("s,m", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_product_of_minimal_polynomials_is_x_n_minus_1(s, m):
     f = make_field(s, m)
@@ -68,14 +142,14 @@ def test_product_of_minimal_polynomials_is_x_n_minus_1(s, m):
         mp = minimal_polynomial(f, leader)
         assert len(mp) - 1 == len(part.coset(leader))
         prod = polys.mul(f, prod, mp)
-    assert prod == polys.x_pow_n_plus_1(f.n)
+    assert prod == oracle.x_pow_n_plus_1(f.n)
 
 
 def test_generator_polynomial_trivial_sets():
     f = make_field(2, 2)
     assert generator_polynomial(f, DefiningSet(15, 4, ())) == (1,)
     g = generator_polynomial(f, DefiningSet(15, 4, tuple(range(15))))
-    assert g == polys.x_pow_n_plus_1(15)
+    assert g == oracle.x_pow_n_plus_1(15)
 
 
 def test_generator_polynomial_rejects_unclosed_set():
@@ -99,7 +173,7 @@ def test_generator_roots_match_defining_set_exactly():
         c = code_from_T(f, build_T(f.q, f.m, 0))
         g = c.generator
         for i in range(f.n):
-            val = polys.eval_ext(f, g, f.beta_power(i))
+            val = oracle.eval_ext(f, g, f.beta_power(i))
             assert (val == 0) == (i in c.T), i
 
 
@@ -203,6 +277,19 @@ def test_hull_dimension():
     fo = gf64()
     codd, _ = pair(fo, 4, 3)
     assert hull_dimension(codd) == 31
+
+
+@pytest.mark.parametrize("s,m", [(2, 5), (4, 3), (2, 6), (3, 4)])
+def test_hull_dimension_beyond_the_dense_oracle(s, m):
+    """n = 1023 and 4095: the hull of C is the hull of its dual, and its
+    dimension is the set-level count |T minus -T|."""
+    f = make_field(s, m)
+    for c in pair(f, f.q, m):
+        for code in (c, even_like(c)):
+            expected = len(code.T.members - negate_set(code.T).members)
+            assert hull_dimension(code) == hull_dimension(dual_code(code)) \
+                == expected
+            assert expected == (0 if m % 2 == 0 else (f.n - 1) // 2)
 
 
 def test_self_dual_and_self_orthogonal():
@@ -311,5 +398,5 @@ def test_defining_set_of_code_equals_root_set_of_generator():
     c = code_from_T(f, T)
     assert c.k == 15 - 6
     for i in range(15):
-        val = polys.eval_ext(f, c.generator, f.beta_power(i))
+        val = oracle.eval_ext(f, c.generator, f.beta_power(i))
         assert (val == 0) == (i in T)

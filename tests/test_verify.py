@@ -3,11 +3,11 @@ import itertools
 
 import pytest
 
-from tdcodes import bounds, coset
+from tdcodes import bounds, coset, cyclic
 from tdcodes.bounds import DomainError
 from tdcodes.gf import FieldError, make_field
-from tdcodes.verify import (SUITES, _ImplicitT, run_suite, verify_thm2,
-                            verify_thm3)
+from tdcodes.verify import (STRUCTURE_CHECK_MAX_N, SUITES, _ImplicitT, run_suite,
+                            verify_thm2, verify_thm3)
 
 
 def all_ok(checks):
@@ -48,13 +48,57 @@ def test_thm2_domain():
 def test_thm3_suite(q, m):
     checks = all_ok(run_suite("thm3", q, m))
     hull = [c for c in checks if "hull" in c.claim]
-    assert hull and hull[0].ok is True  # n <= 255 here, so not skipped
+    assert hull and hull[0].ok is True
 
 
-def test_thm3_skips_hull_check_on_large_codes():
-    checks = all_ok(run_suite("thm3", 8, 4))  # n = 4095
-    hull = [c for c in checks if "hull" in c.claim]
-    assert hull[0].ok is None
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_thm3_hull_needs_no_row_reduction(monkeypatch, m):
+    def refuse(*args):
+        raise AssertionError("a matrix was row-reduced")
+
+    monkeypatch.setattr(cyclic, "row_reduce", refuse)
+    assert all(c.ok is True for c in run_suite("thm3", 4, m))
+
+
+@pytest.mark.parametrize("claim,q,m", [("thm3", 8, 4), ("thm2", 2, 13),
+                                       ("thm3", 2, 14)])  # n = 16383, the limit
+def test_structure_suites_check_every_claim_up_to_the_limit(claim, q, m):
+    assert q ** m - 1 <= STRUCTURE_CHECK_MAX_N
+    checks = run_suite(claim, q, m)
+    assert all(c.ok is True for c in checks), checks
+
+
+@pytest.mark.parametrize("claim,q,m,skipped", [
+    ("thm3", 4, 8, ["hull dimension is 0 (polynomial level)"]),
+    ("thm2", 8, 5, ["extended codes are self-dual"]),
+])
+def test_structure_suites_skip_above_the_limit(monkeypatch, claim, q, m, skipped):
+    def refuse(*args):
+        raise AssertionError("a generator polynomial was built")
+
+    monkeypatch.setattr(cyclic, "generator_polynomial", refuse)
+    assert STRUCTURE_CHECK_MAX_N == 16383
+    checks = all_ok(run_suite(claim, q, m))
+    assert [c.claim for c in checks if c.ok is None] == skipped
+    limited = [c for c in checks if "limit" in c.detail]
+    # thm2 still checks the even-like dimensions, and says what it skipped
+    assert len(limited) == (1 if claim == "thm3" else 2)
+    for c in limited:
+        assert f"n={q ** m - 1}" in c.detail and "16383" in c.detail
+
+
+@pytest.mark.parametrize("claim,m,claims", [
+    ("thm2", 3, ["duadic pair split by -1 with dimension (n+1)/2",
+                 "extended codes are self-dual",
+                 "even-like codes are self-orthogonal with dimension (n-1)/2",
+                 "dual and even-like complement share (n, k)"]),
+    ("thm3", 2, ["dual of each code is the other's even-like code",
+                 "both codes are LCD (defining-set level)",
+                 "dimensions (n+3)/2 and (n-1)/2",
+                 "hull dimension is 0 (polynomial level)"]),
+])
+def test_structure_suite_claims_keep_their_names_and_order(claim, m, claims):
+    assert [c.claim for c in run_suite(claim, 4, m)] == claims
 
 
 @pytest.mark.parametrize("q,m", [(4, 3), (8, 3), (4, 5)])
