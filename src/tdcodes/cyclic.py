@@ -1,9 +1,10 @@
 """Cyclic codes over GF(q) from defining sets: minimal and generator
 polynomials, dimensions, derived codes (dual, complement, even-like,
-extended), generator matrices for the distance engine, and the structure
-checks (LCD, self-orthogonal, self-dual extension, hull dimension).  These
-read g(x) alone, never a matrix: the Gram matrix of the rows x^j g(x) off
-the autocorrelation of g, and the hull off gcd(g, g*) with the reciprocal g*.
+extended), generator matrices and their row reduction on bit-sliced words
+for the distance engine, and the structure checks (LCD, self-orthogonal,
+self-dual extension, hull dimension).  These read g(x) alone, never a
+matrix: the Gram matrix of the rows x^j g(x) off the autocorrelation of g,
+and the hull off gcd(g, g*) with the reciprocal g*.
 
 Code equality is equality of (field, defining set); the generator
 polynomial is computed lazily since set-level derivations never need it.
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from tdcodes import polys
+from tdcodes import packed, polys
 from tdcodes.coset import DefiningSet, cyclotomic_coset, defining_set, negate_set, \
     complement_set, dual_defining_set
 from tdcodes.gf import FieldSpec
@@ -89,11 +90,16 @@ def code_from_T(field: FieldSpec, T: DefiningSet) -> CyclicCode:
 
 
 def even_like(code: CyclicCode) -> CyclicCode:
-    """Adjoin 0 to the defining set, dropping the dimension by one."""
+    """Adjoin 0 to the defining set, dropping the dimension by one.  When
+    the code's generator is already known, the even-like generator is
+    (x + 1) g(x), so it is set from g instead of folded again."""
     if 0 in code.T:
         raise ValueError("0 is already in the defining set")
     T = DefiningSet(code.n, code.q, (0,) + code.T.elems)
-    return CyclicCode(code.field, T)
+    out = CyclicCode(code.field, T)
+    if "generator" in vars(code):
+        vars(out)["generator"] = polys.mul(code.field, (1, 1), code.generator)
+    return out
 
 
 def dual_code(code: CyclicCode) -> CyclicCode:
@@ -138,15 +144,6 @@ def generator_matrix(code: CyclicCode) -> GeneratorMatrix:
     return GeneratorMatrix(code.field, arr)
 
 
-def encode(code: CyclicCode, message) -> np.ndarray:
-    msg = np.asarray(message, dtype=np.uint8)
-    if msg.shape != (code.k,):
-        raise ValueError(f"message length {msg.size} != dimension {code.k}")
-    mat = generator_matrix(code)
-    mul = code.field.np_mul_table
-    return np.bitwise_xor.reduce(mul[msg[:, None], mat.array], axis=0)
-
-
 def extend_code(code: CyclicCode) -> GeneratorMatrix:
     """Append the overall-sum coordinate (characteristic 2: the XOR of a row)."""
     mat = generator_matrix(code)
@@ -157,29 +154,39 @@ def extend_code(code: CyclicCode) -> GeneratorMatrix:
 
 
 def row_reduce(field: FieldSpec, array: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(q); returns (rref, pivot columns)."""
-    a = array.astype(np.uint8).copy()
-    mul, inv = field.np_mul_table, field.np_inv_table
+    """Reduced row echelon form over GF(q); returns (rref, pivot columns).
+
+    The rows are a bit-sliced stack (:mod:`tdcodes.packed`).  Each pivot
+    reads its column off one plane word per row, then XORs into every row,
+    from the pivot's word on, the multiple of the pivot row that the row's
+    entry selects; the pivot row itself takes 1 + 1/lead, which normalises
+    it.  Row r is zero left of column c, so the earlier words stay as they
+    are."""
+    a = np.asarray(array, dtype=np.uint8)
     nrows, ncols = a.shape
+    rows = packed.pack(a, field.s)
+    masks = packed.scalar_masks(field)
+    mul, inv = field.np_mul_table, field.np_inv_table
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        p = r + nz[0]
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        a[r] = mul[inv[a[r, c]], a[r]]
-        others = np.flatnonzero(a[:, c])
-        others = others[others != r]
-        if others.size:
-            a[others] ^= mul[a[others, c][:, None], a[r][None, :]]
+        w, b = divmod(c, 64)
+        col = np.packbits(rows[:, w] & (1 << b), axis=0, bitorder="little")[0]
+        if not col[r]:
+            p = r + int(col[r:].argmax())
+            if not col[p]:
+                continue
+            rows[..., [r, p]] = rows[..., [p, r]]
+            col[[r, p]] = col[[p, r]]
+        lead_inv = inv[col[r]]
+        pick = mul[lead_inv].take(col)
+        pick[r] ^= lead_inv
+        rows[:, w:] ^= packed.multiples(masks, rows[:, w:, r]).take(pick, axis=-1)
         pivots.append(c)
         r += 1
-    return a, pivots
+    return packed.unpack(rows, ncols), pivots
 
 
 def _gram_band(code: CyclicCode) -> np.ndarray:

@@ -2,6 +2,12 @@
 message-space enumeration (Gray-coded so each codeword is one row XOR),
 randomized upper-bound search for codes too large to enumerate, and
 complete weight tallies for tiny codes.
+
+Codewords are bit-sliced words (:mod:`tdcodes.packed`): s bit-planes of
+ceil(n/64) uint64 values, so a row XOR touches s*ceil(n/64) machine words
+and a weight is the popcount of the OR of the planes.  The Gray order, the
+random draws and every argmin tie-break are those of the byte-per-symbol
+engine, so each result and witness is unchanged.
 """
 
 from __future__ import annotations
@@ -10,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tdcodes import bounds, coset, cyclic
+from tdcodes import bounds, coset, cyclic, packed
 from tdcodes.coset import CheckResult, Parity
 from tdcodes.cyclic import CyclicCode, GeneratorMatrix
 from tdcodes.gf import make_field
 
 DEFAULT_CAP = 1 << 24
 _CHUNK_BITS = 10
+_PASS_WORDS = 1 << 14
 _PAIR_SCAN_MAX_K = 64
 
 
@@ -48,49 +55,63 @@ def _as_matrix(obj) -> GeneratorMatrix:
     raise TypeError(f"expected a cyclic code or generator matrix, got {type(obj)!r}")
 
 
-def _bit_rows(mat: GeneratorMatrix) -> list[np.ndarray]:
-    """One premultiplied row per message bit: the message space of GF(2^s)^k
-    is an XOR-span of k*s vectors, so Gray enumeration flips one at a time."""
-    field = mat.field
-    mul = field.np_mul_table
-    rows = []
-    for j in range(mat.rows):
-        for t in range(field.s):
-            rows.append(mul[1 << t, mat.array[j]])
-    return rows
+def _bit_rows(mat: GeneratorMatrix) -> np.ndarray:
+    """One packed word per message bit, 2^t times row j in lane j*s + t:
+    the message space of GF(2^s)^k is an XOR-span of k*s words, so Gray
+    enumeration flips one at a time."""
+    s = mat.field.s
+    gen = packed.pack(mat.array, s)
+    masks = packed.scalar_masks(mat.field)
+    rows = [packed.times(masks, 1 << t, gen) for t in range(s)]
+    return np.stack(rows, axis=-1).reshape(gen.shape[:2] + (-1,))
 
 
 def _scan_codewords(mat: GeneratorMatrix, want_hist: bool):
     """Minimum nonzero weight, a witness, and (optionally) the full weight
-    tally, via Gray enumeration with a vectorized low-bit chunk."""
+    tally, via Gray enumeration with a vectorized low-bit chunk.
+
+    The chunk holds the 2^low words of the low message bits in binary
+    order; one pass of numpy calls covers 2^steps Gray steps of the bits
+    above, as many as fit in _PASS_WORDS uint64 words.  Lane u*2^low + i of
+    a pass is chunk word i plus the bit rows low + b for the bits b of
+    gray(u).  As gray(t + u) = gray(t) ^ gray(u) for t a multiple of
+    2^steps, pass p holds the words of Gray steps p*2^steps, ...,
+    (p+1)*2^steps - 1 in order, so ties and the tally come out as with one
+    step per pass.  From pass p-1 to pass p, gray(p*2^steps) changes in bit
+    steps + ctz(p) and, if steps > 0, in bit steps - 1."""
     rows = _bit_rows(mat)
-    kbits = len(rows)
+    kbits = rows.shape[-1]
     ncols = mat.cols
     low = min(_CHUNK_BITS, kbits)
-    chunk = np.zeros((1, ncols), dtype=np.uint8)
+    chunk = np.zeros(rows.shape[:2] + (1,), dtype=packed.WORD)
     for b in range(low):
-        chunk = np.concatenate([chunk, chunk ^ rows[b]], axis=0)
+        chunk = np.concatenate([chunk, chunk ^ rows[..., b, None]], axis=-1)
+    steps = min(kbits - low, max(0, (_PASS_WORDS // chunk.size).bit_length() - 1))
+    offsets = [np.zeros(rows.shape[:2] + (1,), dtype=packed.WORD)]
+    for u in range(1, 1 << steps):
+        offsets.append(offsets[-1] ^ rows[..., low + (u & -u).bit_length() - 1, None])
+    offsets = np.concatenate(offsets, axis=-1)
+    words = (offsets[..., :, None] ^ chunk[..., None, :]).reshape(rows.shape[:2] + (-1,))
     hist = np.zeros(ncols + 1, dtype=np.int64) if want_hist else None
 
-    base = np.zeros(ncols, dtype=np.uint8)
     best_w = ncols + 1
     best_cw = None
-    for t in range(1 << (kbits - low)):
-        if t:
-            flip = low + (t & -t).bit_length() - 1
-            base ^= rows[flip]
-        words = chunk ^ base
-        weights = np.count_nonzero(words, axis=1)
+    for t in range(1 << (kbits - low - steps)):
+        if t:  # the pass's words in place: XOR in the bit rows gray flips
+            words ^= rows[..., low + steps + (t & -t).bit_length() - 1, None]
+            if steps:
+                words ^= rows[..., low + steps - 1, None]
+        weights = packed.weights(words)
         if want_hist:
             hist += np.bincount(weights, minlength=ncols + 1)
         if t == 0:
-            weights = weights.copy()
             weights[0] = ncols + 1  # exclude the zero codeword
         j = int(weights.argmin())
         if weights[j] < best_w:
             best_w = int(weights[j])
-            best_cw = words[j].copy()
-    return best_w, best_cw, hist
+            best_cw = words[..., j].copy()
+    witness = None if best_cw is None else packed.unpack(best_cw, ncols)
+    return best_w, witness, hist
 
 
 def exact_distance(code_or_matrix, cap: int = DEFAULT_CAP,
@@ -120,25 +141,25 @@ def weight_distribution(code_or_matrix, cap: int = 1 << 20) -> dict[int, int]:
 # Randomized upper bound
 # ---------------------------------------------------------------------------
 
-def _lightest(field, rows: np.ndarray, pair_scan: bool):
-    """The lightest row, or with ``pair_scan`` the lightest nonzero word
-    among the lightest row and every r_i + lam * r_j (i != j, lam != 0)."""
-    weights = np.count_nonzero(rows, axis=1)
+def _lightest(masks: np.ndarray, rows: np.ndarray, n: int, pair_scan: bool):
+    """The lightest word of the packed stack, or with ``pair_scan`` the
+    lightest nonzero word among the lightest one and every r_i + lam * r_j
+    (i != j, lam != 0); the word comes back unpacked."""
+    weights = packed.weights(rows)
     j = int(weights.argmin())
     if not pair_scan:
-        return int(weights[j]), rows[j].copy()
-    mul = field.np_mul_table
-    best_w, best_cw = rows.shape[1] + 1, None
+        return int(weights[j]), packed.unpack(rows[..., j], n)
+    best_w, best = n + 1, None
     if weights[j]:
-        best_w, best_cw = int(weights[j]), rows[j].copy()
-    for lam in range(1, field.q):
-        combos = rows[:, None, :] ^ mul[lam, rows][None, :, :]
-        w = np.count_nonzero(combos, axis=2)
-        np.fill_diagonal(w, rows.shape[1] + 1)
+        best_w, best = int(weights[j]), rows[..., j]
+    for lam in range(1, masks.shape[-1]):
+        combos = rows[..., :, None] ^ packed.times(masks, lam, rows)[..., None, :]
+        w = packed.weights(combos)
+        np.fill_diagonal(w, n + 1)
         i, j = np.unravel_index(int(w.argmin()), w.shape)
         if w[i, j] and w[i, j] < best_w:
-            best_w, best_cw = int(w[i, j]), combos[i, j].copy()
-    return best_w, best_cw
+            best_w, best = int(w[i, j]), combos[..., i, j]
+    return best_w, None if best is None else packed.unpack(best, n)
 
 
 def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
@@ -155,32 +176,33 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
         raise ValueError("trials must be at least 1")
     mat = _as_matrix(code_or_matrix)
     field = mat.field
-    mul = field.np_mul_table
+    masks = packed.scalar_masks(field)
     n = mat.cols
     k = mat.rows
-    best_w, best_cw = _lightest(field, mat.array, k <= _PAIR_SCAN_MAX_K)
+    gen = packed.pack(mat.array, field.s)
+    best_w, best_cw = _lightest(masks, gen, n, k <= _PAIR_SCAN_MAX_K)
 
     rng_msg = np.random.default_rng(seed)
     done = 0
     while done < trials:
         batch = min(512, trials - done)
         msgs = rng_msg.integers(0, field.q, size=(batch, k), dtype=np.uint8)
-        words = np.zeros((batch, n), dtype=np.uint8)
+        words = np.zeros(gen.shape[:2] + (batch,), dtype=packed.WORD)
         for j in range(k):  # batch x n working memory, whatever k is
-            words ^= mul[msgs[:, j, None], mat.array[j]]
-        weights = np.count_nonzero(words, axis=1)
+            words ^= packed.multiples(masks, gen[..., j]).take(msgs[:, j], axis=-1)
+        weights = packed.weights(words)
         weights[weights == 0] = n + 1
         j = int(weights.argmin())
         if weights[j] < best_w:
-            best_w, best_cw = int(weights[j]), words[j].copy()
+            best_w, best_cw = int(weights[j]), packed.unpack(words[..., j], n)
         done += batch
 
     rng_sys = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + 1) & (2**63 - 1))
     for _ in range(max(1, trials // 16)):
         perm = rng_sys.permutation(n)
         reduced, pivots = cyclic.row_reduce(field, mat.array[:, perm])
-        w, cw_perm = _lightest(field, reduced[:len(pivots)],
-                               k <= _PAIR_SCAN_MAX_K)
+        w, cw_perm = _lightest(masks, packed.pack(reduced[:len(pivots)], field.s),
+                               n, k <= _PAIR_SCAN_MAX_K)
         if w < best_w and cw_perm is not None:
             best_w = w
             best_cw = np.zeros(n, dtype=np.uint8)

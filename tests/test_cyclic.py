@@ -8,7 +8,7 @@ from tdcodes import polys
 from tdcodes.coset import (DefiningSet, build_T, coset_partition, defining_set,
                            negate_set)
 from tdcodes.cyclic import (_gram_band, code_from_T, complement_code,
-                            dual_code, encode, even_like, extend_code,
+                            dual_code, even_like, extend_code,
                             extension_is_self_dual, generator_matrix,
                             generator_polynomial, hull_dimension, is_lcd,
                             is_self_orthogonal, minimal_polynomial,
@@ -198,6 +198,19 @@ def test_even_like():
         even_like(el)
 
 
+def test_even_like_takes_its_generator_from_a_known_parent():
+    for q, m in ((4, 3), (2, 5), (16, 2)):
+        f = make_field(q.bit_length() - 1, m)
+        for code in pair(f, q, m):
+            fresh = even_like(code)
+            assert "generator" not in vars(code)
+            fresh_g = fresh.generator  # parent g unknown: folded
+            code.generator
+            seeded = even_like(code)
+            assert "generator" in vars(seeded)
+            assert seeded == fresh and seeded.generator == fresh_g
+
+
 def test_dual_code_identities():
     f = make_field(2, 2)
     c0, c1 = pair(f, 4, 2)
@@ -232,19 +245,19 @@ def test_generator_matrix_and_encode():
     mat = generator_matrix(c0)
     assert (mat.rows, mat.cols) == (32, 63)
     assert oracle.matrix_rank(mat) == 32
-    assert not encode(c0, [0] * 32).any()
+    assert not oracle.encode(c0, [0] * 32).any()
     e0 = [1] + [0] * 31
-    cw = encode(c0, e0)
+    cw = oracle.encode(c0, e0)
     assert tuple(int(x) for x in cw[:32]) == c0.generator
     # every encoding is divisible by g
     rng = random.Random(5)
     for _ in range(10):
         msg = [rng.randrange(4) for _ in range(32)]
-        word = encode(c0, msg)
+        word = oracle.encode(c0, msg)
         _, rem = polys.divmod_(f, polys.trim(word.tolist()), c0.generator)
         assert rem == ()
     with pytest.raises(ValueError):
-        encode(c0, [0] * 31)
+        oracle.encode(c0, [0] * 31)
 
 
 def test_extend_code():

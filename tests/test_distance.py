@@ -1,16 +1,18 @@
+import hashlib
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracle
 from tdcodes import polys
 from tdcodes.bounds import DomainError, bch_search, theorem_bound
 from tdcodes.coset import DefiningSet, build_T
 from tdcodes.cyclic import (GeneratorMatrix, code_from_T, extend_code,
                             generator_matrix, row_reduce)
-from tdcodes.distance import (DistanceReport, exact_distance, sampled_upper,
-                              verify_duadic_distance_equality,
+from tdcodes.distance import (DistanceReport, _scan_codewords, exact_distance,
+                              sampled_upper, verify_duadic_distance_equality,
                               weight_distribution)
 from tdcodes.gf import make_field
 
@@ -106,6 +108,23 @@ def test_weight_distribution_zero_code():
     assert weight_distribution(mat) == {0: 1}
 
 
+@pytest.mark.parametrize("s,k,n", [(2, 9, 15), (2, 7, 100), (1, 16, 64), (3, 4, 130),
+                                   (1, 11, 70), (4, 3, 20)])
+def test_scan_matches_the_byte_gray_scan(s, k, n):
+    # same minimum, same tally, and the same first minimum-weight codeword:
+    # the packed passes keep the one-step-at-a-time Gray order
+    f = make_field(s, 2)
+    rng = np.random.default_rng(7 * k + n)
+    mat = GeneratorMatrix(f, rng.integers(0, f.q, size=(k, n), dtype=np.uint8))
+    d, witness, hist = _scan_codewords(mat, want_hist=True)
+    ref_d, ref_witness, ref_hist = oracle.gray_scan(mat)
+    assert d == ref_d
+    assert np.array_equal(witness, ref_witness)
+    assert np.array_equal(hist, ref_hist)
+    assert weight_distribution(mat) == {w: int(c) for w, c in enumerate(ref_hist) if c}
+    assert exact_distance(mat).witness == tuple(int(c) for c in ref_witness)
+
+
 def test_weight_distribution_gf16_parity1():
     _, _, c1 = gf16_codes()
     dist = weight_distribution(c1)
@@ -120,6 +139,45 @@ def test_sampled_upper_reaches_the_known_weights_at_n63():
     assert sampled_upper(c1, trials=2048, seed=0).upper <= 15
     assert sampled_upper(extend_code(c0), trials=2048, seed=0).upper <= 16
     assert sampled_upper(extend_code(c1), trials=2048, seed=0).upper <= 16
+
+
+def digest(word):
+    return hashlib.sha256(bytes(word)).hexdigest()[:16]
+
+
+# (parity, extended, seed) -> (upper, sha256 prefix of the witness bytes)
+PINNED_N63 = {
+    (0, False, 0): (15, "42747cd090cf42dc"), (0, False, 1): (15, "8fb2175d0a315ed7"),
+    (0, True, 0): (16, "b41c20df8a516579"), (0, True, 1): (16, "86ab0ec4f3038d31"),
+    (1, False, 0): (15, "06cdb1a53a5b6dda"), (1, False, 1): (15, "ff3184842df412d7"),
+    (1, True, 0): (16, "d342de2d694146ff"), (1, True, 1): (16, "298bfbbf0c0afa86"),
+}
+
+
+@pytest.mark.parametrize("parity,extended,seed", sorted(PINNED_N63))
+def test_sampled_upper_results_are_pinned_at_n63(parity, extended, seed):
+    # the values of the byte-per-symbol engine: the packed words change
+    # how the candidates are computed, never which word wins
+    _, *codes = gf64_codes()
+    code = codes[parity]
+    r = sampled_upper(extend_code(code) if extended else code, trials=2048,
+                      seed=seed)
+    assert (r.upper, digest(r.witness)) == PINNED_N63[parity, extended, seed]
+
+
+def test_exact_distance_results_are_pinned_gf16():
+    _, c0, c1 = gf16_codes()
+    r0, r1 = exact_distance(c0), exact_distance(c1)
+    assert (r0.exact, digest(r0.witness)) == (3, "5995d8c41382f767")
+    assert (r1.exact, digest(r1.witness)) == (5, "50788dbf45c73992")
+
+
+def test_sampled_upper_results_are_pinned_at_n1023():
+    f = make_field(2, 5)
+    got = [sampled_upper(code_from_T(f, build_T(4, 5, p)), trials=64, seed=0)
+           for p in (0, 1)]
+    assert [(r.upper, digest(r.witness)) for r in got] == \
+        [(348, "fb745ee85d321e48"), (351, "c750656f869d6486")]
 
 
 def test_sampled_upper_working_memory_does_not_grow_with_k():

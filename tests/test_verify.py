@@ -60,6 +60,19 @@ def test_thm3_hull_needs_no_row_reduction(monkeypatch, m):
     assert all(c.ok is True for c in run_suite("thm3", 4, m))
 
 
+def test_thm2_folds_only_the_pair_generators(monkeypatch):
+    folded = []
+    real = cyclic.generator_polynomial
+
+    def counting(field, T):
+        folded.append(T)
+        return real(field, T)
+
+    monkeypatch.setattr(cyclic, "generator_polynomial", counting)
+    assert all(c.ok is True for c in run_suite("thm2", 4, 5))
+    assert len(folded) == 2 and 0 not in folded[0] and 0 not in folded[1]
+
+
 @pytest.mark.parametrize("claim,q,m", [("thm3", 8, 4), ("thm2", 2, 13),
                                        ("thm3", 2, 14)])  # n = 16383, the limit
 def test_structure_suites_check_every_claim_up_to_the_limit(claim, q, m):
