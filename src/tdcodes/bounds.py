@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from tdcodes import coset
 from tdcodes.coset import DefiningSet, Parity
 
 
@@ -227,34 +228,32 @@ def bch_search(T: DefiningSet, budget: int | None = None) -> BoundReport:
     """Maximum progression-based bound over all (a, b).
 
     For each unit a, runs b, b+a, ..., inside T map to runs of consecutive
-    integers in the index array i -> [a*i in T], so one circular run scan
-    per a covers every b.  The canonical witness takes the largest bound,
-    then the smallest a, then the smallest b.  ``budget`` caps the number
-    of units scanned; a truncated search is flagged partial.
+    integers in the index array i -> T.mask[a*i mod n], so one circular run
+    scan per a covers every b.  T is closed under multiplication by q, so a
+    unit and its q-multiples have the same index array: only the least
+    unit of each q-cyclotomic coset is scanned, and it is the one a full
+    scan would pick.  The canonical witness takes the largest bound, then
+    the smallest a, then the smallest b.  ``budget`` caps the number of
+    units counted, scanned or not; a truncated search is flagged partial.
     """
     n = T.n
     if budget is None and n > 1 << 16:
         raise ValueError("exhaustive search needs n <= 2^16; pass a budget")
+    if coset._first_unclosed(T) is not None:
+        raise ValueError("defining set is not closed under multiplication by q")
     if len(T) == 0:
         return BoundReport(1, None, "exhaustive search")
-    mem = np.zeros(n, dtype=bool)
-    mem[list(T.elems)] = True
-    if mem.all():
+    if T.mask.all():
         return BoundReport(n, APWitness(0, 1, 0, n - 2), "exhaustive search")
     idx = np.arange(n, dtype=np.int64)
+    units = np.flatnonzero(np.gcd(idx, n) == 1)
+    partial = budget is not None and budget < units.size
+    if partial:
+        units = units[:max(budget, 0)]
     best_len = 0
     best_a = best_b = 0
-    scanned = 0
-    partial = False
-    for a in range(1, n):
-        if math.gcd(a, n) != 1:
-            continue
-        if budget is not None and scanned >= budget:
-            partial = True
-            break
-        scanned += 1
-        arr = mem[a * idx % n]
-        length, starts = _longest_circular_run(arr)
+    for a in units[coset.leader_mask(T.q, n)[units]].tolist():
+        length, starts = _longest_circular_run(T.mask[a * idx % n])
         if length > best_len:
             best_len = length
             best_a = a

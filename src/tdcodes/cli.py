@@ -133,12 +133,12 @@ def inspect(q, m, parity, fmt):
     _checked_s(q, m)
     n = q ** m - 1
     T = coset.build_T(q, m, parity)
-    leaders = sorted({coset.coset_leader(e, q, n) for e in T.elems})
+    cosets = int((T.mask & coset.leader_mask(q, n)).sum())
     data = {"q": q, "m": m, "parity": parity, "n": n, "set_size": len(T),
-            "k": n - len(T), "cosets": len(leaders),
+            "k": n - len(T), "cosets": cosets,
             "fixed_by_negation": coset.negate_set(T) == T}
     text = (f"T_({q},{m};{parity}): n={n}, |T|={len(T)}, k={n - len(T)}, "
-            f"{len(leaders)} cosets, fixed by negation: "
+            f"{cosets} cosets, fixed by negation: "
             f"{data['fixed_by_negation']}")
     _emit(data, fmt, None, text)
 
@@ -215,7 +215,8 @@ def bound(q, m, parity, search, budget, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--cap", type=int, default=distance.DEFAULT_CAP, show_default=True,
               help="Max codeword evaluations for exact enumeration.")
-@click.option("--trials", type=int, default=2048, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=2048,
+              show_default=True)
 @click.option("--field-spec", "field_spec_path", type=click.Path(exists=True),
               default=None)
 @click.option("--out", type=click.Path(), default=None)

@@ -1,6 +1,9 @@
-"""Integer-side machinery: q-adic digits, digit weights, q-cyclotomic cosets
-modulo n, the digit-parity defining sets T_(q,m;0) / T_(q,m;1), and the set
-transforms (negate, scale, complement, dual) used to derive codes.
+"""Integer-side machinery: q-cyclotomic cosets modulo n, the digit-parity
+defining sets T_(q,m;0) / T_(q,m;1), the set transforms (negate, scale,
+complement, dual) used to derive codes, and the gcd and digit-weight
+identities of the bound analysis.  A defining set is one read-only boolean
+mask over Z_n; transforms, closure and coset leaders are array operations on
+it, never loops over members.
 """
 
 from __future__ import annotations
@@ -9,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+
+import numpy as np
 
 
 class Parity(IntEnum):
@@ -27,22 +32,6 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def q_adic_digits(i: int, q: int, m: int) -> tuple[int, ...]:
-    """Digits d_0..d_{m-1} with i = sum d_j q^j."""
-    if not 0 <= i <= q ** m - 1:
-        raise ValueError(f"value {i} out of range for {m} base-{q} digits")
-    digits = []
-    for _ in range(m):
-        i, d = divmod(i, q)
-        digits.append(d)
-    return tuple(digits)
-
-
-def q_weight(i: int, q: int, m: int) -> int:
-    """Digit sum of the q-adic expansion of i."""
-    return sum(q_adic_digits(i, q, m))
 
 
 def _parity_mask(s: int, m: int) -> int:
@@ -67,68 +56,73 @@ def cyclotomic_coset(i: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(orbit))
 
 
-def coset_leader(i: int, q: int, n: int) -> int:
-    return cyclotomic_coset(i, q, n)[0]
+def leader_mask(q: int, n: int) -> np.ndarray:
+    """Whether each i in [0, n) is the least member of its q-cyclotomic
+    coset: the orbits i, qi, q^2 i, ... mod n are walked all at once."""
+    if math.gcd(n, q) != 1:
+        raise ValueError("q must be invertible modulo n")
+    idx = np.arange(n, dtype=np.int64)
+    lead, x = np.ones(n, dtype=bool), idx * q % n
+    while not np.array_equal(x, idx):
+        lead &= x >= idx
+        x = x * q % n
+    return lead
 
 
-@dataclass(frozen=True)
-class CosetPartition:
-    """All q-cyclotomic cosets modulo n, keyed by their minimal members."""
-
-    n: int
-    q: int
-    leaders: tuple[int, ...]
-    coset_of: dict[int, int]
-
-    def coset(self, i: int) -> tuple[int, ...]:
-        return cyclotomic_coset(i, self.q, self.n)
-
-
-def coset_partition(q: int, n: int) -> CosetPartition:
-    leaders = []
-    coset_of: dict[int, int] = {}
-    for i in range(n):
-        if i in coset_of:
-            continue
-        orbit = cyclotomic_coset(i, q, n)
-        leaders.append(orbit[0])
-        for j in orbit:
-            coset_of[j] = orbit[0]
-    return CosetPartition(n, q, tuple(leaders), coset_of)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefiningSet:
-    """Sorted residues in [0, n) closed under multiplication by q modulo n."""
+    """A set of residues modulo n, held as a read-only boolean mask over Z_n
+    (n = mask.size; the mask is made read-only in place).  Defining sets are
+    closed under multiplication by q modulo n."""
 
-    n: int
     q: int
-    elems: tuple[int, ...]
+    mask: np.ndarray
+
+    def __post_init__(self):
+        self.mask.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.mask.size
 
     @cached_property
-    def members(self) -> frozenset[int]:
-        return frozenset(self.elems)
+    def elems(self) -> tuple[int, ...]:
+        """The members in ascending order, derived from the mask."""
+        return tuple(np.flatnonzero(self.mask).tolist())
 
     def __contains__(self, i: int) -> bool:
-        return i % self.n in self.members
+        return bool(self.mask[i % self.n])
 
     def __len__(self) -> int:
-        return len(self.elems)
+        return int(np.count_nonzero(self.mask))
 
-    def __iter__(self):
-        return iter(self.elems)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DefiningSet):
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self.mask, other.mask)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.mask.tobytes()))
+
+
+def _first_unclosed(S: DefiningSet) -> int | None:
+    """The least member e of S with qe mod n outside S, or None when S is
+    closed under multiplication by q."""
+    bad = S.mask & ~S.mask[np.arange(S.n, dtype=np.int64) * S.q % S.n]
+    e = int(bad.argmax())
+    return e if bad[e] else None
 
 
 def defining_set(n: int, q: int, elems, validate: bool = True) -> DefiningSet:
     """Normalize residues into [0, n) and optionally verify coset closure."""
-    s = DefiningSet(n, q, tuple(sorted({e % n for e in elems})))
-    if validate:
-        for e in s.elems:
-            if e * q % n not in s.members:
-                raise ValueError(
-                    f"set is not closed under multiplication by {q} mod {n}: "
-                    f"{e} is in, {e * q % n} is not")
-    return s
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(elems, dtype=np.int64) % n] = True
+    S = DefiningSet(q, mask)
+    if validate and (e := _first_unclosed(S)) is not None:
+        raise ValueError(
+            f"set is not closed under multiplication by {q} mod {n}: "
+            f"{e} is in, {e * q % n} is not")
+    return S
 
 
 def build_T(q: int, m: int, parity: Parity | int) -> DefiningSet:
@@ -143,10 +137,11 @@ def build_T(q: int, m: int, parity: Parity | int) -> DefiningSet:
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     want = int(Parity(parity))
-    n = q ** m - 1
-    mask = _parity_mask(s, m)
-    elems = [i for i in range(1, n) if (i & mask).bit_count() & 1 == want]
-    return DefiningSet(n, q, tuple(elems))
+    x = np.arange(q ** m - 1, dtype=np.int64)
+    x &= _parity_mask(s, m)
+    mask = (np.bitwise_count(x) & 1) == want
+    mask[0] = False
+    return DefiningSet(q, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +150,18 @@ def build_T(q: int, m: int, parity: Parity | int) -> DefiningSet:
 
 def negate_set(S: DefiningSet) -> DefiningSet:
     """Elementwise -x mod n; preserves coset closure."""
-    n = S.n
-    elems = sorted((n - e) % n for e in S.elems)
-    return DefiningSet(n, S.q, tuple(elems))
+    return DefiningSet(S.q, np.roll(S.mask[::-1], 1))
 
 
 def scale_set(v: int, S: DefiningSet) -> DefiningSet:
     """Elementwise v*x mod n (v need not be a unit); preserves coset closure."""
-    n = S.n
-    return DefiningSet(n, S.q, tuple(sorted({v * e % n for e in S.elems})))
+    mask = np.zeros(S.n, dtype=bool)
+    mask[np.flatnonzero(S.mask) * (v % S.n) % S.n] = True
+    return DefiningSet(S.q, mask)
 
 
 def complement_set(S: DefiningSet) -> DefiningSet:
-    members = S.members
-    return DefiningSet(S.n, S.q,
-                       tuple(i for i in range(S.n) if i not in members))
+    return DefiningSet(S.q, ~S.mask)
 
 
 def dual_defining_set(S: DefiningSet) -> DefiningSet:
@@ -182,21 +174,20 @@ def splitting_check(S1: DefiningSet, S2: DefiningSet, v: int) -> CheckResult:
     coset-closed sets swapped by the unit v."""
     if S1.n != S2.n or S1.q != S2.q:
         return CheckResult(False, "sets live on different (n, q)")
-    n, q = S1.n, S1.q
-    if S1.members & S2.members:
+    n = S1.n
+    if (S1.mask & S2.mask).any():
         return CheckResult(False, "S1 and S2 intersect")
-    if len(S1) + len(S2) != n - 1 or 0 in S1 or 0 in S2:
+    if len(S1) + len(S2) != n - 1 or S1.mask[0] or S2.mask[0]:
         return CheckResult(False, "S1 and S2 do not cover Z_n minus {0}")
     for S, name in ((S1, "S1"), (S2, "S2")):
-        for e in S.elems:
-            if e * q % n not in S.members:
-                return CheckResult(False, f"{name} is not a union of cosets")
+        if _first_unclosed(S) is not None:
+            return CheckResult(False, f"{name} is not a union of cosets")
     if math.gcd(v, n) != 1:
         return CheckResult(False, f"v={v} is not a unit modulo {n}")
+    # v permutes Z_n minus {0}, which S1 and S2 partition, so v*S1 = S2
+    # gives v*S2 = S1
     if scale_set(v, S1) != S2:
         return CheckResult(False, f"v*S1 != S2 for v={v}")
-    if scale_set(v, S2) != S1:
-        return CheckResult(False, f"v*S2 != S1 for v={v}")
     return CheckResult(True, f"(S1, S2, {v}) splits Z_{n}")
 
 
@@ -217,6 +208,17 @@ def gcd_lemma5_check(q: int, ell: int, m: int) -> bool:
     return math.gcd(q ** m - 1, q ** ell + 1) == 1
 
 
+def _reflects(q: int, m: int, top: int, total: int) -> bool:
+    """Whether wt_q(top - i) + wt_q(i) = total for every 0 <= i <= top, the
+    m base-q digits of i and top - i taken off both arrays at once."""
+    i = np.arange(top + 1, dtype=np.int64)
+    x, sums = np.stack([i, top - i]), 0
+    for _ in range(m):
+        x, digit = np.divmod(x, q)
+        sums = sums + digit[0] + digit[1]
+    return bool((sums == total).all())
+
+
 def lemma6_check(q: int, m: int, A: int, h: int) -> bool:
     """Digit-weight reflection: wt_q(A q^h - 1 - i) = (q-1)h + A - 1 - wt_q(i)
     for every 0 <= i <= A q^h - 1."""
@@ -224,23 +226,4 @@ def lemma6_check(q: int, m: int, A: int, h: int) -> bool:
         raise ValueError(f"need 2 <= A <= q-1, got A={A}")
     if not 0 <= h <= m - 1:
         raise ValueError(f"need 0 <= h <= m-1, got h={h}")
-    top = A * q ** h - 1
-    rhs_const = (q - 1) * h + A - 1
-    return all(q_weight(top - i, q, m) == rhs_const - q_weight(i, q, m)
-               for i in range(top + 1))
-
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-
-def defining_set_to_json(S: DefiningSet) -> dict:
-    if S.n > (1 << 20):
-        raise ValueError("defining sets are only serialized for n <= 2^20")
-    return {"n": S.n, "q": S.q, "elems": list(S.elems)}
-
-
-def defining_set_from_json(data: dict) -> DefiningSet:
-    if data["n"] > (1 << 20):
-        raise ValueError("defining sets are only serialized for n <= 2^20")
-    return defining_set(int(data["n"]), int(data["q"]), data["elems"])
+    return _reflects(q, m, A * q ** h - 1, (q - 1) * h + A - 1)

@@ -6,8 +6,10 @@ self-dual extension, hull dimension).  These read g(x) alone, never a
 matrix: the Gram matrix of the rows x^j g(x) off the autocorrelation of g,
 and the hull off gcd(g, g*) with the reciprocal g*.
 
-Code equality is equality of (field, defining set); the generator
-polynomial is computed lazily since set-level derivations never need it.
+Code equality is equality of (field, defining set), and derived codes
+(dual, complement, even-like) transform the defining set's mask.  The
+generator polynomial, one minimal polynomial per coset leader in T, is
+computed lazily since set-level derivations never need it.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from tdcodes import packed, polys
-from tdcodes.coset import DefiningSet, cyclotomic_coset, defining_set, negate_set, \
-    complement_set, dual_defining_set
+from tdcodes import coset, packed, polys
+from tdcodes.coset import DefiningSet, cyclotomic_coset, negate_set, complement_set, \
+    dual_defining_set
 from tdcodes.gf import FieldSpec
 
 
@@ -40,17 +42,13 @@ def minimal_polynomial(field: FieldSpec, i: int) -> tuple[int, ...]:
 
 
 def generator_polynomial(field: FieldSpec, T: DefiningSet) -> tuple[int, ...]:
-    """Product of the minimal polynomials of the distinct cosets in T."""
-    g = np.ones(1, dtype=np.uint8)
-    seen: set[int] = set()
-    for e in T.elems:
-        if e in seen:
-            continue
-        orbit = cyclotomic_coset(e, field.q, field.n)
-        seen.update(orbit)
-        g = polys._mul_array(field.np_mul_table, g, minimal_polynomial(field, e))
-    if seen - T.members:
+    """Product of the minimal polynomials of the cosets in T, one per coset
+    leader."""
+    if coset._first_unclosed(T) is not None:
         raise ValueError("defining set is not closed under multiplication by q")
+    g = np.ones(1, dtype=np.uint8)
+    for e in np.flatnonzero(T.mask & coset.leader_mask(field.q, field.n)).tolist():
+        g = polys._mul_array(field.np_mul_table, g, minimal_polynomial(field, e))
     assert g.size - 1 == len(T)
     return tuple(g.tolist())
 
@@ -83,9 +81,8 @@ def code_from_T(field: FieldSpec, T: DefiningSet) -> CyclicCode:
     if T.n != field.n or T.q != field.q:
         raise ValueError(f"defining set (n={T.n}, q={T.q}) does not match the "
                          f"field (n={field.n}, q={field.q})")
-    for e in T.elems:
-        if e * field.q % field.n not in T.members:
-            raise ValueError("defining set is not closed under multiplication by q")
+    if coset._first_unclosed(T) is not None:
+        raise ValueError("defining set is not closed under multiplication by q")
     return CyclicCode(field, T)
 
 
@@ -95,8 +92,9 @@ def even_like(code: CyclicCode) -> CyclicCode:
     (x + 1) g(x), so it is set from g instead of folded again."""
     if 0 in code.T:
         raise ValueError("0 is already in the defining set")
-    T = DefiningSet(code.n, code.q, (0,) + code.T.elems)
-    out = CyclicCode(code.field, T)
+    mask = code.T.mask.copy()
+    mask[0] = True
+    out = CyclicCode(code.field, DefiningSet(code.q, mask))
     if "generator" in vars(code):
         vars(out)["generator"] = polys.mul(code.field, (1, 1), code.generator)
     return out
@@ -226,7 +224,7 @@ def hull_dimension(code: CyclicCode) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rendering and JSON
+# Rendering and JSON output
 # ---------------------------------------------------------------------------
 
 def poly_pretty(field: FieldSpec, p) -> str:
@@ -264,7 +262,3 @@ def code_to_json(code: CyclicCode, parity: int | None = None,
         data["variant"] = variant
     return data
 
-
-def code_from_json(field: FieldSpec, data: dict) -> CyclicCode:
-    T = defining_set(int(data["n"]), int(data["q"]), data["defining_set"])
-    return code_from_T(field, T)

@@ -90,10 +90,10 @@ def verify_lemma1(q: int, m: int) -> list[ClaimCheck]:
         checks.append(ClaimCheck(
             "-T_i = T_i",
             coset.negate_set(T0) == T0 and coset.negate_set(T1) == T1, ""))
-    union = set(T0.elems) | set(T1.elems) | {0}
+    disjoint = not (T0.mask & T1.mask).any()
     checks.append(ClaimCheck(
         "disjoint cover of Z_n",
-        not (T0.members & T1.members) and len(union) == n, ""))
+        disjoint and bool((T0.mask | T1.mask)[1:].all()), ""))
     return checks
 
 

@@ -2,17 +2,104 @@
 
 The library reads its structure checks off g(x) (the Gram band and
 gcd(g, g*)), multiplies and divides polynomials with vectorized table
-rows, and row-reduces, encodes and enumerates codewords on bit-sliced
-words; these references build the k x n generator matrices, run the
-schoolbook product and long division, and eliminate, encode and enumerate
-one byte per symbol instead, so the tests can compare two independent
-computations.
+rows, row-reduces, encodes and enumerates codewords on bit-sliced words,
+counts cosets with a vectorized leader mask, scans one unit per coset in
+the progression search and sums digits over whole arrays; these
+references build the k x n generator matrices, run the schoolbook product
+and long division, eliminate, encode and enumerate one byte per symbol,
+walk each coset one member at a time, scan every unit and sum the digits
+of one integer at a time instead, so the tests can compare two
+independent computations.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from tdcodes.bounds import APWitness, BoundReport, _longest_circular_run
+from tdcodes.coset import cyclotomic_coset
 from tdcodes.cyclic import GeneratorMatrix, dual_code, generator_matrix
 from tdcodes.polys import trim
+
+# every (q, m) with q = 2^s, s = 1..4, m >= 2 and n = q^m - 1 <= 4095: the
+# sizes the differential tests sweep
+SMALL_QM = [(1 << s, m) for s in range(1, 5) for m in range(2, 13)
+            if (1 << s) ** m - 1 <= 4095]
+
+
+@dataclass(frozen=True)
+class CosetPartition:
+    """All q-cyclotomic cosets modulo n, keyed by their minimal members."""
+
+    n: int
+    q: int
+    leaders: tuple[int, ...]
+    coset_of: dict[int, int]
+
+    def coset(self, i: int) -> tuple[int, ...]:
+        return cyclotomic_coset(i, self.q, self.n)
+
+
+def q_adic_digits(i: int, q: int, m: int) -> tuple[int, ...]:
+    """Digits d_0..d_{m-1} with i = sum d_j q^j."""
+    if not 0 <= i <= q ** m - 1:
+        raise ValueError(f"value {i} out of range for {m} base-{q} digits")
+    digits = []
+    for _ in range(m):
+        i, d = divmod(i, q)
+        digits.append(d)
+    return tuple(digits)
+
+
+def q_weight(i: int, q: int, m: int) -> int:
+    """Digit sum of the q-adic expansion of i."""
+    return sum(q_adic_digits(i, q, m))
+
+
+def coset_partition(q: int, n: int) -> CosetPartition:
+    leaders = []
+    coset_of: dict[int, int] = {}
+    for i in range(n):
+        if i in coset_of:
+            continue
+        orbit = cyclotomic_coset(i, q, n)
+        leaders.append(orbit[0])
+        for j in orbit:
+            coset_of[j] = orbit[0]
+    return CosetPartition(n, q, tuple(leaders), coset_of)
+
+
+def bch_search(T, budget=None) -> BoundReport:
+    """The progression search over every unit a, q-multiples included."""
+    n = T.n
+    if len(T) == 0:
+        return BoundReport(1, None, "exhaustive search")
+    mem = np.zeros(n, dtype=bool)
+    mem[list(T.elems)] = True
+    if mem.all():
+        return BoundReport(n, APWitness(0, 1, 0, n - 2), "exhaustive search")
+    idx = np.arange(n, dtype=np.int64)
+    best_len = 0
+    best_a = best_b = 0
+    scanned = 0
+    partial = False
+    for a in range(1, n):
+        if math.gcd(a, n) != 1:
+            continue
+        if budget is not None and scanned >= budget:
+            partial = True
+            break
+        scanned += 1
+        length, starts = _longest_circular_run(mem[a * idx % n])
+        if length > best_len:
+            best_len = length
+            best_a = a
+            best_b = int((a * starts % n).min())
+    if best_len == 0:
+        return BoundReport(1, None, "exhaustive search", partial)
+    witness = APWitness(best_b, best_a, 0, best_len - 1)
+    return BoundReport(best_len + 1, witness, "exhaustive search", partial)
 
 
 def row_reduce(field, array) -> tuple[np.ndarray, list[int]]:

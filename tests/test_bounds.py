@@ -1,13 +1,16 @@
 import math
+import random
 
 import pytest
 
+import oracle
+from oracle import SMALL_QM, q_weight
 from tdcodes.bounds import (BOUND_CASES, APWitness, BoundReport, DomainError,
                             ap_in_set, bch_search, bound_case,
                             lemma_bound_report, lemma_witness, negate_witness,
                             progression_members, report_to_json, theorem_bound,
                             witnesses_for)
-from tdcodes.coset import DefiningSet, Parity, build_T, q_weight
+from tdcodes.coset import Parity, build_T, defining_set
 
 
 def test_ap_witness_validation():
@@ -129,12 +132,12 @@ def test_theorem_bound_domain():
 
 
 def test_bch_search_trivial_sets():
-    full_minus_zero = DefiningSet(15, 4, tuple(range(1, 15)))
+    full_minus_zero = defining_set(15, 4, tuple(range(1, 15)), validate=False)
     r = bch_search(full_minus_zero)
     assert r.delta == 15
-    empty = DefiningSet(15, 4, ())
+    empty = defining_set(15, 4, (), validate=False)
     assert bch_search(empty).delta == 1
-    everything = DefiningSet(15, 4, tuple(range(15)))
+    everything = defining_set(15, 4, tuple(range(15)), validate=False)
     assert bch_search(everything).delta == 15
 
 
@@ -170,7 +173,7 @@ def test_bch_search_budget_flags_partial():
     assert r.partial
     assert r.delta >= 2  # best-so-far is still a valid bound
     with pytest.raises(ValueError, match="2\\^16"):
-        bch_search(DefiningSet((1 << 17) - 1, 4, (1, 2)))
+        bch_search(defining_set((1 << 17) - 1, 4, (1, 2), validate=False))
 
 
 def test_witnesses_for_covers_every_case():
@@ -207,3 +210,22 @@ def test_one_case_row_covers_each_m():
         assert not any(case.covers(m) for case in BOUND_CASES)
         with pytest.raises(DomainError, match="at least 2"):
             bound_case(m)
+
+
+@pytest.mark.parametrize("q,m", SMALL_QM)
+def test_bch_search_scans_one_unit_per_coset_like_the_all_units_scan(q, m):
+    """Same (delta, a, b, partial) as the scan of every unit, for T_0, T_1
+    and seeded coset unions, unbudgeted and with budgets 1, 7, phi(n) - 1."""
+    n = q ** m - 1
+    phi = sum(1 for a in range(1, n) if math.gcd(a, n) == 1)
+    sets = [build_T(q, m, parity) for parity in (0, 1)]
+    part = oracle.coset_partition(q, n)
+    rng = random.Random(n + q)
+    for keep in (0.5, 0.8):
+        sets.append(defining_set(n, q, [e for leader in part.leaders
+                                        if rng.random() < keep
+                                        for e in part.coset(leader)]))
+    for T in sets:
+        for budget in (None, 1, 7, phi - 1):
+            assert bch_search(T, budget) == oracle.bch_search(T, budget), \
+                (sorted(T.elems)[:8], budget)

@@ -167,6 +167,14 @@ def test_distance_rejects_an_oversized_generator_matrix(runner, monkeypatch,
     assert "bytes" in res.stderr
 
 
+def test_distance_rejects_trials_below_one(runner):
+    res = runner.invoke(main, ["distance", "--q", "4", "--m", "3",
+                               "--trials", "0"])
+    assert res.exit_code == 2
+    assert "Invalid value for '--trials'" in res.stderr
+    assert "Traceback" not in res.output
+
+
 def test_verify_pass_and_exit_codes(runner):
     res = runner.invoke(main, ["verify", "--id", "thm2", "--q", "4", "--m", "3"])
     assert res.exit_code == 0

@@ -1,11 +1,17 @@
+import random
+
+import numpy as np
 import pytest
 
-from tdcodes.coset import (CheckResult, DefiningSet, Parity, build_T,
-                           complement_set, coset_partition, cyclotomic_coset,
-                           defining_set, defining_set_from_json,
-                           defining_set_to_json, dual_defining_set,
-                           gcd_lemma5_check, lemma6_check, negate_set,
-                           q_adic_digits, q_weight, scale_set, splitting_check)
+from oracle import SMALL_QM, coset_partition, q_adic_digits, q_weight
+from tdcodes import coset
+from tdcodes.bounds import bch_search
+from tdcodes.coset import (CheckResult, Parity, build_T, complement_set,
+                           cyclotomic_coset, defining_set, dual_defining_set,
+                           gcd_lemma5_check, leader_mask, lemma6_check,
+                           negate_set, scale_set, splitting_check)
+from tdcodes.cyclic import code_from_T, generator_polynomial
+from tdcodes.gf import make_field
 
 
 def test_q_adic_digits():
@@ -71,9 +77,9 @@ def test_build_T_partitions_and_closure():
         n = q ** m - 1
         T0 = build_T(q, m, 0)
         T1 = build_T(q, m, 1)
-        assert not (T0.members & T1.members)
+        assert not (set(T0.elems) & set(T1.elems))
         assert 0 not in T0 and 0 not in T1
-        assert T0.members | T1.members | {0} == set(range(n))
+        assert set(T0.elems) | set(T1.elems) | {0} == set(range(n))
         for T in (T0, T1):
             assert all(e * q % n in T for e in T.elems)
         if m % 2 == 1:
@@ -106,16 +112,16 @@ def test_scale_set_preserves_coset_closure_for_any_v():
     T = build_T(4, 2, 0)
     for v in range(15):
         S = scale_set(v, T)
-        assert all(e * 4 % 15 in S.members for e in S.elems)
+        assert all(e * 4 % 15 in S for e in S.elems)
 
 
 def test_dual_defining_set():
     T0 = build_T(4, 2, 0)
     T1 = build_T(4, 2, 1)
     assert dual_defining_set(T0).elems == (0,) + T1.elems
-    empty = DefiningSet(15, 4, ())
+    empty = defining_set(15, 4, (), validate=False)
     assert dual_defining_set(empty).elems == tuple(range(15))
-    full = DefiningSet(15, 4, tuple(range(15)))
+    full = defining_set(15, 4, tuple(range(15)), validate=False)
     assert dual_defining_set(full).elems == ()
 
 
@@ -127,8 +133,8 @@ def test_splitting_check():
     res = splitting_check(even0, even1, 14)
     assert not res.ok
     assert "v*S1 != S2" in res.reason
-    n15 = DefiningSet(15, 4, ())
-    rest = DefiningSet(15, 4, tuple(range(1, 15)))
+    n15 = defining_set(15, 4, (), validate=False)
+    rest = defining_set(15, 4, tuple(range(1, 15)), validate=False)
     res = splitting_check(n15, rest, 1)
     assert not res.ok
 
@@ -174,13 +180,143 @@ def test_lemma6_full_sweep():
                 assert lemma6_check(q, m, A, h), (q, m, A, h)
 
 
-def test_defining_set_json():
-    T = build_T(4, 3, 0)
-    data = defining_set_to_json(T)
-    assert data["n"] == 63 and data["q"] == 4
-    assert defining_set_from_json(data) == T
-
-
 def test_check_result_truthiness():
     assert CheckResult(True)
     assert not CheckResult(False, "because")
+
+
+def _coset_union(q, n, rng, keep):
+    """A seeded union of q-cyclotomic cosets modulo n, as a Python set."""
+    part = coset_partition(q, n)
+    return {e for leader in part.leaders if rng.random() < keep
+            for e in part.coset(leader)}
+
+
+def test_defining_set_is_one_read_only_mask():
+    T = build_T(4, 3, 0)
+    assert T.mask.dtype == bool and T.mask.shape == (63,) and T.n == 63
+    assert not T.mask.flags.writeable
+    assert type(len(T)) is int and len(T) == 31
+    assert T.elems == tuple(np.flatnonzero(T.mask).tolist())
+    same = defining_set(63, 4, T.elems)
+    assert same is not T and same == T and hash(same) == hash(T)
+    assert len({T, same, build_T(4, 3, 1)}) == 2
+    assert T != build_T(4, 3, 1)
+    assert T != defining_set(63, 16, T.elems, validate=False)   # another q
+    assert build_T(4, 2, 0) != defining_set(63, 4, build_T(4, 2, 0).elems,
+                                            validate=False)   # another n
+    assert T != T.elems
+
+
+@pytest.mark.parametrize("q,m", SMALL_QM)
+def test_mask_sets_match_python_set_arithmetic(q, m):
+    n = q ** m - 1
+    everything = set(range(n))
+    rng = random.Random(n * q + m)
+    sets = []
+    for parity in (0, 1):
+        ref = {i for i in range(1, n) if q_weight(i, q, m) % 2 == parity}
+        T = build_T(q, m, parity)
+        assert set(T.elems) == ref and len(T) == len(ref)
+        sets.append((T, ref))
+    for keep in (0.3, 0.7):
+        ref = _coset_union(q, n, rng, keep)
+        sets.append((defining_set(n, q, ref), ref))
+    for S, ref in sets:
+        negated = {-e % n for e in ref}
+        assert set(negate_set(S).elems) == negated
+        assert set(complement_set(S).elems) == everything - ref
+        assert set(dual_defining_set(S).elems) == everything - negated
+        for v in [0, 1, q, n - 1, -1, n + 2] + rng.sample(range(n), min(6, n)):
+            assert set(scale_set(v, S).elems) == {v * e % n for e in ref}, v
+    # Lemma 1: -1 swaps T_0 and T_1 for odd m and fixes each for even m
+    T0, T1 = sets[0][0], sets[1][0]
+    split = splitting_check(T0, T1, n - 1)
+    assert bool(split) == (m % 2 == 1)
+    if m % 2 == 0:
+        assert split.reason == f"v*S1 != S2 for v={n - 1}"
+
+
+@pytest.mark.parametrize("q,m", SMALL_QM)
+def test_leader_mask_matches_the_coset_partition(q, m):
+    n = q ** m - 1
+    part = coset_partition(q, n)
+    lead = leader_mask(q, n)
+    assert np.flatnonzero(lead).tolist() == sorted(part.leaders)
+    for parity in (0, 1):
+        T = build_T(q, m, parity)
+        assert int((T.mask & lead).sum()) == \
+            len({part.coset_of[e] for e in T.elems})
+
+
+def test_leader_mask_on_other_moduli():
+    for q, n in [(2, 1), (2, 21), (4, 35), (16, 51), (8, 127)]:
+        part = coset_partition(q, n)
+        assert np.flatnonzero(leader_mask(q, n)).tolist() == sorted(part.leaders)
+    with pytest.raises(ValueError, match="invertible"):
+        leader_mask(2, 6)
+
+
+def test_splitting_check_failure_reasons():
+    T0, T1 = build_T(4, 3, 0), build_T(4, 3, 1)
+    assert splitting_check(T0, build_T(4, 2, 1), 62).reason == \
+        "sets live on different (n, q)"
+    assert splitting_check(T0, defining_set(63, 16, T1.elems, validate=False),
+                           62).reason == "sets live on different (n, q)"
+    assert splitting_check(T0, T0, 62).reason == "S1 and S2 intersect"
+    lost = set(cyclotomic_coset(T1.elems[0], 4, 63))
+    short = defining_set(63, 4, set(T1.elems) - lost)
+    assert splitting_check(T0, short, 62).reason == \
+        "S1 and S2 do not cover Z_n minus {0}"
+    with_zero = defining_set(63, 4, (0,) + T0.elems, validate=False)
+    one_less = defining_set(63, 4, T1.elems[1:], validate=False)
+    assert splitting_check(with_zero, one_less, 62).reason == \
+        "S1 and S2 do not cover Z_n minus {0}"
+    a, b = T0.elems[0], T1.elems[0]
+    S1 = defining_set(63, 4, set(T0.elems) - {a} | {b}, validate=False)
+    S2 = defining_set(63, 4, set(T1.elems) - {b} | {a}, validate=False)
+    assert splitting_check(S1, S2, 62).reason == "S1 is not a union of cosets"
+    # with q not invertible modulo n, S1 can be closed while S2 is not
+    assert splitting_check(defining_set(6, 2, (1, 2, 4)),
+                           defining_set(6, 2, (3, 5), validate=False),
+                           5).reason == "S2 is not a union of cosets"
+    assert splitting_check(T0, T1, 3).reason == "v=3 is not a unit modulo 63"
+    assert splitting_check(T0, T1, 62).reason == "(S1, S2, 62) splits Z_63"
+
+
+@pytest.mark.parametrize("q,m", [(2, 4), (4, 2), (4, 3), (8, 2), (2, 6)])
+def test_unclosed_sets_are_rejected_everywhere(q, m):
+    n = q ** m - 1
+    field = make_field(q.bit_length() - 1, m)
+    part = coset_partition(q, n)
+    rng = random.Random(7 * n)
+    for _ in range(8):
+        S = _coset_union(q, n, rng, 0.5)
+        S.update(part.coset(1))
+        assert len(generator_polynomial(field, defining_set(n, q, S))) == len(S) + 1
+        S.discard(rng.choice([e for e in S if len(part.coset(e)) > 1]))
+        first = min(e for e in S if e * q % n not in S)
+        with pytest.raises(ValueError, match=f"mod {n}: {first} is in, "
+                                             f"{first * q % n} is not"):
+            defining_set(n, q, S)
+        raw = defining_set(n, q, S, validate=False)
+        for reject in (lambda: code_from_T(field, raw),
+                       lambda: generator_polynomial(field, raw),
+                       lambda: bch_search(raw)):
+            with pytest.raises(ValueError, match="not closed"):
+                reject()
+
+
+@pytest.mark.parametrize("q,m", [(3, 3), (4, 2), (4, 3), (8, 2), (8, 3), (16, 2)])
+def test_lemma6_matches_q_weight_and_rejects_a_corrupted_right_hand_side(q, m):
+    """The vectorized identity against a q_weight loop, for the true
+    right-hand side and for one off by one either way (q = 3 too: the
+    identity is not only for powers of two)."""
+    for A in range(2, q):
+        for h in range(m):
+            top, total = A * q ** h - 1, (q - 1) * h + A - 1
+            for rhs in (total - 1, total, total + 1):
+                expected = all(q_weight(top - i, q, m) == rhs - q_weight(i, q, m)
+                               for i in range(top + 1))
+                assert coset._reflects(q, m, top, rhs) is expected is (rhs == total)
+            assert lemma6_check(q, m, A, h)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,36 @@ def all_ok(checks):
 @pytest.mark.parametrize("q,m", [(2, 3), (4, 2), (4, 3), (8, 2), (8, 3), (16, 2)])
 def test_lemma1_suite(q, m):
     all_ok(run_suite("lemma1", q, m))
+
+
+def test_lemma1_at_n_near_2_20_stays_within_32_mb():
+    # n = 1048575: the sets and their negations are boolean masks of n bytes
+    tracemalloc.start()
+    try:
+        all_ok(run_suite("lemma1", 4, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
+
+
+def test_lemma1_cover_claim_fails_when_a_residue_is_lost_or_shared(monkeypatch):
+    real = coset.build_T
+
+    def cover_claim(edited_parity, edit):
+        def build(q, m, parity):
+            T = real(q, m, parity)
+            if parity == edited_parity:
+                T = coset.defining_set(T.n, T.q, edit(set(T.elems)), validate=False)
+            return T
+
+        monkeypatch.setattr(coset, "build_T", build)
+        return next(c.ok for c in run_suite("lemma1", 4, 3)
+                    if c.claim == "disjoint cover of Z_n")
+
+    assert cover_claim(1, lambda elems: elems) is True
+    assert cover_claim(1, lambda elems: elems - {1}) is False
+    assert cover_claim(0, lambda elems: elems | {1}) is False
 
 
 @pytest.mark.parametrize("q,m", [(4, 3), (4, 6), (8, 4)])
