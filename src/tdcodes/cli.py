@@ -201,7 +201,7 @@ def bound(q, m, parity, search, budget, out):
             report = bounds.bch_search(coset.build_T(q, m, parity), budget=budget)
         else:
             report = bounds.lemma_bound_report(q, m, parity)
-    except DomainError as exc:
+    except ValueError as exc:  # a DomainError, or a search too large to run unbudgeted
         raise click.UsageError(str(exc)) from None
     _emit(bounds.report_to_json(report), "json", out)
 

@@ -151,40 +151,75 @@ def extend_code(code: CyclicCode) -> GeneratorMatrix:
     return GeneratorMatrix(code.field, arr)
 
 
-def row_reduce(field: FieldSpec, array: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(q); returns (rref, pivot columns).
+_BLOCK_WORDS = 1 << 15  # words a row update touches per numpy call, to stay in cache
 
-    The rows are a bit-sliced stack (:mod:`tdcodes.packed`).  Each pivot
-    reads its column off one plane word per row, then XORs into every row,
-    from the pivot's word on, the multiple of the pivot row that the row's
-    entry selects; the pivot row itself takes 1 + 1/lead, which normalises
-    it.  Row r is zero left of column c, so the earlier words stay as they
-    are."""
-    a = np.asarray(array, dtype=np.uint8)
-    nrows, ncols = a.shape
-    rows = packed.pack(a, field.s)
+
+def row_reduce(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """Reduced row echelon forms over GF(q) of a stack of B matrices with k
+    rows each, all in one column sweep; returns (rrefs, pivot columns of
+    each matrix).
+
+    The stack is bit-sliced (:mod:`tdcodes.packed`), (s, W, k, B), and so
+    are the rrefs; a lone matrix is a stack with B = 1.  At each column
+    every matrix reads its column off one byte per plane and row, and takes
+    as pivot the first row not yet used that is nonzero there.  Each matrix
+    then XORs into every row, from the pivot's word on, the multiple of its
+    pivot row that the row's entry selects; the pivot row itself takes
+    1 + 1/lead, which normalises it.  The rows not yet used are zero left
+    of the column, so the earlier words stay as they are.  A matrix with no
+    pivot in the column picks a spare zero row k instead, which changes
+    nothing.  The rref is unique, so the rows need no swaps: they are put
+    in pivot order once, at the end, with the unused rows, which are zero,
+    last."""
+    s, nwords, k, nmat = stack.shape
+    rows = np.zeros((s, nwords, k + 1, nmat), dtype=packed.WORD)
+    rows[:, :, :k] = stack
+    octets = rows.view(np.uint8)       # byte j of lane b's word at [..., 8b + j]
+    plane_bits = np.arange(s, dtype=np.uint8)[:, None, None]
     masks = packed.scalar_masks(field)
     mul, inv = field.np_mul_table, field.np_inv_table
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    lanes = np.arange(nmat)
+    offsets = field.q * lanes          # lane b's multiples in the flat table
+    span = max(1, _BLOCK_WORDS // (s * (k + 1) * nmat))
+    free = np.ones((k + 1, nmat), dtype=bool)  # row k: the spare
+    cand = np.ones((k + 1, nmat), dtype=bool)  # the spare stays a candidate
+    cols: list[int] = []               # per step: the column and each
+    used: list[np.ndarray] = []        # matrix's pivot row (k for none)
+    left = k * nmat
+    for c in range(64 * nwords):
+        if not left:
             break
         w, b = divmod(c, 64)
-        col = np.packbits(rows[:, w] & (1 << b), axis=0, bitorder="little")[0]
-        if not col[r]:
-            p = r + int(col[r:].argmax())
-            if not col[p]:
-                continue
-            rows[..., [r, p]] = rows[..., [p, r]]
-            col[[r, p]] = col[[p, r]]
-        lead_inv = inv[col[r]]
-        pick = mul[lead_inv].take(col)
-        pick[r] ^= lead_inv
-        rows[:, w:] ^= packed.multiples(masks, rows[:, w:, r]).take(pick, axis=-1)
-        pivots.append(c)
-        r += 1
-    return packed.unpack(rows, ncols), pivots
+        octet = octets[:, w, :, b // 8::8] >> (b % 8)
+        octet &= 1
+        col = np.bitwise_or.reduce(octet << plane_bits, axis=0)
+        np.logical_and(col[:k], free[:k], out=cand[:k])
+        p = cand.argmax(axis=0)
+        found = int(np.count_nonzero(p < k))
+        if not found:
+            continue
+        free[p, lanes] = False
+        left -= found
+        cols.append(c)
+        used.append(p)
+        lead_inv = inv.take(col[p, lanes])
+        pick = mul[lead_inv].take(col + offsets)
+        pick[p, lanes] = lead_inv ^ 1
+        table = packed.multiples(masks, rows[:, w:, p, lanes]).reshape(s, nwords - w, -1)
+        pick = pick + offsets
+        for lo in range(w, nwords, span):  # a cache-sized block of words at a time
+            rows[:, lo:lo + span] ^= table[:, lo - w:lo - w + span].take(pick, axis=-1)
+    # sort key of each row: the step that made it a pivot, or past the last
+    # step for an unused row
+    nsteps = len(cols)
+    used_at = np.array(used, dtype=np.intp).reshape(nsteps, nmat)
+    key = nsteps + np.arange(k)[:, None].repeat(nmat, axis=1)
+    mat, step = np.nonzero((used_at < k).T)   # by matrix, then by step
+    key[used_at[step, mat], mat] = step
+    cols = np.array(cols, dtype=np.intp)
+    ranks = np.bincount(mat, minlength=nmat)
+    pivots = [cols[at].tolist() for at in np.split(step, np.cumsum(ranks)[:-1])]
+    return rows[:, :, key.argsort(axis=0), lanes], pivots
 
 
 def _gram_band(code: CyclicCode) -> np.ndarray:

@@ -25,6 +25,7 @@ DEFAULT_CAP = 1 << 24
 _CHUNK_BITS = 10
 _PASS_WORDS = 1 << 14
 _PAIR_SCAN_MAX_K = 64
+_STACK_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -141,25 +142,38 @@ def weight_distribution(code_or_matrix, cap: int = 1 << 20) -> dict[int, int]:
 # Randomized upper bound
 # ---------------------------------------------------------------------------
 
-def _lightest(masks: np.ndarray, rows: np.ndarray, n: int, pair_scan: bool):
-    """The lightest word of the packed stack, or with ``pair_scan`` the
-    lightest nonzero word among the lightest one and every r_i + lam * r_j
-    (i != j, lam != 0); the word comes back unpacked."""
-    weights = packed.weights(rows)
-    j = int(weights.argmin())
+def _lightest(masks: np.ndarray, stack: np.ndarray, n: int, pair_scan: bool):
+    """The lightest row of each matrix of a packed (s, W, r, B) stack, or
+    with ``pair_scan`` the lightest nonzero word among that row and, for
+    each lam != 0, the first lightest r_i + lam * r_j (i != j) in (i, j)
+    order.  Returns the B weights, n + 1 where no word qualifies, and the
+    (s, W, B) words.  The pairs are scanned for a few matrices at a time, so
+    their (s, W, r, r) words stay within _STACK_WORDS."""
+    s, nwords, r, nmat = stack.shape
+    weights = packed.weights(stack)
+    lanes = np.arange(nmat)
+    at = weights.argmin(axis=0)
+    best_w, best = weights[at, lanes], stack[:, :, at, lanes]
     if not pair_scan:
-        return int(weights[j]), packed.unpack(rows[..., j], n)
-    best_w, best = n + 1, None
-    if weights[j]:
-        best_w, best = int(weights[j]), rows[..., j]
-    for lam in range(1, masks.shape[-1]):
-        combos = rows[..., :, None] ^ packed.times(masks, lam, rows)[..., None, :]
-        w = packed.weights(combos)
-        np.fill_diagonal(w, n + 1)
-        i, j = np.unravel_index(int(w.argmin()), w.shape)
-        if w[i, j] and w[i, j] < best_w:
-            best_w, best = int(w[i, j]), combos[..., i, j]
-    return best_w, None if best is None else packed.unpack(best, n)
+        return best_w, best
+    best_w[best_w == 0] = n + 1
+    diag = np.arange(r)
+    step = max(1, _STACK_WORDS // (s * nwords * r * r))
+    for lo in range(0, nmat, step):
+        part = stack[..., lo:lo + step]
+        part_lanes = np.arange(part.shape[-1])
+        for lam in range(1, masks.shape[-1]):
+            combos = part[:, :, :, None] ^ packed.times(masks, lam, part)[:, :, None]
+            w = packed.weights(combos)
+            w[diag, diag] = n + 1
+            w = w.reshape(r * r, -1)
+            at = w.argmin(axis=0)
+            w = w[at, part_lanes]
+            better = np.flatnonzero((w != 0) & (w < best_w[lo:lo + step]))
+            best_w[lo + better] = w[better]
+            best[:, :, lo + better] = combos.reshape(s, nwords, r * r, -1)[
+                :, :, at[better], better]
+    return best_w, best
 
 
 def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
@@ -180,7 +194,9 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     n = mat.cols
     k = mat.rows
     gen = packed.pack(mat.array, field.s)
-    best_w, best_cw = _lightest(masks, gen, n, k <= _PAIR_SCAN_MAX_K)
+    pair_scan = k <= _PAIR_SCAN_MAX_K
+    weights, words = _lightest(masks, gen[..., None], n, pair_scan)
+    best_w, best_cw = int(weights[0]), packed.unpack(words[..., 0], n)
 
     rng_msg = np.random.default_rng(seed)
     done = 0
@@ -198,15 +214,22 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
         done += batch
 
     rng_sys = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + 1) & (2**63 - 1))
-    for _ in range(max(1, trials // 16)):
-        perm = rng_sys.permutation(n)
-        reduced, pivots = cyclic.row_reduce(field, mat.array[:, perm])
-        w, cw_perm = _lightest(masks, packed.pack(reduced[:len(pivots)], field.s),
-                               n, k <= _PAIR_SCAN_MAX_K)
-        if w < best_w and cw_perm is not None:
-            best_w = w
-            best_cw = np.zeros(n, dtype=np.uint8)
-            best_cw[perm] = cw_perm
+    forms = max(1, trials // 16)
+    # the stack's words, and the q multiples of its pivot rows that each
+    # reduction step builds, stay within _STACK_WORDS
+    per_stack = max(1, _STACK_WORDS // (gen.shape[0] * gen.shape[1] * max(k, field.q)))
+    for start in range(0, forms, per_stack):
+        perms = [rng_sys.permutation(n) for _ in range(min(per_stack, forms - start))]
+        stack = np.empty(gen.shape + (len(perms),), dtype=packed.WORD)
+        for j, perm in enumerate(perms):
+            stack[..., j] = packed.pack(mat.array.take(perm, axis=1), field.s)
+        reduced, pivots = cyclic.row_reduce(field, stack)
+        weights, words = _lightest(masks, reduced[:, :, :len(pivots[0])], n, pair_scan)
+        for j, perm in enumerate(perms):  # in draw order, so ties go to the first
+            if weights[j] < best_w:
+                best_w = int(weights[j])
+                best_cw = np.zeros(n, dtype=np.uint8)
+                best_cw[perm] = packed.unpack(words[..., j], n)
 
     return DistanceReport(lower=lower, upper=best_w, exact=None,
                           witness_weight=best_w, method="sampled", seed=seed,

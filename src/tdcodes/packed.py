@@ -58,9 +58,11 @@ def scalar_masks(field) -> np.ndarray:
     return (bits * ~np.uint64(0)).astype(WORD)
 
 
-def multiples(masks: np.ndarray, word: np.ndarray) -> np.ndarray:
-    """All q multiples of one (s, W) word: (s, W, q), a * word at [..., a]."""
-    return _apply(masks, word[..., None])
+def multiples(masks: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """All q multiples of each word of an (s, W, ...) stack: (s, W, ..., q),
+    a * word at [..., a]."""
+    s, q = masks.shape[0], masks.shape[-1]
+    return _apply(masks.reshape((s, s) + (1,) * (words.ndim - 2) + (q,)), words[..., None])
 
 
 def times(masks: np.ndarray, a: int, words: np.ndarray) -> np.ndarray:

@@ -2,16 +2,17 @@
 
 The library reads its structure checks off g(x) (the Gram band and
 gcd(g, g*)), multiplies and divides polynomials with vectorized table
-rows, row-reduces, encodes and enumerates codewords on bit-sliced words,
-counts cosets with a vectorized leader mask, scans one unit per coset in
-the progression search and sums digits over whole arrays; these
+rows, row-reduces, encodes, enumerates and scores codewords on bit-sliced
+words, counts cosets with a vectorized leader mask, scans one unit per
+coset in the progression search and sums digits over whole arrays; these
 references build the k x n generator matrices, run the schoolbook product
-and long division, eliminate, encode and enumerate one byte per symbol,
-walk each coset one member at a time, scan every unit and sum the digits
-of one integer at a time instead, so the tests can compare two
+and long division, eliminate, encode, enumerate and score one byte per
+symbol, walk each coset one member at a time, scan every unit and sum the
+digits of one integer at a time instead, so the tests can compare two
 independent computations.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -128,6 +129,32 @@ def row_reduce(field, array) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def lightest(field, rows, pair_scan: bool):
+    """The lightest row, or with ``pair_scan`` the lightest nonzero word
+    among it and, for each lam != 0, the first lightest r_i + lam * r_j
+    (i != j) in (i, j) order, one byte per symbol: (n + 1, None) when no
+    word qualifies."""
+    mul = field.np_mul_table
+    n = rows.shape[1]
+    weights = np.count_nonzero(rows, axis=1)
+    j = int(weights.argmin())
+    if not pair_scan:
+        return int(weights[j]), rows[j]
+    best_w, best = n + 1, None
+    if weights[j]:
+        best_w, best = int(weights[j]), rows[j]
+    for lam in range(1, field.q):
+        lam_w, lam_word = n + 1, None
+        for i, j in itertools.permutations(range(len(rows)), 2):
+            word = rows[i] ^ mul[lam, rows[j]]
+            w = int(np.count_nonzero(word))
+            if w < lam_w:
+                lam_w, lam_word = w, word
+        if lam_w and lam_w < best_w:
+            best_w, best = lam_w, lam_word
+    return best_w, best
 
 
 def encode(code_or_matrix, message) -> np.ndarray:

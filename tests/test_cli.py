@@ -207,6 +207,16 @@ def test_bound_search(runner):
     assert data["delta"] == 5 and data["source"] == "exhaustive search"
 
 
+def test_bound_search_past_the_exhaustive_limit_needs_a_budget(runner):
+    res = runner.invoke(main, ["bound", "--q", "4", "--m", "9", "--search"])
+    assert res.exit_code == 2
+    assert "exhaustive search needs n <= 2^16; pass a budget" in res.stderr
+    assert "Traceback" not in res.output
+    res = runner.invoke(main, ["bound", "--q", "4", "--m", "9", "--search",
+                               "--budget", "10"])
+    assert res.exit_code == 0 and json.loads(res.stdout)["source"]
+
+
 def test_distance_exact(runner):
     res = runner.invoke(main, ["distance", "--q", "4", "--m", "2",
                                "--parity", "0"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from tdcodes import polys
+from tdcodes import distance, packed, polys
 from tdcodes.bounds import DomainError, bch_search, theorem_bound
 from tdcodes.coset import build_T, defining_set
 from tdcodes.cyclic import (GeneratorMatrix, code_from_T, extend_code,
@@ -181,6 +181,42 @@ def test_sampled_upper_results_are_pinned_at_n1023():
         [(348, "fb745ee85d321e48"), (351, "c750656f869d6486")]
 
 
+def test_sampled_upper_results_are_pinned_across_form_stacks():
+    # 10 systematic forms of the [1023, 512]_4 codes, 2 x 16 x 512 words
+    # each, fill several stacks of row reductions; the values of the
+    # one-form-at-a-time engine
+    assert 10 * 2 * 16 * 512 > 2 * distance._STACK_WORDS
+    f = make_field(2, 5)
+    got = [sampled_upper(code_from_T(f, build_T(4, 5, p)), trials=160, seed=0)
+           for p in (0, 1)]
+    assert [(r.upper, digest(r.witness)) for r in got] == \
+        [(348, "fb745ee85d321e48"), (350, "39f40112638aa2d9")]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("pair_scan", [False, True])
+def test_stacked_scoring_matches_the_byte_oracle(monkeypatch, s, pair_scan):
+    # few columns and repeated rows, so weights tie and some pairs cancel;
+    # a small pair budget scans the stack one or two matrices at a time
+    monkeypatch.setattr(distance, "_STACK_WORDS", 2 * 6 * 6 * s)
+    f = make_field(s, 2)
+    rng = np.random.default_rng(s)
+    forms = []
+    for _ in range(5):
+        a = rng.integers(0, f.q, size=(6, 9), dtype=np.uint8)
+        a[rng.random(a.shape) < 0.5] = 0
+        a[4] = f.np_mul_table[f.q - 1, a[1]]
+        forms.append(a)
+    forms[2][:] = 0
+    stack = np.stack([packed.pack(a, s) for a in forms], axis=-1)
+    weights, words = distance._lightest(packed.scalar_masks(f), stack, 9, pair_scan)
+    for j, a in enumerate(forms):
+        w, word = oracle.lightest(f, a, pair_scan)
+        assert weights[j] == w
+        if word is not None:
+            assert np.array_equal(packed.unpack(words[..., j], 9), word)
+
+
 def test_sampled_upper_working_memory_does_not_grow_with_k():
     f = make_field(2, 4)
     c = code_from_T(f, build_T(4, 4, 0))  # [255, 129]
@@ -247,6 +283,10 @@ def test_duadic_distance_equality_domain():
         verify_duadic_distance_equality(4, 2)
 
 
+def rank(field, array):
+    return len(row_reduce(field, packed.pack(array, field.s)[..., None])[1][0])
+
+
 def test_negation_permutation_maps_pair_members():
     # odd m: the coordinate permutation j -> -j carries parity-0 codewords
     # onto parity-1 codewords (row-space equality of permuted generators)
@@ -255,13 +295,13 @@ def test_negation_permutation_maps_pair_members():
     G1 = generator_matrix(c1).array
     perm = [(-j) % 63 for j in range(63)]
     stacked = np.concatenate([G1, G0[:, perm]], axis=0)
-    assert len(row_reduce(f, stacked)[1]) == 32
+    assert rank(f, stacked) == 32
     # even m: the same permutation fixes each code
     f2, d0, _ = gf16_codes()
     G = generator_matrix(d0).array
     perm15 = [(-j) % 15 for j in range(15)]
     stacked = np.concatenate([G, G[:, perm15]], axis=0)
-    assert len(row_reduce(f2, stacked)[1]) == 9
+    assert rank(f2, stacked) == 9
 
 
 def test_sampled_upper_handles_large_dimension():

@@ -109,13 +109,53 @@ def row_reduce_cases():
     return cases
 
 
+def reduce_forms(field, forms):
+    """Row-reduce the matrices as one packed stack; returns each member's
+    rref unpacked and its pivots, after checking that the stack is kept."""
+    stack = np.stack([packed.pack(a, field.s) for a in forms], axis=-1)
+    before = stack.copy()
+    rrefs, pivots = cyclic.row_reduce(field, stack)
+    assert np.array_equal(stack, before)
+    assert rrefs.shape == stack.shape and rrefs.dtype == packed.WORD
+    assert len(pivots) == len(forms)
+    n = forms[0].shape[1]
+    return [(packed.unpack(rrefs[..., j], n), pivots[j]) for j in range(len(forms))]
+
+
 @pytest.mark.parametrize("field,array", [pytest.param(f, a, id=name)
                                           for name, f, a in row_reduce_cases()])
 def test_row_reduce_matches_the_byte_oracle(field, array):
     before = array.copy()
-    rref, pivots = cyclic.row_reduce(field, array)
+    [(rref, pivots)] = reduce_forms(field, [array])
     ref, ref_pivots = oracle.row_reduce(field, array)
     assert pivots == ref_pivots
-    assert rref.dtype == np.uint8 and rref.shape == array.shape
     assert np.array_equal(rref, ref)
     assert np.array_equal(array, before)
+
+
+@pytest.mark.parametrize("field,array", [pytest.param(f, a, id=name)
+                                          for name, f, a in row_reduce_cases()])
+def test_stacked_row_reduce_matches_the_byte_oracle_form_by_form(field, array):
+    # seeded column permutations: one rank, but the members reach it at
+    # different columns (or, rank-deficient, at none)
+    rng = np.random.default_rng(array.size)
+    forms = [array] + [array[:, rng.permutation(array.shape[1])] for _ in range(5)]
+    for form, (rref, pivots) in zip(forms, reduce_forms(field, forms)):
+        ref, ref_pivots = oracle.row_reduce(field, form)
+        assert pivots == ref_pivots
+        assert np.array_equal(rref, ref)
+
+
+def test_stacked_row_reduce_members_of_different_rank():
+    f = make_field(2, 2)
+    rng = np.random.default_rng(7)
+    full = rng.integers(0, 4, size=(12, 70), dtype=np.uint8)
+    low = full.copy()
+    low[4:] = f.np_mul_table[3, low[1]] ^ low[2]   # rank 4 at most
+    forms = [full, low, np.zeros_like(full), low[:, ::-1].copy(), full]
+    got = reduce_forms(f, forms)
+    for form, (rref, pivots) in zip(forms, got):
+        ref, ref_pivots = oracle.row_reduce(f, form)
+        assert pivots == ref_pivots
+        assert np.array_equal(rref, ref)
+    assert [len(p) for _, p in got] == [12, 4, 0, 4, 12]
