@@ -51,10 +51,6 @@ class BoundReport:
     partial: bool = False
 
 
-def progression_members(w: APWitness, n: int) -> list[int]:
-    return [(w.b + w.a * i) % n for i in range(w.i_lo, w.i_hi + 1)]
-
-
 def negate_witness(w: APWitness, n: int) -> APWitness:
     """Witness whose members are the negations of w's members."""
     return APWitness((n - w.b) % n, w.a, -w.i_hi, -w.i_lo)
@@ -211,30 +207,55 @@ def theorem_bound(q: int, m: int, parity: Parity | int) -> int:
 # Exhaustive best-progression search
 # ---------------------------------------------------------------------------
 
-def _longest_circular_run(arr: np.ndarray) -> tuple[int, np.ndarray]:
-    """Length of the longest circular run of True plus all run starts of
-    that length.  Assumes arr has at least one False and one True."""
-    n = arr.size
-    gaps_at = np.flatnonzero(~arr)
-    lengths = np.empty(gaps_at.size, dtype=np.int64)
-    lengths[:-1] = np.diff(gaps_at) - 1
-    lengths[-1] = gaps_at[0] + n - gaps_at[-1] - 1
-    best = int(lengths.max())
-    starts = (gaps_at[lengths == best] + 1) % n
-    return best, starts
+def _longest_run(t: int, n: int, a: int, floor: int) -> tuple[int, int]:
+    """The length L of the longest progression b, b + a, ..., b + (L-1)a
+    inside a set of residues modulo n held as the bitset t (bit b set when
+    b is in the set; not every residue is), and the least b starting one;
+    (0, 0) when L < floor, found without measuring L.
+
+    S_k, the b starting a run of at least 2^k, doubles as
+    S_{k+1} = S_k & rot(S_k, 2^k a), where rot(x, d) holds the b with
+    b + d in x.  Only the S_k with 2^k <= floor are built before the
+    starts of runs of at least floor, P_floor, are put together by binary
+    decomposition (P_{L + 2^k} = P_L & rot(S_k, L a)); the doubling goes on
+    only when P_floor is nonempty, and binary lifting then finds L.
+    """
+    def starts(x: int, y: int, d: int) -> int:
+        """x & rot(y, d); x < 2^n truncates the wrapped shift."""
+        d %= n
+        return x & ((y >> d) | (y << (n - d)))
+
+    runs = [t]
+    while 1 << len(runs) <= floor:
+        runs.append(starts(runs[-1], runs[-1], a << (len(runs) - 1)))
+        if not runs[-1]:
+            return 0, 0
+    hits, length = runs[-1], 1 << (len(runs) - 1)
+    for k in reversed(range(len(runs) - 1)):
+        if floor >> k & 1:
+            hits, length = starts(hits, runs[k], length * a), length + (1 << k)
+    if not hits:
+        return 0, 0
+    while runs[-1]:
+        runs.append(starts(runs[-1], runs[-1], a << (len(runs) - 1)))
+    for k in reversed(range(len(runs) - 1)):
+        if longer := starts(hits, runs[k], length * a):
+            hits, length = longer, length + (1 << k)
+    return length, (hits & -hits).bit_length() - 1
 
 
 def bch_search(T: DefiningSet, budget: int | None = None) -> BoundReport:
     """Maximum progression-based bound over all (a, b).
 
-    For each unit a, runs b, b+a, ..., inside T map to runs of consecutive
-    integers in the index array i -> T.mask[a*i mod n], so one circular run
-    scan per a covers every b.  T is closed under multiplication by q, so a
-    unit and its q-multiples have the same index array: only the least
-    unit of each q-cyclotomic coset is scanned, and it is the one a full
-    scan would pick.  The canonical witness takes the largest bound, then
-    the smallest a, then the smallest b.  ``budget`` caps the number of
-    units counted, scanned or not; a truncated search is flagged partial.
+    T is held as one bitset, and each unit a is tested with shift-AND
+    doubling on it (``_longest_run``): only a unit that can beat the best
+    run so far is measured.  T is closed under multiplication by q, and
+    the progressions of -a are those of a reversed, so a, -a and their
+    q-multiples have the same longest run: only the least member of each
+    such orbit is scanned, and it is the one a scan of every unit would
+    pick.  The canonical witness takes the largest bound, then the
+    smallest a, then the smallest b.  ``budget`` caps the number of units
+    counted, scanned or not; a truncated search is flagged partial.
     """
     n = T.n
     if budget is None and n > 1 << 16:
@@ -245,19 +266,17 @@ def bch_search(T: DefiningSet, budget: int | None = None) -> BoundReport:
         return BoundReport(1, None, "exhaustive search")
     if T.mask.all():
         return BoundReport(n, APWitness(0, 1, 0, n - 2), "exhaustive search")
-    idx = np.arange(n, dtype=np.int64)
-    units = np.flatnonzero(np.gcd(idx, n) == 1)
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
     partial = budget is not None and budget < units.size
     if partial:
         units = units[:max(budget, 0)]
+    t = int.from_bytes(np.packbits(T.mask, bitorder="little").tobytes(), "little")
     best_len = 0
     best_a = best_b = 0
-    for a in units[coset.leader_mask(T.q, n)[units]].tolist():
-        length, starts = _longest_circular_run(T.mask[a * idx % n])
-        if length > best_len:
-            best_len = length
-            best_a = a
-            best_b = int((a * starts % n).min())
+    for a in units[coset._orbit_leaders(T.q, n, signed=True)[units]].tolist():
+        length, b = _longest_run(t, n, a, best_len + 1)
+        if length:
+            best_len, best_a, best_b = length, a, b
     if best_len == 0:
         return BoundReport(1, None, "exhaustive search", partial)
     witness = APWitness(best_b, best_a, 0, best_len - 1)

@@ -27,6 +27,8 @@ from tdcodes.gf import FieldError, FieldSpec, load_field_spec, make_field
 
 VARIANTS = ("plain", "even_like", "dual", "complement", "extended")
 DISTANCE_MAX_BYTES = 1 << 28  # largest k x n generator matrix `distance` builds
+# the theorems whose BOUND_CASES rows each `table` section lists
+TABLE_SECTIONS = {"16": ("thm8",), "18": ("thm12", "thm15")}
 
 
 def _max_n() -> int:
@@ -251,7 +253,7 @@ def distance_cmd(q, m, parity, variant, seed, cap, trials, field_spec_path, out)
 
 
 @main.command()
-@click.option("--section", type=click.Choice(["16", "18"]), required=True,
+@click.option("--section", type=click.Choice(sorted(TABLE_SECTIONS)), required=True,
               help="16 = odd-m families (pair, extension, even-like); "
                    "18 = even-m LCD families.")
 @click.option("--s", "s_values", type=int, multiple=True,
@@ -273,7 +275,7 @@ def table(section, s_values, max_n, with_search, fmt):
             n = q ** m - 1
             if n > cap:
                 break
-            if (m % 2 == 1) != (section == "16"):
+            if bounds.bound_case(m).theorem not in TABLE_SECTIONS[section]:
                 continue
             # (family, n, k, the parity of its bound, gets that parity's search)
             if section == "16":

@@ -59,14 +59,24 @@ def cyclotomic_coset(i: int, q: int, n: int) -> tuple[int, ...]:
 def leader_mask(q: int, n: int) -> np.ndarray:
     """Whether each i in [0, n) is the least member of its q-cyclotomic
     coset: the orbits i, qi, q^2 i, ... mod n are walked all at once."""
+    return _orbit_leaders(q, n, signed=False)
+
+
+def _orbit_leaders(q: int, n: int, signed: bool) -> np.ndarray:
+    """Whether each i in [0, n) is the least of its orbit under
+    multiplication by the powers of q, and with ``signed`` by their
+    negatives too."""
     if math.gcd(n, q) != 1:
         raise ValueError("q must be invertible modulo n")
     idx = np.arange(n, dtype=np.int64)
-    lead, x = np.ones(n, dtype=bool), idx * q % n
-    while not np.array_equal(x, idx):
-        lead &= x >= idx
+    lead, x = np.ones(n, dtype=bool), idx
+    while True:
+        if signed:
+            lead &= n - x >= idx
         x = x * q % n
-    return lead
+        if np.array_equal(x, idx):
+            return lead
+        lead &= x >= idx
 
 
 @dataclass(frozen=True, eq=False)

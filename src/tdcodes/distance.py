@@ -145,10 +145,10 @@ def weight_distribution(code_or_matrix, cap: int = 1 << 20) -> dict[int, int]:
 def _lightest(masks: np.ndarray, stack: np.ndarray, n: int, pair_scan: bool):
     """The lightest row of each matrix of a packed (s, W, r, B) stack, or
     with ``pair_scan`` the lightest nonzero word among that row and, for
-    each lam != 0, the first lightest r_i + lam * r_j (i != j) in (i, j)
-    order.  Returns the B weights, n + 1 where no word qualifies, and the
-    (s, W, B) words.  The pairs are scanned for a few matrices at a time, so
-    their (s, W, r, r) words stay within _STACK_WORDS."""
+    each lam != 0, the first lightest nonzero r_i + lam * r_j (i != j) in
+    (i, j) order.  Returns the B weights, n + 1 where no word qualifies,
+    and the (s, W, B) words.  The pairs are scanned for a few matrices at a
+    time, so their (s, W, r, r) words stay within _STACK_WORDS."""
     s, nwords, r, nmat = stack.shape
     weights = packed.weights(stack)
     lanes = np.arange(nmat)
@@ -165,11 +165,12 @@ def _lightest(masks: np.ndarray, stack: np.ndarray, n: int, pair_scan: bool):
         for lam in range(1, masks.shape[-1]):
             combos = part[:, :, :, None] ^ packed.times(masks, lam, part)[:, :, None]
             w = packed.weights(combos)
+            w[w == 0] = n + 1
             w[diag, diag] = n + 1
             w = w.reshape(r * r, -1)
             at = w.argmin(axis=0)
             w = w[at, part_lanes]
-            better = np.flatnonzero((w != 0) & (w < best_w[lo:lo + step]))
+            better = np.flatnonzero(w < best_w[lo:lo + step])
             best_w[lo + better] = w[better]
             best[:, :, lo + better] = combos.reshape(s, nwords, r * r, -1)[
                 :, :, at[better], better]

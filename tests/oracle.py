@@ -3,13 +3,14 @@
 The library reads its structure checks off g(x) (the Gram band and
 gcd(g, g*)), multiplies and divides polynomials with vectorized table
 rows, row-reduces, encodes, enumerates and scores codewords on bit-sliced
-words, counts cosets with a vectorized leader mask, scans one unit per
-coset in the progression search and sums digits over whole arrays; these
-references build the k x n generator matrices, run the schoolbook product
-and long division, eliminate, encode, enumerate and score one byte per
-symbol, walk each coset one member at a time, scan every unit and sum the
-digits of one integer at a time instead, so the tests can compare two
-independent computations.
+words, counts cosets with a vectorized leader mask, runs the progression
+search as shift-AND doubling on a bitset over one unit per orbit of
++-q^j, and sums digits over whole arrays; these references build the
+k x n generator matrices, run the schoolbook product and long division,
+eliminate, encode, enumerate and score one byte per symbol, walk each
+coset one member at a time, scan every unit for runs, list the members of
+each progression and sum the digits of one integer at a time instead, so
+the tests can compare two independent computations.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tdcodes.bounds import APWitness, BoundReport, _longest_circular_run
+from tdcodes.bounds import APWitness, BoundReport
 from tdcodes.coset import cyclotomic_coset
 from tdcodes.cyclic import GeneratorMatrix, dual_code, generator_matrix
 from tdcodes.polys import trim
@@ -71,8 +72,42 @@ def coset_partition(q: int, n: int) -> CosetPartition:
     return CosetPartition(n, q, tuple(leaders), coset_of)
 
 
+def progression_members(w: APWitness, n: int) -> list[int]:
+    """The residues b + a*i mod n, i_lo <= i <= i_hi, in order."""
+    return [(w.b + w.a * i) % n for i in range(w.i_lo, w.i_hi + 1)]
+
+
+def longest_progression(T, a: int) -> tuple[int, int]:
+    """The longest progression b, b + a, ... inside T and the least b that
+    starts one, from the member list of the progression of n terms at each
+    b: (0, 0) when T is empty."""
+    n = T.n
+    best_len, best_b = 0, 0
+    for b in range(n):
+        members = progression_members(APWitness(b, a, 0, n - 1), n)
+        length = next((i for i, x in enumerate(members) if x not in T), n)
+        if length > best_len:
+            best_len, best_b = length, b
+    return best_len, best_b
+
+
+def _longest_circular_run(arr: np.ndarray) -> tuple[int, np.ndarray]:
+    """Length of the longest circular run of True plus all run starts of
+    that length.  Assumes arr has at least one False and one True."""
+    n = arr.size
+    gaps_at = np.flatnonzero(~arr)
+    lengths = np.empty(gaps_at.size, dtype=np.int64)
+    lengths[:-1] = np.diff(gaps_at) - 1
+    lengths[-1] = gaps_at[0] + n - gaps_at[-1] - 1
+    best = int(lengths.max())
+    starts = (gaps_at[lengths == best] + 1) % n
+    return best, starts
+
+
 def bch_search(T, budget=None) -> BoundReport:
-    """The progression search over every unit a, q-multiples included."""
+    """The progression search over every unit a, q-multiples and negatives
+    included: one circular run scan of the index array i -> [a*i mod n in T]
+    per a."""
     n = T.n
     if len(T) == 0:
         return BoundReport(1, None, "exhaustive search")
@@ -133,9 +168,9 @@ def row_reduce(field, array) -> tuple[np.ndarray, list[int]]:
 
 def lightest(field, rows, pair_scan: bool):
     """The lightest row, or with ``pair_scan`` the lightest nonzero word
-    among it and, for each lam != 0, the first lightest r_i + lam * r_j
-    (i != j) in (i, j) order, one byte per symbol: (n + 1, None) when no
-    word qualifies."""
+    among it and, for each lam != 0, the first lightest nonzero
+    r_i + lam * r_j (i != j) in (i, j) order, one byte per symbol:
+    (n + 1, None) when no word qualifies."""
     mul = field.np_mul_table
     n = rows.shape[1]
     weights = np.count_nonzero(rows, axis=1)
@@ -150,9 +185,9 @@ def lightest(field, rows, pair_scan: bool):
         for i, j in itertools.permutations(range(len(rows)), 2):
             word = rows[i] ^ mul[lam, rows[j]]
             w = int(np.count_nonzero(word))
-            if w < lam_w:
+            if 0 < w < lam_w:
                 lam_w, lam_word = w, word
-        if lam_w and lam_w < best_w:
+        if lam_w < best_w:
             best_w, best = lam_w, lam_word
     return best_w, best
 

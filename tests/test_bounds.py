@@ -4,13 +4,16 @@ import random
 import pytest
 
 import oracle
-from oracle import SMALL_QM, q_weight
+from oracle import SMALL_QM, progression_members, q_weight
+from tdcodes import bounds
 from tdcodes.bounds import (BOUND_CASES, APWitness, BoundReport, DomainError,
                             ap_in_set, bch_search, bound_case,
                             lemma_bound_report, lemma_witness, negate_witness,
-                            progression_members, report_to_json, theorem_bound,
-                            witnesses_for)
-from tdcodes.coset import Parity, build_T, defining_set
+                            report_to_json, theorem_bound, witnesses_for)
+from tdcodes.coset import (Parity, build_T, cyclotomic_coset, defining_set,
+                           negate_set, scale_set)
+
+UP_TO_255 = [(q, m) for q, m in SMALL_QM if q ** m - 1 <= 255]
 
 
 def test_ap_witness_validation():
@@ -161,6 +164,15 @@ def test_bch_search_n63():
     assert r.delta >= theorem_bound(4, 3, 0)
 
 
+@pytest.mark.parametrize("parity,b", [(0, 7997), (1, 3901)])
+def test_bch_search_witnesses_n16383(parity, b):
+    T = build_T(4, 7, parity)
+    r = bch_search(T)
+    assert (r.delta, r.witness.a, r.witness.b) == (71, 65, b)
+    assert (r.witness.i_lo, r.witness.i_hi, r.partial) == (0, 69, False)
+    assert ap_in_set(T, r.witness)
+
+
 def test_bch_search_beats_or_meets_the_closed_form():
     for q, m in [(4, 2), (4, 3), (8, 2)]:
         for parity in (0, 1):
@@ -215,9 +227,12 @@ def test_one_case_row_covers_each_m():
 @pytest.mark.parametrize("q,m", SMALL_QM)
 def test_bch_search_scans_one_unit_per_coset_like_the_all_units_scan(q, m):
     """Same (delta, a, b, partial) as the scan of every unit, for T_0, T_1
-    and seeded coset unions, unbudgeted and with budgets 1, 7, phi(n) - 1."""
+    and seeded coset unions, unbudgeted and with budgets 1, 7, phi(n) - 1,
+    and one that counts the unit of the best witness but stops before the
+    least unit of the coset of its negation."""
     n = q ** m - 1
-    phi = sum(1 for a in range(1, n) if math.gcd(a, n) == 1)
+    units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+    phi = len(units)
     sets = [build_T(q, m, parity) for parity in (0, 1)]
     part = oracle.coset_partition(q, n)
     rng = random.Random(n + q)
@@ -226,6 +241,52 @@ def test_bch_search_scans_one_unit_per_coset_like_the_all_units_scan(q, m):
                                         if rng.random() < keep
                                         for e in part.coset(leader)]))
     for T in sets:
-        for budget in (None, 1, 7, phi - 1):
+        best = oracle.bch_search(T)
+        budgets = [None, 1, 7, phi - 1]
+        if best.witness is not None:
+            mirror = min(cyclotomic_coset(n - best.witness.a, q, n))
+            assert mirror >= best.witness.a
+            budgets.append(units.index(mirror))
+        for budget in budgets:
             assert bch_search(T, budget) == oracle.bch_search(T, budget), \
                 (sorted(T.elems)[:8], budget)
+
+
+@pytest.mark.parametrize("q,m", UP_TO_255)
+def test_bch_search_is_blind_to_negation_and_unit_scaling(q, m):
+    n = q ** m - 1
+    rng = random.Random(n)
+    units = [v for v in range(1, n) if math.gcd(v, n) == 1]
+    for parity in (0, 1):
+        T = build_T(q, m, parity)
+        delta = bch_search(T).delta
+        assert bch_search(negate_set(T)).delta == delta
+        for v in rng.sample(units, min(4, len(units))):
+            assert bch_search(scale_set(v, T)).delta == delta, v
+
+
+@pytest.mark.parametrize("q,m", UP_TO_255)
+def test_longest_run_matches_the_member_lists(q, m):
+    """The bitset doubling against progression member lists, for the
+    digit-parity sets and seeded dense sets that need not be closed (runs
+    that wrap past n - 1, sets holding 0), on every unit for n <= 63 and
+    on eight seeded units above, with the floor at, below and above the
+    true length."""
+    n = q ** m - 1
+    rng = random.Random(3 * n + q)
+    units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+    if n > 63:
+        units = rng.sample(units, 8)
+    sets = [build_T(q, m, parity) for parity in (0, 1)]
+    for keep in (0.7, 0.95):
+        sets.append(defining_set(n, q, [e for e in range(n) if rng.random() < keep]
+                                 + [rng.randrange(n)], validate=False))
+    for T in sets:
+        if len(T) == n:
+            continue
+        t = sum(1 << e for e in T.elems)
+        for a in units:
+            length, b = oracle.longest_progression(T, a)
+            for floor in {1, max(length - 1, 1), length, length + 1}:
+                expect = (length, b) if floor <= length else (0, 0)
+                assert bounds._longest_run(t, n, a, floor) == expect, (a, floor)

@@ -237,12 +237,22 @@ def test_mask_sets_match_python_set_arithmetic(q, m):
         assert split.reason == f"v*S1 != S2 for v={n - 1}"
 
 
+def _signed_leaders(part):
+    """The i that are least in their orbit under the powers of q and their
+    negatives: least in their coset, and no larger than the coset of -i."""
+    n = part.n
+    return [i for i in range(n)
+            if i == min(part.coset_of[i], part.coset_of[(n - i) % n])]
+
+
 @pytest.mark.parametrize("q,m", SMALL_QM)
 def test_leader_mask_matches_the_coset_partition(q, m):
     n = q ** m - 1
     part = coset_partition(q, n)
     lead = leader_mask(q, n)
     assert np.flatnonzero(lead).tolist() == sorted(part.leaders)
+    assert np.flatnonzero(coset._orbit_leaders(q, n, signed=True)).tolist() == \
+        _signed_leaders(part)
     for parity in (0, 1):
         T = build_T(q, m, parity)
         assert int((T.mask & lead).sum()) == \
@@ -253,6 +263,8 @@ def test_leader_mask_on_other_moduli():
     for q, n in [(2, 1), (2, 21), (4, 35), (16, 51), (8, 127)]:
         part = coset_partition(q, n)
         assert np.flatnonzero(leader_mask(q, n)).tolist() == sorted(part.leaders)
+        assert np.flatnonzero(coset._orbit_leaders(q, n, signed=True)).tolist() \
+            == _signed_leaders(part)
     with pytest.raises(ValueError, match="invertible"):
         leader_mask(2, 6)
 

@@ -217,6 +217,27 @@ def test_stacked_scoring_matches_the_byte_oracle(monkeypatch, s, pair_scan):
             assert np.array_equal(packed.unpack(words[..., j], 9), word)
 
 
+def test_pair_scan_skips_pairs_that_cancel():
+    # r4 = 3 r1 over GF(4), so r1 + 2 r4 and r4 + 3 r1 vanish and are each
+    # the first lightest pair of their lam; the lightest nonzero word is
+    # r2 + 2 r0 (and r0 + 3 r2), of weight 1, where the rows weigh 3 or more
+    f = make_field(2, 2)
+    a = np.array([[1, 1, 1, 1, 1, 1, 0, 0, 0],
+                  [0, 0, 0, 0, 0, 0, 1, 1, 1],
+                  [2, 2, 2, 2, 2, 2, 1, 0, 0],
+                  [1, 2, 3, 1, 2, 3, 1, 2, 3],
+                  [0, 0, 0, 0, 0, 0, 3, 3, 3],
+                  [3, 1, 2, 2, 3, 1, 1, 0, 1]], dtype=np.uint8)
+    expect = np.array([0, 0, 0, 0, 0, 0, 1, 0, 0], dtype=np.uint8)
+    assert oracle.lightest(f, a, True)[0] == 1
+    assert np.array_equal(oracle.lightest(f, a, True)[1], expect)
+    stack = packed.pack(a, 2)[..., None]
+    weights, words = distance._lightest(packed.scalar_masks(f), stack, 9, True)
+    assert weights[0] == 1
+    assert np.array_equal(packed.unpack(words[..., 0], 9), expect)
+    assert sampled_upper(GeneratorMatrix(f, a), trials=1).upper == 1
+
+
 def test_sampled_upper_working_memory_does_not_grow_with_k():
     f = make_field(2, 4)
     c = code_from_T(f, build_T(4, 4, 0))  # [255, 129]
