@@ -270,6 +270,8 @@ def table(section, s_values, max_n, with_search, fmt):
     s_list = sorted(s_values) if s_values else [2, 3, 4]
     rows = []
     for s in s_list:
+        if s < 0:
+            raise click.UsageError(f"--s must be a base degree >= 2, got {s}")
         q = 1 << s
         for m in range(2, 17):
             n = q ** m - 1
@@ -286,8 +288,12 @@ def table(section, s_values, max_n, with_search, fmt):
                 entries = [("parity0", n, (n + 3) // 2, 0, True),
                            ("parity1", n, (n - 1) // 2, 1, True)]
             for family, length, k, p, searched in entries:
+                try:
+                    d_bound = bounds.theorem_bound(q, m, p)
+                except DomainError as exc:  # q = 2, or --s 0
+                    raise click.UsageError(f"--s {s}: {exc}") from None
                 row = {"s": s, "q": q, "m": m, "family": family, "n": length,
-                       "k": k, "d_bound": bounds.theorem_bound(q, m, p)}
+                       "k": k, "d_bound": d_bound}
                 if searched and with_search and n <= 4096:
                     row["search_delta"] = bounds.bch_search(
                         coset.build_T(q, m, p)).delta

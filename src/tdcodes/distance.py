@@ -1,13 +1,15 @@
-"""Ground-truth minimum-distance machinery: exact distance by full
-message-space enumeration (Gray-coded so each codeword is one row XOR),
-randomized upper-bound search for codes too large to enumerate, and
-complete weight tallies for tiny codes.
+"""Ground-truth minimum-distance machinery: exact distance by enumerating
+one message per projective point of the message space (the
+(q^k - 1)/(q - 1) messages whose last nonzero symbol is 1, Gray-coded so
+each codeword is one row XOR), randomized upper-bound search for codes too
+large to enumerate, and complete weight tallies for tiny codes.
 
 Codewords are bit-sliced words (:mod:`tdcodes.packed`): s bit-planes of
 ceil(n/64) uint64 values, so a row XOR touches s*ceil(n/64) machine words
-and a weight is the popcount of the OR of the planes.  The Gray order, the
-random draws and every argmin tie-break are those of the byte-per-symbol
-engine, so each result and witness is unchanged.
+and a weight is the popcount of the OR of the planes.  The random draws and
+every argmin tie-break are those of the byte-per-symbol engine, and the
+exact scan returns the witness of its full Gray scan, so each result and
+witness is unchanged.
 """
 
 from __future__ import annotations
@@ -69,55 +71,95 @@ def _bit_rows(mat: GeneratorMatrix) -> np.ndarray:
 
 def _scan_codewords(mat: GeneratorMatrix, want_hist: bool):
     """Minimum nonzero weight, a witness, and (optionally) the full weight
-    tally, via Gray enumeration with a vectorized low-bit chunk.
+    tally, from one message per projective point: a nonzero message and its
+    q - 1 nonzero multiples give codewords of one weight, so only the
+    (q^k - 1)/(q - 1) messages whose last nonzero symbol is 1 are visited.
 
-    The chunk holds the 2^low words of the low message bits in binary
-    order; one pass of numpy calls covers 2^steps Gray steps of the bits
-    above, as many as fit in _PASS_WORDS uint64 words.  Lane u*2^low + i of
-    a pass is chunk word i plus the bit rows low + b for the bits b of
-    gray(u).  As gray(t + u) = gray(t) ^ gray(u) for t a multiple of
-    2^steps, pass p holds the words of Gray steps p*2^steps, ...,
-    (p+1)*2^steps - 1 in order, so ties and the tally come out as with one
-    step per pass.  From pass p-1 to pass p, gray(p*2^steps) changes in bit
-    steps + ctz(p) and, if steps > 0, in bit steps - 1."""
+    For each leading symbol j, the words 1*row_j plus the span of the bit
+    rows below j*s are Gray enumerated with a vectorized low-bit chunk.  The
+    chunk holds the 2^low words of the low message bits in binary order;
+    one pass of numpy calls covers 2^steps Gray steps of the bits above, as
+    many as fit in _PASS_WORDS uint64 words.  Lane u*2^low + i of a pass is
+    chunk word i plus the bit rows low + b for the bits b of gray(u).  As
+    gray(t + u) = gray(t) ^ gray(u) for t a multiple of 2^steps, pass p
+    holds the words of Gray steps p*2^steps, ..., (p+1)*2^steps - 1 in
+    order.  From pass p-1 to pass p, gray(p*2^steps) changes in bit
+    steps + ctz(p) and, if steps > 0, in bit steps - 1.
+
+    The tally is q - 1 times that of the visited messages, plus the zero
+    codeword.  The witness is the first minimum-weight codeword of the
+    order that enumerates all q^k messages with the low min(_CHUNK_BITS,
+    k*s) bits in binary order and Gray codes the bits above
+    (_scan_position).  Of a message's multiples, the one with leading
+    symbol 1 comes first in that order (its highest set bit is the lowest,
+    and the position keeps the highest set bit), so the witness is the
+    visited message of least position at the minimum."""
     rows = _bit_rows(mat)
+    s = mat.field.s
     kbits = rows.shape[-1]
     ncols = mat.cols
-    low = min(_CHUNK_BITS, kbits)
+    top = min(_CHUNK_BITS, kbits)
     chunk = np.zeros(rows.shape[:2] + (1,), dtype=packed.WORD)
-    for b in range(low):
+    for b in range(top):
         chunk = np.concatenate([chunk, chunk ^ rows[..., b, None]], axis=-1)
-    steps = min(kbits - low, max(0, (_PASS_WORDS // chunk.size).bit_length() - 1))
+    spare = max(0, (_PASS_WORDS // chunk.size).bit_length() - 1)
     offsets = [np.zeros(rows.shape[:2] + (1,), dtype=packed.WORD)]
-    for u in range(1, 1 << steps):
-        offsets.append(offsets[-1] ^ rows[..., low + (u & -u).bit_length() - 1, None])
+    for u in range(1, 1 << min(kbits - top, spare)):
+        offsets.append(offsets[-1] ^ rows[..., top + (u & -u).bit_length() - 1, None])
     offsets = np.concatenate(offsets, axis=-1)
-    words = (offsets[..., :, None] ^ chunk[..., None, :]).reshape(rows.shape[:2] + (-1,))
     hist = np.zeros(ncols + 1, dtype=np.int64) if want_hist else None
 
     best_w = ncols + 1
-    best_cw = None
-    for t in range(1 << (kbits - low - steps)):
-        if t:  # the pass's words in place: XOR in the bit rows gray flips
-            words ^= rows[..., low + steps + (t & -t).bit_length() - 1, None]
-            if steps:
-                words ^= rows[..., low + steps - 1, None]
-        weights = packed.weights(words)
-        if want_hist:
-            hist += np.bincount(weights, minlength=ncols + 1)
-        if t == 0:
-            weights[0] = ncols + 1  # exclude the zero codeword
-        j = int(weights.argmin())
-        if weights[j] < best_w:
-            best_w = int(weights[j])
-            best_cw = words[..., j].copy()
+    best_pos, best_cw = None, None
+    for lead in range(0, kbits, s):
+        low = min(_CHUNK_BITS, lead)
+        steps = min(lead - low, spare)
+        words = (offsets[..., :1 << steps, None] ^ chunk[..., None, :1 << low]
+                 ^ rows[..., lead, None, None]).reshape(rows.shape[:2] + (-1,))
+        for t in range(1 << (lead - low - steps)):
+            if t:  # the pass's words in place: XOR in the bit rows gray flips
+                words ^= rows[..., low + steps + (t & -t).bit_length() - 1, None]
+                if steps:
+                    words ^= rows[..., low + steps - 1, None]
+            weights = packed.weights(words)
+            if want_hist:
+                hist += np.bincount(weights, minlength=ncols + 1)
+            w = int(weights.min())
+            if w > best_w:
+                continue
+            if w < best_w:
+                best_w, best_pos = w, None
+            lanes = np.flatnonzero(weights == w)
+            ids = lanes.astype(np.uint64)
+            g = np.uint64(t << steps) + (ids >> np.uint64(low))  # Gray step
+            msgs = ((g ^ g >> np.uint64(1)) << np.uint64(low)
+                    | ids & np.uint64((1 << low) - 1) | np.uint64(1 << lead))
+            pos = _scan_position(msgs, top)
+            at = int(pos.argmin())
+            if best_pos is None or pos[at] < best_pos:
+                best_pos, best_cw = int(pos[at]), words[..., lanes[at]].copy()
+    if want_hist:
+        hist *= mat.field.q - 1
+        hist[0] += 1
     witness = None if best_cw is None else packed.unpack(best_cw, ncols)
     return best_w, witness, hist
 
 
+def _scan_position(msgs: np.ndarray, low: int) -> np.ndarray:
+    """Position of each message in the order that puts the low bits in
+    binary order and Gray codes the bits above:
+    invgray(x >> low) << low | x mod 2^low.  Messages are uint64 bit
+    strings, so k*s <= 64, past any message space a scan can finish."""
+    high = msgs >> np.uint64(low)
+    for b in (1, 2, 4, 8, 16, 32):  # invgray: the XOR of all right shifts
+        high ^= high >> np.uint64(b)
+    return high << np.uint64(low) | msgs & np.uint64((1 << low) - 1)
+
+
 def exact_distance(code_or_matrix, cap: int = DEFAULT_CAP,
                    lower: int = 1) -> DistanceReport:
-    """Exact minimum distance by enumerating the whole message space."""
+    """Exact minimum distance by enumerating one message per projective
+    point; ``cap`` bounds q^k, the size of the whole message space."""
     mat = _as_matrix(code_or_matrix)
     total = mat.field.q ** mat.rows
     if total > cap:

@@ -225,16 +225,6 @@ class FieldSpec:
         exp, log = self._base_tables
         return exp[(self.q - 1 - log[a]) % (self.q - 1)]
 
-    def base_pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise FieldError("inversion of zero")
-            return 0
-        exp, log = self._base_tables
-        return exp[(log[a] * e) % (self.q - 1)]
-
     def base_log(self, a: int) -> int:
         if a == 0:
             raise FieldError("log of zero")
@@ -343,28 +333,6 @@ class FieldSpec:
         exp, log = t
         return exp[(log[a] + log[b]) % self.n]
 
-    def ext_inv(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("inversion of zero")
-        t = self._ext_tables
-        if t is None:
-            return self._ext_pow_poly(a, self.n - 1)
-        exp, log = t
-        return exp[(self.n - log[a]) % self.n]
-
-    def ext_pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise FieldError("inversion of zero")
-            return 0
-        t = self._ext_tables
-        if t is None:
-            return self._ext_pow_poly(a, e % self.n)
-        exp, log = t
-        return exp[(log[a] * (e % self.n)) % self.n]
-
     def beta_power(self, i: int) -> int:
         t = self._ext_tables
         if t is None:
@@ -373,13 +341,9 @@ class FieldSpec:
 
     # -- subfield embedding --------------------------------------------------
 
-    def embed_base(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise FieldError(f"base element {a} out of range")
-        return a
-
     def project_base(self, x: int) -> int:
-        """Inverse of embed_base; fails if x lies outside the embedded GF(q)."""
+        """The base-field element x is, as a packed extension element (GF(q)
+        embeds as the constants); fails if x lies outside the embedded GF(q)."""
         if not 0 <= x < self.q:
             raise FieldError(f"element {x} is not in the base subfield")
         return x
@@ -413,9 +377,6 @@ class FieldSpec:
             return "1"
         k = self.base_log(a)
         return "w" if k == 1 else f"w^{k}"
-
-    def ext_text(self, x: int) -> str:
-        return ",".join(str(c) for c in self.ext_coeffs(x))
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +454,6 @@ def make_field(s: int, m: int,
 # ---------------------------------------------------------------------------
 # Field-spec JSON (base coefficients as bits, extension coefficients as reprs)
 # ---------------------------------------------------------------------------
-
-def field_spec_to_json(spec: FieldSpec) -> dict:
-    base_bits = [(spec.base_modulus >> i) & 1 for i in range(spec.s + 1)]
-    return {
-        "s": spec.s,
-        "m": spec.m,
-        "base_modulus": base_bits,
-        "ext_modulus": [[c] for c in spec.ext_modulus],
-    }
-
 
 def field_spec_from_json(data: dict) -> FieldSpec:
     base = 0

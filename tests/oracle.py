@@ -1,13 +1,16 @@
-"""Slow dense references for the fast paths of tdcodes.
+"""Slow dense references for the fast paths of tdcodes, and the field
+helpers only the tests use (powers, inverses, the subfield embedding, text
+and JSON forms).
 
 The library reads its structure checks off g(x) (the Gram band and
 gcd(g, g*)), multiplies and divides polynomials with vectorized table
-rows, row-reduces, encodes, enumerates and scores codewords on bit-sliced
-words, counts cosets with a vectorized leader mask, runs the progression
-search as shift-AND doubling on a bitset over one unit per orbit of
-+-q^j, and sums digits over whole arrays; these references build the
-k x n generator matrices, run the schoolbook product and long division,
-eliminate, encode, enumerate and score one byte per symbol, walk each
+rows, row-reduces, encodes and scores codewords on bit-sliced words,
+enumerates one message per projective point, counts cosets with a
+vectorized leader mask, runs the progression search as shift-AND doubling
+on a bitset over one unit per orbit of +-q^j, and sums digits over whole
+arrays; these references build the k x n generator matrices, run the
+schoolbook product and long division, eliminate, encode and score one
+byte per symbol, enumerate all q^k messages, walk each
 coset one member at a time, scan every unit for runs, list the members of
 each progression and sum the digits of one integer at a time instead, so
 the tests can compare two independent computations.
@@ -22,6 +25,7 @@ import numpy as np
 from tdcodes.bounds import APWitness, BoundReport
 from tdcodes.coset import cyclotomic_coset
 from tdcodes.cyclic import GeneratorMatrix, dual_code, generator_matrix
+from tdcodes.gf import FieldError
 from tdcodes.polys import trim
 
 # every (q, m) with q = 2^s, s = 1..4, m >= 2 and n = q^m - 1 <= 4095: the
@@ -267,11 +271,62 @@ def poly_divmod(field, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return trim(quot), trim(a)
 
 
+def base_pow(field, a: int, e: int) -> int:
+    """a^e in GF(q) by square and multiply."""
+    return _power(field.base_mul, field.q - 1, a, e)
+
+
+def ext_pow(field, a: int, e: int) -> int:
+    """a^e in GF(q^m) by square and multiply."""
+    return _power(field.ext_mul, field.n, a, e)
+
+
+def ext_inv(field, a: int) -> int:
+    """a^-1 = a^(n-1) in GF(q^m)."""
+    return ext_pow(field, a, -1)
+
+
+def _power(mul, order: int, a: int, e: int) -> int:
+    if a == 0:
+        if e < 0:
+            raise FieldError("inversion of zero")
+        return 1 if e == 0 else 0
+    acc, e = 1, e % order
+    while e:
+        if e & 1:
+            acc = mul(acc, a)
+        a, e = mul(a, a), e >> 1
+    return acc
+
+
+def embed_base(field, a: int) -> int:
+    """GF(q) in GF(q^m): the constants, so a base element is its own image."""
+    if not 0 <= a < field.q:
+        raise FieldError(f"base element {a} out of range")
+    return a
+
+
+def ext_text(field, x: int) -> str:
+    """The base coefficients of x, lowest first, comma-separated."""
+    return ",".join(str(c) for c in field.ext_coeffs(x))
+
+
+def field_spec_to_json(spec) -> dict:
+    """The JSON form that gf.field_spec_from_json reads: base-modulus bits
+    and one-element lists of extension-modulus coefficients."""
+    return {
+        "s": spec.s,
+        "m": spec.m,
+        "base_modulus": [(spec.base_modulus >> i) & 1 for i in range(spec.s + 1)],
+        "ext_modulus": [[c] for c in spec.ext_modulus],
+    }
+
+
 def eval_ext(field, p, x: int) -> int:
     """Evaluate at an extension-field point, coefficients embedded."""
     acc = 0
     for c in reversed(p):
-        acc = field.ext_mul(acc, x) ^ field.embed_base(c)
+        acc = field.ext_mul(acc, x) ^ embed_base(field, c)
     return acc
 
 

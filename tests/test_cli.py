@@ -254,6 +254,17 @@ def test_table_section_18(runner):
     assert m4 == [(255, 129, 5), (255, 127, 5)]
 
 
+@pytest.mark.parametrize("s,reason", [
+    ("1", "the binary family is out of scope"),
+    ("0", "q must be a power of two >= 4, got 1"),
+    ("-1", "--s must be a base degree >= 2, got -1")])
+def test_table_outside_the_bound_domain_is_a_usage_error(runner, s, reason):
+    res = runner.invoke(main, ["table", "--section", "16", "--s", s])
+    assert res.exit_code == 2
+    assert reason in res.stderr
+    assert "Traceback" not in res.output
+
+
 def test_inspect(runner):
     res = runner.invoke(main, ["inspect", "--q", "4", "--m", "3",
                                "--parity", "0", "--format", "json"])

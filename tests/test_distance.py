@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,8 @@ import oracle
 from tdcodes import distance, packed, polys
 from tdcodes.bounds import DomainError, bch_search, theorem_bound
 from tdcodes.coset import build_T, defining_set
-from tdcodes.cyclic import (GeneratorMatrix, code_from_T, extend_code,
-                            generator_matrix, row_reduce)
+from tdcodes.cyclic import (GeneratorMatrix, code_from_T, dual_code,
+                            extend_code, generator_matrix, row_reduce)
 from tdcodes.distance import (DistanceReport, _scan_codewords, exact_distance,
                               sampled_upper, verify_duadic_distance_equality,
                               weight_distribution)
@@ -109,21 +110,106 @@ def test_weight_distribution_zero_code():
     assert weight_distribution(mat) == {0: 1}
 
 
-@pytest.mark.parametrize("s,k,n", [(2, 9, 15), (2, 7, 100), (1, 16, 64), (3, 4, 130),
-                                   (1, 11, 70), (4, 3, 20)])
-def test_scan_matches_the_byte_gray_scan(s, k, n):
-    # same minimum, same tally, and the same first minimum-weight codeword:
-    # the packed passes keep the one-step-at-a-time Gray order
+def random_matrix(s, k, n):
     f = make_field(s, 2)
     rng = np.random.default_rng(7 * k + n)
-    mat = GeneratorMatrix(f, rng.integers(0, f.q, size=(k, n), dtype=np.uint8))
+    return GeneratorMatrix(f, rng.integers(0, f.q, size=(k, n), dtype=np.uint8))
+
+
+def rank_deficient_matrix():
+    # row 3 repeats row 0 and row 5 is w * row 1: a 2-dimensional kernel,
+    # so d = 0 and the zero word comes from q^2 messages
+    mat = random_matrix(2, 6, 30)
+    a = mat.array.copy()
+    a[3] = a[0]
+    a[5] = mat.field.np_mul_table[2, a[1]]
+    return GeneratorMatrix(mat.field, a)
+
+
+def gf16_tied_matrix():
+    # d = 5 at six classes of scalar multiples (90 codewords), all with
+    # leading symbol 3, whose bits lie in the Gray-coded part of the order;
+    # the witness is not the first of them the projective scan visits
+    f = make_field(4, 2)
+    rng = np.random.default_rng(10)
+    a = rng.integers(0, f.q, size=(4, 9), dtype=np.uint8)
+    a[:3][rng.random((3, 9)) < 0.3] = 0
+    return GeneratorMatrix(f, a)
+
+
+SCAN_CASES = {
+    **{f"{s}-{k}-{n}": (lambda s=s, k=k, n=n: random_matrix(s, k, n))
+       for s, k, n in [(2, 9, 15), (2, 7, 100), (1, 16, 64), (3, 4, 130),
+                       (1, 11, 70), (4, 3, 20)]},
+    "rank-deficient": rank_deficient_matrix,
+    "short": lambda: random_matrix(3, 3, 25),  # k*s = 9 < _CHUNK_BITS
+    "k1": lambda: random_matrix(4, 1, 12),
+    "gf16-ties": gf16_tied_matrix,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_scan_matches_the_byte_gray_scan(case):
+    # same minimum, same tally, and the same first minimum-weight codeword
+    # as one Gray scan over all q^k messages, one byte per symbol
+    mat = SCAN_CASES[case]()
     d, witness, hist = _scan_codewords(mat, want_hist=True)
     ref_d, ref_witness, ref_hist = oracle.gray_scan(mat)
     assert d == ref_d
     assert np.array_equal(witness, ref_witness)
     assert np.array_equal(hist, ref_hist)
     assert weight_distribution(mat) == {w: int(c) for w, c in enumerate(ref_hist) if c}
-    assert exact_distance(mat).witness == tuple(int(c) for c in ref_witness)
+    assert exact_distance(mat, lower=0).witness == tuple(int(c) for c in ref_witness)
+
+
+def test_scan_edge_cases_are_what_they_claim():
+    mat = rank_deficient_matrix()
+    d, witness, hist = _scan_codewords(mat, want_hist=True)
+    assert d == 0 and not witness.any() and hist[0] == 4 ** 2
+    mat = gf16_tied_matrix()
+    d, _, hist = _scan_codewords(mat, want_hist=True)
+    assert (d, hist[d]) == (5, 6 * 15)
+    for case in ("short", "k1"):
+        mat = SCAN_CASES[case]()
+        assert mat.rows * mat.field.s < distance._CHUNK_BITS
+
+
+def krawtchouk(n, q, j, i):
+    """K_j(i) = sum_l (-1)^l (q-1)^(j-l) C(i, l) C(n-i, j-l)."""
+    return sum((-1) ** l * (q - 1) ** (j - l) * math.comb(i, l)
+               * math.comb(n - i, j - l) for l in range(j + 1))
+
+
+@pytest.mark.parametrize("q,m", [(4, 2), (2, 4), (2, 5)])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_weight_distribution_satisfies_macwilliams(q, m, parity):
+    # |C| * B_j = sum_i A_i K_j(i), in integers: the tally of the dual code
+    # from the tally of the code, two independent scans
+    f = make_field(q.bit_length() - 1, m)
+    code = code_from_T(f, build_T(q, m, parity))
+    a = weight_distribution(code)
+    b = weight_distribution(dual_code(code))
+    n = code.n
+    for j in range(n + 1):
+        assert q ** code.k * b.get(j, 0) == \
+            sum(c * krawtchouk(n, q, j, i) for i, c in a.items())
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_duadic_pair_weight_distributions_agree(m):
+    # odd m: j -> -j maps one member of the pair onto the other
+    f = make_field(1, m)
+    d0, d1 = (weight_distribution(code_from_T(f, build_T(2, m, p))) for p in (0, 1))
+    assert d0 == d1
+    assert sum(d0.values()) == 2 ** (2 ** (m - 1))
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_weight_distribution_does_not_depend_on_the_modulus(parity):
+    f, g = make_field(2, 2), make_field(2, 2, base_modulus=0b111, ext_modulus=(3, 3, 1))
+    assert f.ext_modulus != g.ext_modulus
+    assert weight_distribution(code_from_T(f, build_T(4, 2, parity))) == \
+        weight_distribution(code_from_T(g, build_T(4, 2, parity)))
 
 
 def test_weight_distribution_gf16_parity1():
