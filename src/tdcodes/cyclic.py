@@ -9,7 +9,11 @@ and the hull off gcd(g, g*) with the reciprocal g*.
 Code equality is equality of (field, defining set), and derived codes
 (dual, complement, even-like) transform the defining set's mask.  The
 generator polynomial, one minimal polynomial per coset leader in T, is
-computed lazily since set-level derivations never need it.
+computed lazily since set-level derivations never need it.  All minimal
+polynomials step together on the field's log/exp tables (the scalar
+``minimal_polynomial`` serves fields too large for tables), and a
+balanced product tree folds them on the batched multiply of
+:mod:`tdcodes.polys`, an exact bit-plane FFT for long operands.
 """
 
 from __future__ import annotations
@@ -22,12 +26,14 @@ import numpy as np
 from tdcodes import coset, packed, polys
 from tdcodes.coset import DefiningSet, cyclotomic_coset, negate_set, complement_set, \
     dual_defining_set
-from tdcodes.gf import FieldSpec
+from tdcodes.gf import FieldError, FieldSpec
 
 
 def minimal_polynomial(field: FieldSpec, i: int) -> tuple[int, ...]:
     """Minimal polynomial of beta^i over GF(q): the product of (x - beta^j)
-    over the cyclotomic coset of i, projected back to base coefficients."""
+    over the cyclotomic coset of i, projected back to base coefficients,
+    one scalar field operation at a time (the path of fields without
+    tables)."""
     orbit = cyclotomic_coset(i, field.q, field.n)
     acc = [1]  # extension-field coefficients, little-endian
     for j in orbit:
@@ -41,14 +47,45 @@ def minimal_polynomial(field: FieldSpec, i: int) -> tuple[int, ...]:
     return tuple(field.project_base(c) for c in acc)
 
 
+def _minimal_polynomials(field: FieldSpec, leaders: np.ndarray):
+    """The minimal polynomials of beta^e for the coset leaders e, as uint8
+    rows of m + 1 base coefficients (zero above each degree) and their
+    degrees.  With the field tables, all rows step at once: step t
+    multiplies each row by x + beta^(e q^t) by log/exp gathers, until
+    e q^(t+1) = e closes the row's coset."""
+    tables = field._ext_tables
+    if tables is None:
+        mins = [minimal_polynomial(field, e) for e in leaders.tolist()]
+        rows = np.zeros((leaders.size, field.m + 1), dtype=np.uint8)
+        for row, p in zip(rows, mins):
+            row[:len(p)] = p
+        return rows, np.array([len(p) - 1 for p in mins], dtype=np.intp)
+    exp, log = tables
+    n, q = field.n, field.q
+    acc = np.zeros((leaders.size, field.m + 1), dtype=np.int32)  # extension coefficients
+    acc[:, 0] = 1
+    degrees = np.zeros(leaders.size, dtype=np.intp)
+    r = leaders.astype(np.int64)
+    live = np.ones(leaders.size, dtype=bool)
+    while live.any():
+        step = np.where(acc != 0, exp.take((log.take(acc) + r[:, None]) % n), 0)
+        step[:, 1:] ^= acc[:, :-1]
+        acc = np.where(live[:, None], step, acc)
+        degrees += live
+        r = r * q % n
+        live &= r != leaders
+    if (acc >= q).any():
+        raise FieldError("a minimal polynomial coefficient is not in the base subfield")
+    return acc.astype(np.uint8), degrees
+
+
 def generator_polynomial(field: FieldSpec, T: DefiningSet) -> tuple[int, ...]:
     """Product of the minimal polynomials of the cosets in T, one per coset
-    leader."""
+    leader, folded by a balanced product tree."""
     if coset._first_unclosed(T) is not None:
         raise ValueError("defining set is not closed under multiplication by q")
-    g = np.ones(1, dtype=np.uint8)
-    for e in np.flatnonzero(T.mask & coset.leader_mask(field.q, field.n)).tolist():
-        g = polys._mul_array(field.np_mul_table, g, minimal_polynomial(field, e))
+    leaders = np.flatnonzero(T.mask & coset.leader_mask(field.q, field.n))
+    g = polys._fold(field, *_minimal_polynomials(field, leaders))
     assert g.size - 1 == len(T)
     return tuple(g.tolist())
 

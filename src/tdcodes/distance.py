@@ -159,13 +159,17 @@ def _scan_position(msgs: np.ndarray, low: int) -> np.ndarray:
 def exact_distance(code_or_matrix, cap: int = DEFAULT_CAP,
                    lower: int = 1) -> DistanceReport:
     """Exact minimum distance by enumerating one message per projective
-    point; ``cap`` bounds q^k, the size of the whole message space."""
+    point; ``cap`` bounds q^k, the size of the whole message space.  A
+    rank-deficient matrix has minimum 0 and is refused unless lower = 0."""
     mat = _as_matrix(code_or_matrix)
     total = mat.field.q ** mat.rows
     if total > cap:
         raise ValueError(f"q^k = {total} exceeds the enumeration cap {cap}; "
                          "use sampled_upper")
     d, cw, _ = _scan_codewords(mat, want_hist=False)
+    if d == 0 < lower:
+        raise ValueError(f"the {mat.rows}-row generator matrix is rank-deficient: "
+                         f"a nonzero message encodes the zero word, below lower={lower}")
     return DistanceReport(lower=lower, upper=d, exact=d, witness_weight=d,
                           method="exhaustive", witness=tuple(int(c) for c in cw))
 

@@ -243,23 +243,44 @@ class FieldSpec:
         return self.pack_coeffs(self.ext_modulus[:-1])
 
     @cached_property
-    def _ext_tables(self) -> tuple[list[int], list[int]] | None:
+    def _ext_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(exp, log) as read-only int32 arrays: exp[k] = beta^k for k < n,
+        log[exp[k]] = k and log[0] = -1; None above MAX_TABLE_ORDER.
+
+        exp is built by doubling, exp[2^j + i] = beta^(2^j) exp[i].  Times a
+        fixed element is a GF(2)-linear map of the s*m packed bits, so each
+        doubling is one masked XOR of the image of each bit.  The root is
+        primitive iff its first n powers are distinct and beta^n = 1."""
         size = self.q ** self.m
         if size > MAX_TABLE_ORDER:
             return None
         n = self.n
-        exp = [0] * n
-        log = [-1] * size
-        e = 1
-        for k in range(n):
-            exp[k] = e
-            if log[e] != -1:
-                raise FieldError("extension modulus root is not primitive")
-            log[e] = k
-            e = self._ext_times_x(e)
-        if e != 1:
+        exp = np.empty(n, dtype=np.int32)
+        exp[0] = 1
+        c, done = self.beta, 1
+        while done < n:
+            src = exp[:min(done, n - done)]
+            out = exp[done:done + src.size]
+            out[:] = 0
+            for b, image in enumerate(self._bit_images(c)):
+                out ^= ((src >> b) & 1) * image
+            done += src.size
+            c = self._ext_mul_poly(c, c)
+        log = np.full(size, -1, dtype=np.int32)
+        log[exp] = np.arange(n, dtype=np.int32)
+        if np.count_nonzero(log >= 0) != n \
+                or self._ext_times_x(int(exp[-1])) != 1:
             raise FieldError("extension modulus root is not primitive")
+        exp.flags.writeable = log.flags.writeable = False
         return exp, log
+
+    def _bit_images(self, c: int) -> list[int]:
+        """c times each packed basis bit: bit j*s + u is w^u x^j."""
+        images = []
+        for _ in range(self.m):
+            images += [self._ext_scalar(1 << u, c) for u in range(self.s)]
+            c = self._ext_times_x(c)
+        return images
 
     def pack_coeffs(self, coeffs) -> int:
         v = 0
@@ -331,13 +352,13 @@ class FieldSpec:
         if t is None:
             return self._ext_mul_poly(a, b)
         exp, log = t
-        return exp[(log[a] + log[b]) % self.n]
+        return int(exp[(int(log[a]) + int(log[b])) % self.n])
 
     def beta_power(self, i: int) -> int:
         t = self._ext_tables
         if t is None:
             return self._ext_pow_poly(self.beta, i % self.n)
-        return t[0][i % self.n]
+        return int(t[0][i % self.n])
 
     # -- subfield embedding --------------------------------------------------
 

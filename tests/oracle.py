@@ -3,18 +3,20 @@ helpers only the tests use (powers, inverses, the subfield embedding, text
 and JSON forms).
 
 The library reads its structure checks off g(x) (the Gram band and
-gcd(g, g*)), multiplies and divides polynomials with vectorized table
-rows, row-reduces, encodes and scores codewords on bit-sliced words,
-enumerates one message per projective point, counts cosets with a
-vectorized leader mask, runs the progression search as shift-AND doubling
-on a bitset over one unit per orbit of +-q^j, and sums digits over whole
-arrays; these references build the k x n generator matrices, run the
+gcd(g, g*)), builds the field tables by doubling, computes all minimal
+polynomials in one vectorized pass and folds them by a product tree on a
+bit-plane FFT multiply, divides polynomials with vectorized table rows,
+row-reduces, encodes and scores codewords on bit-sliced words, enumerates
+one message per projective point, counts cosets with a vectorized leader
+mask, runs the progression search as shift-AND doubling on a bitset over
+one unit per orbit of +-q^j, and sums digits over whole arrays; these
+references build the tables one power at a time, fold one scalar minimal
+polynomial at a time, build the k x n generator matrices, run the
 schoolbook product and long division, eliminate, encode and score one
-byte per symbol, enumerate all q^k messages, walk each
-coset one member at a time, scan every unit for runs, list the members of
-each progression and sum the digits of one integer at a time instead, so
-the tests can compare two independent computations.
-"""
+byte per symbol, enumerate all q^k messages, walk each coset one member
+at a time, scan every unit for runs, list the members of each progression
+and sum the digits of one integer at a time instead, so the tests can
+compare two independent computations."""
 
 import itertools
 import math
@@ -23,10 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from tdcodes.bounds import APWitness, BoundReport
+from tdcodes import coset
 from tdcodes.coset import cyclotomic_coset
-from tdcodes.cyclic import GeneratorMatrix, dual_code, generator_matrix
-from tdcodes.gf import FieldError
-from tdcodes.polys import trim
+from tdcodes.cyclic import (GeneratorMatrix, dual_code, generator_matrix,
+                            minimal_polynomial)
+from tdcodes.gf import FieldError, make_field
+from tdcodes.polys import _mul_array, trim
 
 # every (q, m) with q = 2^s, s = 1..4, m >= 2 and n = q^m - 1 <= 4095: the
 # sizes the differential tests sweep
@@ -235,6 +239,31 @@ def gray_scan(mat: GeneratorMatrix):
     return best_w, best_cw, hist
 
 
+def generator_polynomial(field, T) -> tuple[int, ...]:
+    """The product of the scalar minimal polynomials of the coset leaders
+    in T, folded one schoolbook table-row product at a time."""
+    g = np.ones(1, dtype=np.uint8)
+    for e in np.flatnonzero(T.mask & coset.leader_mask(field.q, field.n)).tolist():
+        g = _mul_array(field.np_mul_table, g, minimal_polynomial(field, e))
+    return tuple(g.tolist())
+
+
+def second_primitive_field(s: int, m: int):
+    """GF(q^m) under the second primitive extension modulus, in the order
+    default_ext_modulus searches, so a field other than make_field's."""
+    q, found = 1 << s, 0
+    for tail in range(1, q ** m):
+        coeffs = tuple((tail >> (j * s)) & (q - 1) for j in range(m)) + (1,)
+        try:
+            field = make_field(s, m, ext_modulus=coeffs)
+        except FieldError:
+            continue
+        found += 1
+        if found == 2:
+            return field
+    raise ValueError(f"GF({q}^{m}) has fewer than two primitive moduli")
+
+
 def poly_mul(field, a, b) -> tuple[int, ...]:
     """Schoolbook product of little-endian base-field polynomials."""
     if not a or not b:
@@ -328,6 +357,22 @@ def eval_ext(field, p, x: int) -> int:
     for c in reversed(p):
         acc = field.ext_mul(acc, x) ^ embed_base(field, c)
     return acc
+
+
+def ext_tables(field) -> tuple[list[int], list[int]]:
+    """exp[k] = beta^k and log[beta^k] = k (log[0] = -1), one multiplication
+    by beta at a time; raises FieldError when beta is not primitive."""
+    exp, log = [0] * field.n, [-1] * (field.n + 1)
+    e = 1
+    for k in range(field.n):
+        exp[k] = e
+        if log[e] != -1:
+            raise FieldError("extension modulus root is not primitive")
+        log[e] = k
+        e = field._ext_times_x(e)
+    if e != 1:
+        raise FieldError("extension modulus root is not primitive")
+    return exp, log
 
 
 def x_pow_n_plus_1(n: int) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 from tdcodes import polys
-from tdcodes.coset import build_T, defining_set, negate_set
+from tdcodes.coset import build_T, defining_set, leader_mask, negate_set
 from tdcodes.cyclic import (_gram_band, code_from_T, complement_code,
                             dual_code, even_like, extend_code,
                             extension_is_self_dual, generator_matrix,
@@ -175,6 +175,105 @@ def test_generator_roots_match_defining_set_exactly():
         for i in range(f.n):
             val = oracle.eval_ext(f, g, f.beta_power(i))
             assert (val == 0) == (i in c.T), i
+
+
+@pytest.mark.parametrize("q,m", oracle.SMALL_QM + [(4, 7)])
+def test_generator_polynomial_matches_the_sequential_fold(q, m):
+    # the vectorized minimal polynomials and the product tree give the g of
+    # one scalar minimal polynomial and one schoolbook product per leader
+    f = make_field(q.bit_length() - 1, m)
+    for parity in (0, 1):
+        T = build_T(q, m, parity)
+        assert generator_polynomial(f, T) == oracle.generator_polynomial(f, T), parity
+
+
+@pytest.mark.parametrize("s,m", [(1, 6), (2, 2), (2, 3), (2, 4), (2, 5),
+                                 (3, 2), (3, 3), (4, 2)])
+def test_generator_roots_under_a_second_primitive_modulus(s, m):
+    # another modulus gives another field and another g, still with roots
+    # beta^i exactly for i in T; g has GF(q) coefficients, so a root at a
+    # coset leader is a root on its whole coset
+    f = oracle.second_primitive_field(s, m)
+    assert f.ext_modulus != make_field(s, m).ext_modulus
+    leaders = np.flatnonzero(leader_mask(f.q, f.n)).tolist()
+    for parity in (0, 1):
+        T = build_T(f.q, m, parity)
+        g = generator_polynomial(f, T)
+        assert g == oracle.generator_polynomial(f, T)
+        for i in leaders:
+            assert (oracle.eval_ext(f, g, f.beta_power(i)) == 0) == (i in T), i
+
+
+def test_generator_polynomial_on_a_field_without_tables():
+    # q^m = 2^21 is past MAX_TABLE_ORDER: the scalar minimal polynomials
+    # feed the same product tree
+    f = make_field(7, 3)
+    assert f._ext_tables is None
+    T = defining_set(f.n, f.q, (0, 1, 128, 16384, 3, 384, 49152))
+    g = generator_polynomial(f, T)
+    want = (1,)
+    for i in (0, 1, 3):
+        want = oracle.poly_mul(f, want, minimal_polynomial(f, i))
+    assert g == want and len(g) == 8
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_batched_multiply_matches_schoolbook_rows(s):
+    # lengths on both sides of the FFT crossover, row by row against the
+    # one-row schoolbook product; the FFT path also where it is not chosen
+    f = make_field(s, 2)
+    rng = np.random.default_rng(s)
+    x = polys._FFT_MIN_LEN
+    for rows, la, lb in [(1, 1, 5), (7, 4, 4), (3, x - 1, x - 1), (4, x - 1, 3 * x),
+                         (2, x, x), (5, x + 7, 2 * x + 1), (1, 1000, 3001)]:
+        a = rng.integers(0, f.q, (rows, la), dtype=np.uint8)
+        b = rng.integers(0, f.q, (rows, lb), dtype=np.uint8)
+        want = np.stack([polys._mul_array(f.np_mul_table, a[i], b[i])
+                         for i in range(rows)])
+        assert np.array_equal(polys._mul_rows(f, a, b), want), (rows, la, lb)
+        assert np.array_equal(polys._mul_fft(f, a, b), want), (rows, la, lb)
+        if rows == 1:
+            assert polys.mul(f, tuple(a[0]), tuple(b[0])) == tuple(want[0].tolist())
+
+
+def test_fft_multiply_of_a_2_15_coefficient_product():
+    # s = 8 has the largest counts, 8 * 2^14 per coefficient
+    f = make_field(8, 2)
+    rng = np.random.default_rng(15)
+    a = rng.integers(0, f.q, 1 << 14, dtype=np.uint8)
+    b = rng.integers(0, f.q, (1 << 14) + 1, dtype=np.uint8)
+    got = polys._mul_rows(f, a, b)
+    assert got.size == 1 << 15
+    assert np.array_equal(got, polys._mul_array(f.np_mul_table, a, b))
+
+
+def test_fft_rounding_guard_refuses_a_perturbed_convolution(monkeypatch):
+    assert polys._rounded(np.array([0.0, 3.0, 5.24, 6.8])).tolist() == [0, 3, 5, 7]
+    with pytest.raises(ArithmeticError):
+        polys._rounded(np.array([1.0, 2.26]))
+    f = make_field(2, 2)
+    a = np.arange(100, dtype=np.uint8) % 4
+    polys._mul_fft(f, a, a)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    with pytest.raises(ArithmeticError):
+        polys._mul_fft(f, a, a)
+
+
+def test_product_tree_matches_the_sequential_product():
+    # odd row counts carry a row up a level; rows are zero above their degree
+    f = make_field(2, 2)
+    rng = random.Random(9)
+    for count in (0, 1, 2, 3, 5, 7, 12):
+        ps = [_random_poly(rng, f.q, rng.randrange(1, 6)) for _ in range(count)]
+        rows = np.zeros((count, 6), dtype=np.uint8)
+        for row, p in zip(rows, ps):
+            row[:len(p)] = p
+        want = (1,)
+        for p in ps:
+            want = oracle.poly_mul(f, want, p)
+        degrees = np.array([len(p) - 1 for p in ps], dtype=np.intp)
+        assert tuple(polys._fold(f, rows, degrees).tolist()) == want, count
 
 
 def test_dimensions():

@@ -86,6 +86,16 @@ def test_exact_distance_cap():
         exact_distance(c1, cap=100)
 
 
+def test_exact_distance_rejects_a_rank_deficient_matrix():
+    f = make_field(2, 2)
+    rows = np.array([[1, 1, 0, 0, 1], [1, 1, 0, 0, 1]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="rank-deficient"):
+        exact_distance(GeneratorMatrix(f, rows))
+    assert exact_distance(GeneratorMatrix(f, rows), lower=0).exact == 0
+    # the tally of the same matrix stays a tally over all q^k messages
+    assert distance.weight_distribution(GeneratorMatrix(f, rows)) == {0: 4, 3: 12}
+
+
 def test_witness_is_a_codeword_and_shift_invariant():
     f, c0, _ = gf16_codes()
     r = exact_distance(c0)

@@ -279,3 +279,35 @@ def test_direct_fieldspec_structural_validation():
         FieldSpec(2, 3, 0b111, (2, 1, 1))       # wrong length
     with pytest.raises(FieldError):
         FieldSpec(2, 3, 0b111, (2, 1, 1, 2))    # not monic
+
+
+def test_ext_tables_match_the_loop_oracle():
+    # every field with q^m <= 2^16: the doubling-built exp and log tables
+    # equal those built one multiplication by beta at a time
+    for s in range(1, 9):
+        for m in range(2, 17):
+            if (1 << s) ** m > 1 << 16:
+                break
+            f = make_field(s, m)
+            exp, log = f._ext_tables
+            assert not exp.flags.writeable and not log.flags.writeable
+            assert (exp.tolist(), log.tolist()) == oracle.ext_tables(f), (s, m)
+
+
+@pytest.mark.parametrize("s,m", [(2, 2), (3, 2), (2, 3)])
+def test_ext_tables_refuse_what_make_field_refuses(s, m):
+    # FieldSpec(...) skips validation, so the tables themselves must refuse
+    # every monic modulus make_field refuses, irreducible-but-imprimitive
+    # ones included, and accept the rest
+    imprimitive = 0
+    for cand in monic_polys(1 << s, m):
+        spec = FieldSpec(s, m, default_base_modulus(s), cand)
+        try:
+            make_field(s, m, ext_modulus=cand)
+        except FieldError as exc:
+            imprimitive += "not primitive" in str(exc)
+            with pytest.raises(FieldError, match="not primitive"):
+                spec._ext_tables
+        else:
+            assert spec.beta_power(1) == spec.beta
+    assert imprimitive > 0

@@ -25,3 +25,19 @@ def test_traced_quick_structure_run_yields_every_layer_metric():
     missing = [m["name"] for m in spec["per_layer"]
                if result["layers"].get(m["name"], {}).get("value") is None]
     assert not missing
+
+
+def test_cold_start_snippet_builds_the_structure_fields():
+    # the bench's cold-start child reads the lazy field tables; a failure
+    # there ends a bench run non-zero even when the traced run passes
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import run
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    fields = [list(f) for f in WORKLOADS["structure"].fields]
+    proc = subprocess.run([sys.executable, "-c", run.SETUP_CODE.format(fields=fields)],
+                          env=run.child_env(), cwd=ROOT, text=True,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
