@@ -4,6 +4,13 @@ complement, dual) used to derive codes, and the gcd and digit-weight
 identities of the bound analysis.  A defining set is one read-only boolean
 mask over Z_n; transforms, closure and coset leaders are array operations on
 it, never loops over members.
+
+Every code length here is n = q^m - 1 = 2^(sm) - 1 with q = 2^s, so
+multiplying a residue by q mod n rotates its B = sm bits left by s
+(``_times_q``).  Residue arrays are unsigned and as narrow as that step
+allows (``_residues``): uint32 below 2^32, else uint64.  Any other modulus
+keeps the product x*q mod n.  Base-q digit sums for the Lemma 6 reflection
+come from one table built digit by digit, wt(d q^j + i) = d + wt(i).
 """
 
 from __future__ import annotations
@@ -62,21 +69,66 @@ def leader_mask(q: int, n: int) -> np.ndarray:
     return _orbit_leaders(q, n, signed=False)
 
 
+def _rotation(q: int, n: int) -> tuple[int, int] | None:
+    """(B, s) when x -> x*q mod n rotates B-bit words left by s: n + 1 = 2^B
+    and q = 2^e, so q = 2^s mod n with s = e mod B.  None otherwise."""
+    B = n.bit_length()
+    if n + 1 != 1 << B or q & (q - 1):
+        return None
+    return B, (q.bit_length() - 1) % B
+
+
+def _residues(q: int, n: int) -> np.ndarray:
+    """0, 1, ..., n-1 in the narrowest unsigned type ``_times_q`` works in:
+    uint32 when its values stay below 2^32, else uint64.  A rotation needs
+    only n < 2^32 (the bits its left shift pushes past the word are the
+    ones the mask drops); a product needs (n - 1)(q mod n) < 2^32."""
+    top = n if _rotation(q, n) else (n - 1) * (q % n)
+    return np.arange(n, dtype=np.uint32 if top < 1 << 32 else np.uint64)
+
+
+def _times_q(x: np.ndarray, q: int, n: int, tmp: np.ndarray) -> np.ndarray:
+    """x*q mod n in place, for residues x held as ``_residues`` holds them
+    (tmp is scratch of the same shape and type): the rotation
+    ((x << s) & n) | (x >> (B - s)) when there is one, else the product."""
+    if rot := _rotation(q, n):
+        B, s = rot
+        np.right_shift(x, B - s, out=tmp)
+        x <<= s
+        x &= n
+        x |= tmp
+        return x
+    x *= q % n
+    x %= n
+    return x
+
+
+def _order(q: int, n: int) -> int:
+    """The least k >= 1 with q^k = 1 mod n (q a unit modulo n)."""
+    if rot := _rotation(q, n):
+        B, s = rot
+        return B // math.gcd(B, s)
+    k, x = 1, q % n
+    while x != 1 % n:
+        k, x = k + 1, x * q % n
+    return k
+
+
 def _orbit_leaders(q: int, n: int, signed: bool) -> np.ndarray:
     """Whether each i in [0, n) is the least of its orbit under
     multiplication by the powers of q, and with ``signed`` by their
-    negatives too."""
+    negatives too: the orbit minimum is kept over the order of q steps."""
     if math.gcd(n, q) != 1:
         raise ValueError("q must be invertible modulo n")
-    idx = np.arange(n, dtype=np.int64)
-    lead, x = np.ones(n, dtype=bool), idx
-    while True:
+    x = _residues(q, n)
+    low, tmp = x.copy(), np.empty_like(x)
+    for j in range(_order(q, n)):
+        if j:
+            np.minimum(low, _times_q(x, q, n, tmp), out=low)
         if signed:
-            lead &= n - x >= idx
-        x = x * q % n
-        if np.array_equal(x, idx):
-            return lead
-        lead &= x >= idx
+            np.minimum(low, np.subtract(n, x, out=tmp), out=low)
+    del x, tmp
+    return low == _residues(q, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +170,8 @@ class DefiningSet:
 def _first_unclosed(S: DefiningSet) -> int | None:
     """The least member e of S with qe mod n outside S, or None when S is
     closed under multiplication by q."""
-    bad = S.mask & ~S.mask[np.arange(S.n, dtype=np.int64) * S.q % S.n]
+    x = _residues(S.q, S.n)
+    bad = S.mask & ~S.mask[_times_q(x, S.q, S.n, np.empty_like(x))]
     e = int(bad.argmax())
     return e if bad[e] else None
 
@@ -147,7 +200,7 @@ def build_T(q: int, m: int, parity: Parity | int) -> DefiningSet:
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     want = int(Parity(parity))
-    x = np.arange(q ** m - 1, dtype=np.int64)
+    x = _residues(q, q ** m - 1)
     x &= _parity_mask(s, m)
     mask = (np.bitwise_count(x) & 1) == want
     mask[0] = False
@@ -218,15 +271,24 @@ def gcd_lemma5_check(q: int, ell: int, m: int) -> bool:
     return math.gcd(q ** m - 1, q ** ell + 1) == 1
 
 
+def _digit_sums(q: int, top: int, dtype) -> np.ndarray:
+    """wt_q(i) for 0 <= i <= top, one base-q digit per broadcast:
+    wt(d q^j + i) = d + wt(i) for i < q^j, the leading digit d running
+    only as far as top needs."""
+    w = np.zeros(1, dtype=dtype)
+    while w.size <= top:
+        digits = min(q, -(-(top + 1) // w.size))
+        w = (np.arange(digits, dtype=dtype)[:, None] + w).ravel()
+    return w[:top + 1]
+
+
 def _reflects(q: int, m: int, top: int, total: int) -> bool:
-    """Whether wt_q(top - i) + wt_q(i) = total for every 0 <= i <= top, the
-    m base-q digits of i and top - i taken off both arrays at once."""
-    i = np.arange(top + 1, dtype=np.int64)
-    x, sums = np.stack([i, top - i]), 0
-    for _ in range(m):
-        x, digit = np.divmod(x, q)
-        sums = sums + digit[0] + digit[1]
-    return bool((sums == total).all())
+    """Whether wt_q(top - i) + wt_q(i) = total for every 0 <= i <= top < q^m,
+    read off one digit-sum table and its reverse."""
+    if not 0 <= top < q ** m:
+        raise ValueError(f"need 0 <= top < q^m, got top={top}")
+    w = _digit_sums(q, top, np.min_scalar_type(2 * (q - 1) * m))
+    return bool((w + w[::-1] == total).all())
 
 
 def lemma6_check(q: int, m: int, A: int, h: int) -> bool:

@@ -8,8 +8,9 @@ polynomials in one vectorized pass and folds them by a product tree on a
 bit-plane FFT multiply, divides polynomials with vectorized table rows,
 row-reduces, encodes and scores codewords on bit-sliced words, enumerates
 one message per projective point, counts cosets with a vectorized leader
-mask, runs the progression search as shift-AND doubling on a bitset over
-one unit per orbit of +-q^j, and sums digits over whole arrays; these
+mask that steps residues by bit rotation, runs the progression search as
+shift-AND doubling on a bitset over one unit per orbit of +-q^j, and reads
+digit sums off one table built digit by digit; these
 references build the tables one power at a time, fold one scalar minimal
 polynomial at a time, build the k x n generator matrices, run the
 schoolbook product and long division, eliminate, encode and score one

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,7 +261,11 @@ def test_leader_mask_matches_the_coset_partition(q, m):
 
 
 def test_leader_mask_on_other_moduli():
-    for q, n in [(2, 1), (2, 21), (4, 35), (16, 51), (8, 127)]:
+    # 21, 35 and 51 take the product x*q mod n; the Mersenne moduli take the
+    # rotation, also where it splits digits (8, 127; 16, 511), where
+    # q = 1 mod n (16, 15) and where q > n
+    for q, n in [(2, 1), (2, 21), (4, 35), (16, 51), (8, 127), (16, 511),
+                 (4, 31), (256, 127), (16, 15), (256, 65535), (8, 63)]:
         part = coset_partition(q, n)
         assert np.flatnonzero(leader_mask(q, n)).tolist() == sorted(part.leaders)
         assert np.flatnonzero(coset._orbit_leaders(q, n, signed=True)).tolist() \
@@ -319,11 +324,15 @@ def test_unclosed_sets_are_rejected_everywhere(q, m):
                 reject()
 
 
-@pytest.mark.parametrize("q,m", [(3, 3), (4, 2), (4, 3), (8, 2), (8, 3), (16, 2)])
+@pytest.mark.parametrize("q,m", [(3, 3), (4, 2), (4, 3), (4, 4), (8, 2), (8, 3),
+                                 (16, 2)])
 def test_lemma6_matches_q_weight_and_rejects_a_corrupted_right_hand_side(q, m):
     """The vectorized identity against a q_weight loop, for the true
     right-hand side and for one off by one either way (q = 3 too: the
-    identity is not only for powers of two)."""
+    identity is not only for powers of two), and the digit-sum table it
+    reads against q_weight."""
+    weights = [q_weight(i, q, m) for i in range(q ** m)]
+    assert coset._digit_sums(q, q ** m - 1, np.uint8).tolist() == weights
     for A in range(2, q):
         for h in range(m):
             top, total = A * q ** h - 1, (q - 1) * h + A - 1
@@ -332,3 +341,107 @@ def test_lemma6_matches_q_weight_and_rejects_a_corrupted_right_hand_side(q, m):
                                for i in range(top + 1))
                 assert coset._reflects(q, m, top, rhs) is expected is (rhs == total)
             assert lemma6_check(q, m, A, h)
+
+
+@pytest.mark.parametrize("q,m", [(3, 3), (4, 3), (8, 2)])
+def test_reflects_fails_for_every_top_not_one_below_a_digit_times_a_power(q, m):
+    """wt(top - i) + wt(i) is constant in i exactly when top + 1 = a q^h
+    with 1 <= a <= q - 1 (no carries in (top - i) + i); any other top,
+    e.g. q = 4, top = 5, fails for every total."""
+    weights = [q_weight(i, q, m) for i in range(q ** m)]
+    special = {a * q ** h - 1 for a in range(1, q) for h in range(m + 1)
+               if a * q ** h <= q ** m}
+    for top in range(q ** m):
+        sums = {weights[top - i] + weights[i] for i in range(top + 1)}
+        assert (len(sums) == 1) is (top in special), top
+        for total in range(2 * (q - 1) * m + 2):
+            assert coset._reflects(q, m, top, total) is (sums == {total})
+    assert not any(coset._reflects(4, 3, 5, total) for total in range(13))
+    with pytest.raises(ValueError, match="top"):
+        coset._reflects(4, 3, 64, 9)
+
+
+def test_lemma6_is_reported_false_on_a_corrupted_digit_table(monkeypatch):
+    """lemma6_check and verify_lemma6 read the table: one wrong digit sum
+    turns both to a failure."""
+    from tdcodes import verify
+    real = coset._digit_sums
+
+    def corrupted(q, top, dtype):
+        w = real(q, top, dtype).copy()
+        w[top // 3] += 1
+        return w
+
+    monkeypatch.setattr(coset, "_digit_sums", corrupted)
+    assert lemma6_check(4, 3, 2, 1) is False
+    checks = verify.verify_lemma6(16, 2)
+    assert [c.ok for c in checks] == [False]
+    assert checks[0].detail == "fails at A=2, h=0"
+
+
+def test_lemma6_digit_sums_do_not_overflow_a_narrow_type():
+    # 2 (q - 1) m = 1020 needs a 16-bit table for q = 256
+    assert all(lemma6_check(256, 2, A, h) for A in (2, 128, 255) for h in (0, 1))
+    for top in (255, 256 * 200 - 1):
+        w = coset._digit_sums(256, top, np.uint16)
+        assert w.dtype == np.uint16 and int(w.max()) == q_weight(top, 256, 2)
+
+
+_MERSENNE_STEPS = [(B, q) for B in range(1, 17) for q in (2, 4, 8, 16, 256)]
+
+
+@pytest.mark.parametrize("B,q", _MERSENNE_STEPS)
+def test_orbit_step_is_the_rotation_and_matches_the_product(B, q):
+    """x*q mod n on every residue of n = 2^B - 1: rotations that split
+    digits (q = 8, n = 127; q = 16, n = 511), q = 1 mod n and q > n."""
+    n = (1 << B) - 1
+    s = (q.bit_length() - 1) % B
+    assert coset._rotation(q, n) == (B, s)
+    x = coset._residues(q, n)
+    assert x.dtype == np.uint32 and x.tolist() == list(range(n))
+    got = coset._times_q(x, q, n, np.empty_like(x))
+    assert got is x
+    ref = [i * q % n for i in range(n)]
+    assert got.tolist() == ref
+    assert ref == [((i << s) & n) | (i >> (B - s)) for i in range(n)]
+    assert coset._order(q, n) == min(k for k in range(1, B + 1)
+                                     if pow(q, k, n) == 1 % n)
+
+
+@pytest.mark.parametrize("q,n", [(2, 21), (4, 35), (16, 51), (3, 7), (5, 31),
+                                 (1 << 17, 200001)])
+def test_orbit_step_on_other_moduli_keeps_the_product(q, n):
+    """No rotation when n + 1 or q is not a power of two; the product stays
+    in uint32 while (n - 1)(q mod n) < 2^32 and moves to uint64 above."""
+    assert coset._rotation(q, n) is None
+    x = coset._residues(q, n)
+    wide = (n - 1) * (q % n) >= 1 << 32
+    assert x.dtype == (np.uint64 if wide else np.uint32)
+    got = coset._times_q(x, q, n, np.empty_like(x))
+    assert np.array_equal(got, np.arange(n, dtype=object) * q % n)
+    if n < 100:
+        assert coset._order(q, n) == min(k for k in range(1, n + 1)
+                                         if pow(q, k, n) == 1)
+
+
+def _peak_bytes(f, *args):
+    f(*args)   # warm caches and lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_residue_kernels_stay_narrow_in_memory():
+    """tracemalloc peaks per residue: uint32 residues and a uint8 digit table
+    (int64 residues read 33, 10 and 80 bytes per residue here)."""
+    from tdcodes import verify
+    n = 4 ** 10 - 1
+    assert _peak_bytes(leader_mask, 4, n) <= 12.5 * n
+    assert _peak_bytes(coset._orbit_leaders, 4, n, True) <= 12.5 * n
+    for parity in (0, 1):
+        assert _peak_bytes(build_T, 4, 10, parity) <= 6.5 * n
+    # the largest table verify_lemma6(16, 4) reads: i <= 15 * 16^3 - 1
+    assert _peak_bytes(verify.verify_lemma6, 16, 4) <= 4 * 15 * 16 ** 3
