@@ -303,18 +303,13 @@ def poly_pretty(field: FieldSpec, p) -> str:
     """Descending-degree display with w-power coefficients."""
     if not p:
         return "0"
-    terms = []
-    for d in range(len(p) - 1, -1, -1):
-        c = p[d]
-        if c == 0:
-            continue
-        coef = "" if c == 1 else field.base_text(c) + " "
-        if d == 0:
-            terms.append(field.base_text(c))
-        elif d == 1:
-            terms.append(f"{coef}x")
-        else:
-            terms.append(f"{coef}x^{d}")
+    text = [field.base_text(c) for c in range(field.q)]
+    coef = ["", ""] + [t + " " for t in text[2:]]  # 1 x^d prints as x^d
+    terms = [f"{coef[p[d]]}x^{d}" for d in range(len(p) - 1, 1, -1) if p[d]]
+    if len(p) > 1 and p[1]:
+        terms.append(f"{coef[p[1]]}x")
+    if p[0]:
+        terms.append(text[p[0]])
     return " + ".join(terms)
 
 

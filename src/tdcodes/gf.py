@@ -11,6 +11,15 @@ with polynomial-basis arithmetic as the fallback above that.
 A modulus is validated by the order of its root alone: a root of full
 order q^m - 1 makes every nonzero residue a unit, so the modulus is
 irreducible, and Rabin's irreducibility test runs only to word a rejection.
+The order test reads x^(q^m) = x and then x^(n/p) != 1 for each prime
+p | n off GF(2)-linear maps of the s*m packed bits (squaring and times x
+modulo the candidate, one list of bit images each).  The default-modulus
+search first drops, a block of q candidates at a time, every candidate with
+a root in GF(q).  It still tests candidates one by one in a fixed order, so
+fields whose first primitive modulus comes late stay slow: each of (5, 8),
+(5, 16), (6, 8), (6, 12), (6, 16), (7, 8), (7, 11), (7, 12), (7, 13),
+(7, 16), (8, 4), (8, 6), (8, 8), (8, 9), (8, 10), (8, 12), (8, 14) and
+(8, 16) needs more than 5 s without an explicit ``ext_modulus``.
 """
 
 from __future__ import annotations
@@ -150,6 +159,70 @@ def default_base_modulus(s: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Residues modulo a monic extension modulus, as GF(2)-linear maps
+# ---------------------------------------------------------------------------
+
+def _apply(images: list[int], v: int) -> int:
+    """The GF(2)-linear map sending bit i to images[i], applied to v."""
+    r = 0
+    while v:
+        low = v & -v
+        r ^= images[low.bit_length() - 1]
+        v ^= low
+    return r
+
+
+class _Modulus:
+    """Times x and squaring modulo f = x^m + tail over GF(q), on packed
+    residues.  Both are GF(2)-linear maps of the s*m bits, so each is one
+    list of bit images: squaring is the Frobenius map in characteristic 2,
+    and the bit j*s + u, the residue w^u x^j, squares to w^(2u) x^(2j).
+    Only the base-field tables of ``field`` are read."""
+
+    def __init__(self, field: FieldSpec, tail: int):
+        s, m = field.s, field.m
+        self.s, self.m, self.tail = s, m, tail
+        self.top = (m - 1) * s
+        self.mask = (1 << (s * m)) - 1
+        # x^m = tail, so x times the residue c x^(m-1) is c * tail: one
+        # image per bit of c
+        self.carry_images = [field._ext_scalar(1 << t, tail) for t in range(s)]
+        x_pow = [1 << (j * s) for j in range(m)]
+        while len(x_pow) < 2 * m - 1:
+            x_pow.append(self.times_x(x_pow[-1]))
+        self.square_images = [
+            field._ext_scalar(field.base_mul(1 << u, 1 << u), x_pow[2 * j])
+            for j in range(m) for u in range(s)]
+
+    def times_x(self, v: int) -> int:
+        return ((v << self.s) & self.mask) ^ _apply(self.carry_images, v >> self.top)
+
+    def x_order_is_full(self, n_factors: list[int]) -> bool:
+        """Whether x has order n = q^m - 1 modulo f, given the primes p | n;
+        such an f is primitive, and so irreducible.  First x^(q^m) = x (s*m
+        squarings), which is x^n = 1 when f(0) != 0 makes x a unit; only
+        then x^(n/p) != 1 for each p, by square-then-times-x."""
+        if self.tail & ((1 << self.s) - 1) == 0:
+            return False
+        x = 1 << self.s
+        y = x
+        for _ in range(self.s * self.m):
+            y = _apply(self.square_images, y)
+        if y != x:
+            return False
+        n = (1 << (self.s * self.m)) - 1
+        for p in n_factors:
+            r = 1
+            for bit in bin(n // p)[2:]:
+                r = _apply(self.square_images, r)
+                if bit == "1":
+                    r = self.times_x(r)
+            if r == 1:
+                return False
+        return True
+
+
+# ---------------------------------------------------------------------------
 # Field tower
 # ---------------------------------------------------------------------------
 
@@ -249,8 +322,9 @@ class FieldSpec:
 
         exp is built by doubling, exp[2^j + i] = beta^(2^j) exp[i].  Times a
         fixed element is a GF(2)-linear map of the s*m packed bits, so each
-        doubling is one masked XOR of the image of each bit.  The root is
-        primitive iff its first n powers are distinct and beta^n = 1."""
+        doubling is one masked XOR of the image of each bit, and the next
+        beta^(2^(j+1)) comes from the squaring map.  The root is primitive
+        iff its first n powers are distinct and beta^n = 1."""
         size = self.q ** self.m
         if size > MAX_TABLE_ORDER:
             return None
@@ -265,7 +339,7 @@ class FieldSpec:
             for b, image in enumerate(self._bit_images(c)):
                 out ^= ((src >> b) & 1) * image
             done += src.size
-            c = self._ext_mul_poly(c, c)
+            c = self._ext_square(c)
         log = np.full(size, -1, dtype=np.int32)
         log[exp] = np.arange(n, dtype=np.int32)
         if np.count_nonzero(log >= 0) != n \
@@ -276,10 +350,9 @@ class FieldSpec:
 
     def _bit_images(self, c: int) -> list[int]:
         """c times each packed basis bit: bit j*s + u is w^u x^j."""
-        images = []
-        for _ in range(self.m):
-            images += [self._ext_scalar(1 << u, c) for u in range(self.s)]
-            c = self._ext_times_x(c)
+        images = [self._ext_scalar(1 << u, c) for u in range(self.s)]
+        while len(images) < self.s * self.m:
+            images.append(self._ext_times_x(images[-self.s]))
         return images
 
     def pack_coeffs(self, coeffs) -> int:
@@ -312,13 +385,15 @@ class FieldSpec:
             shift += self.s
         return r
 
+    @cached_property
+    def _modulus(self) -> _Modulus:
+        return _Modulus(self, self._ext_tail)
+
     def _ext_times_x(self, v: int) -> int:
-        top_shift = (self.m - 1) * self.s
-        carry = v >> top_shift
-        v = (v ^ (carry << top_shift)) << self.s
-        if carry:
-            v ^= self._ext_scalar(carry, self._ext_tail)
-        return v
+        return self._modulus.times_x(v)
+
+    def _ext_square(self, v: int) -> int:
+        return _apply(self._modulus.square_images, v)
 
     def _ext_mul_poly(self, a: int, b: int) -> int:
         mask = self.q - 1
@@ -338,7 +413,7 @@ class FieldSpec:
         while e:
             if e & 1:
                 r = self._ext_mul_poly(r, a)
-            a = self._ext_mul_poly(a, a)
+            a = self._ext_square(a)
             e >>= 1
         return r
 
@@ -373,19 +448,21 @@ class FieldSpec:
 
     @cached_property
     def np_mul_table(self) -> np.ndarray:
+        """t[a, b] = a * b in GF(q), as uint8: exp[(log a + log b) mod (q - 1)]
+        on the nonzero rows and columns."""
         q = self.q
+        exp, log = (np.array(t) for t in self._base_tables)
         t = np.zeros((q, q), dtype=np.uint8)
-        for a in range(1, q):
-            for b in range(a, q):
-                t[a, b] = t[b, a] = self.base_mul(a, b)
+        t[1:, 1:] = exp[(log[1:, None] + log[1:]) % (q - 1)]
         t.flags.writeable = False
         return t
 
     @cached_property
     def np_inv_table(self) -> np.ndarray:
+        """t[a] = 1 / a in GF(q) for a != 0, as uint8; t[0] = 0."""
+        exp, log = (np.array(t) for t in self._base_tables)
         t = np.zeros(self.q, dtype=np.uint8)
-        for a in range(1, self.q):
-            t[a] = self.base_inv(a)
+        t[1:] = exp[-log[1:] % (self.q - 1)]
         t.flags.writeable = False
         return t
 
@@ -403,15 +480,6 @@ class FieldSpec:
 # ---------------------------------------------------------------------------
 # Construction and validation
 # ---------------------------------------------------------------------------
-
-def _ext_x_order_is_full(spec: FieldSpec, n_factors: list[int]) -> bool:
-    if spec.ext_modulus[0] == 0:
-        return False
-    x = spec.beta
-    if spec._ext_pow_poly(x, spec.n) != 1:
-        return False
-    return all(spec._ext_pow_poly(x, spec.n // p) != 1 for p in n_factors)
-
 
 def _is_irreducible(pow_mod, x: int, q: int, d: int) -> bool:
     """Rabin's test for a degree-d modulus over GF(q), given its residue
@@ -433,17 +501,28 @@ def _rejection(which: str, irreducible: bool) -> FieldError:
 
 def default_ext_modulus(s: int, m: int, base_modulus: int) -> tuple[int, ...]:
     """First monic degree-m polynomial over GF(q), in ascending packed-coefficient
-    order, whose root generates GF(q^m)^*."""
+    order, whose root generates GF(q^m)^*.
+
+    The candidates come in blocks of q that differ only in the constant term
+    c0.  f = h + c0 has the root a in GF(q) exactly when c0 = h(a), so one
+    evaluation of h at the q points drops every candidate of the block with
+    a root (c0 = 0 among them, as h(0) = 0); the rest take the order test."""
     q = 1 << s
-    probe = FieldSpec(s, m, base_modulus, tuple([0] * m + [1]))
+    probe = FieldSpec(s, m, base_modulus, (0,) * m + (1,))
     n_factors = _prime_factors(probe.n)
-    for tail in range(1, q ** m):
-        if tail & (q - 1) == 0:
-            continue  # zero constant term: x divides the candidate
-        coeffs = tuple((tail >> (j * s)) & (q - 1) for j in range(m)) + (1,)
-        cand = FieldSpec(s, m, base_modulus, coeffs)
-        if _ext_x_order_is_full(cand, n_factors):
-            return coeffs
+    mul = probe.np_mul_table
+    powers = np.empty((m, q), dtype=np.uint8)  # powers[j - 1, a] = a^j
+    powers[0] = np.arange(q)
+    for j in range(1, m):
+        powers[j] = mul[powers[j - 1], powers[0]]
+    for high in range(q ** (m - 1)):
+        coeffs = tuple((high >> (j * s)) & (q - 1) for j in range(m - 1)) + (1,)
+        h_values = np.bitwise_xor.reduce(mul[np.array(coeffs)[:, None], powers])
+        root_free = np.ones(q, dtype=bool)
+        root_free[h_values] = False
+        for c0 in np.flatnonzero(root_free).tolist():
+            if _Modulus(probe, (high << s) | c0).x_order_is_full(n_factors):
+                return (c0,) + coeffs
     raise FieldError(f"no primitive degree-{m} extension modulus over GF({q})")
 
 
@@ -466,7 +545,7 @@ def make_field(s: int, m: int,
         return FieldSpec(s, m, base_modulus, tuple(ext_modulus))
 
     spec = FieldSpec(s, m, base_modulus, tuple(ext_modulus))
-    if not _ext_x_order_is_full(spec, _prime_factors(spec.n)):
+    if not spec._modulus.x_order_is_full(_prime_factors(spec.n)):
         raise _rejection("extension", _is_irreducible(
             spec._ext_pow_poly, spec.beta, spec.q, m))
     return spec

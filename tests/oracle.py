@@ -3,7 +3,8 @@ helpers only the tests use (powers, inverses, the subfield embedding, text
 and JSON forms).
 
 The library reads its structure checks off g(x) (the Gram band and
-gcd(g, g*)), builds the field tables by doubling, computes all minimal
+gcd(g, g*)), tests field moduli on GF(2)-linear squaring maps after a root
+sieve, builds the field tables by doubling, computes all minimal
 polynomials in one vectorized pass and folds them by a product tree on a
 bit-plane FFT multiply, divides polynomials with vectorized table rows,
 row-reduces, encodes and scores codewords on bit-sliced words, enumerates
@@ -11,7 +12,8 @@ one message per projective point, counts cosets with a vectorized leader
 mask that steps residues by bit rotation, runs the progression search as
 shift-AND doubling on a bitset over one unit per orbit of +-q^j, and reads
 digit sums off one table built digit by digit; these
-references build the tables one power at a time, fold one scalar minimal
+references test every candidate modulus by polynomial powers, build the
+tables one power or product at a time, fold one scalar minimal
 polynomial at a time, build the k x n generator matrices, run the
 schoolbook product and long division, eliminate, encode and score one
 byte per symbol, enumerate all q^k messages, walk each coset one member
@@ -30,7 +32,7 @@ from tdcodes import coset
 from tdcodes.coset import cyclotomic_coset
 from tdcodes.cyclic import (GeneratorMatrix, dual_code, generator_matrix,
                             minimal_polynomial)
-from tdcodes.gf import FieldError, make_field
+from tdcodes.gf import FieldError, FieldSpec, _prime_factors, make_field
 from tdcodes.polys import _mul_array, trim
 
 # every (q, m) with q = 2^s, s = 1..4, m >= 2 and n = q^m - 1 <= 4095: the
@@ -341,6 +343,26 @@ def ext_text(field, x: int) -> str:
     return ",".join(str(c) for c in field.ext_coeffs(x))
 
 
+def poly_pretty(field, p) -> str:
+    """Descending-degree display with w-power coefficients, one base_text
+    call per term."""
+    if not p:
+        return "0"
+    terms = []
+    for d in range(len(p) - 1, -1, -1):
+        c = p[d]
+        if c == 0:
+            continue
+        coef = "" if c == 1 else field.base_text(c) + " "
+        if d == 0:
+            terms.append(field.base_text(c))
+        elif d == 1:
+            terms.append(f"{coef}x")
+        else:
+            terms.append(f"{coef}x^{d}")
+    return " + ".join(terms)
+
+
 def field_spec_to_json(spec) -> dict:
     """The JSON form that gf.field_spec_from_json reads: base-modulus bits
     and one-element lists of extension-modulus coefficients."""
@@ -362,18 +384,87 @@ def eval_ext(field, p, x: int) -> int:
 
 def ext_tables(field) -> tuple[list[int], list[int]]:
     """exp[k] = beta^k and log[beta^k] = k (log[0] = -1), one multiplication
-    by beta at a time; raises FieldError when beta is not primitive."""
+    by beta at a time (shift up, then add the multiple of x^m that fell off
+    the top, from a table of the q multiples); raises FieldError when beta
+    is not primitive."""
     exp, log = [0] * field.n, [-1] * (field.n + 1)
+    top = (field.m - 1) * field.s
+    carry = [ext_times_x(field, c << top) for c in range(field.q)]
     e = 1
     for k in range(field.n):
         exp[k] = e
         if log[e] != -1:
             raise FieldError("extension modulus root is not primitive")
         log[e] = k
-        e = field._ext_times_x(e)
+        e = ((e & ((1 << top) - 1)) << field.s) ^ carry[e >> top]
     if e != 1:
         raise FieldError("extension modulus root is not primitive")
     return exp, log
+
+
+def ext_times_x(field, v: int) -> int:
+    """x * v modulo the extension modulus, one base coefficient at a time:
+    the coefficients shift up, and x^m = f_0 + ... + f_(m-1) x^(m-1) takes
+    the one that falls off the top."""
+    c = field.ext_coeffs(v)
+    top = c[-1]
+    return field.pack_coeffs([a ^ field.base_mul(top, f)
+                              for a, f in zip((0,) + c[:-1], field.ext_modulus)])
+
+
+def ext_pow_poly(field, a: int, e: int) -> int:
+    """a^e modulo the extension modulus by square-and-multiply on the
+    library's polynomial products, with no reduction of e, so sound for any
+    modulus."""
+    r = 1
+    while e:
+        if e & 1:
+            r = field._ext_mul_poly(r, a)
+        a = field._ext_mul_poly(a, a)
+        e >>= 1
+    return r
+
+
+def ext_x_order_is_full(field) -> bool:
+    """Whether x has order n = q^m - 1 modulo the extension modulus:
+    x^n = 1 and x^(n/p) != 1 for each prime p | n, by polynomial powers."""
+    if field.ext_modulus[0] == 0:
+        return False
+    x, n = field.beta, field.n
+    return ext_pow_poly(field, x, n) == 1 and all(
+        ext_pow_poly(field, x, n // p) != 1 for p in _prime_factors(n))
+
+
+def default_ext_modulus(s: int, m: int, base_modulus: int) -> tuple[int, ...]:
+    """The first monic degree-m polynomial over GF(q), in ascending packed
+    order, that passes ext_x_order_is_full: every candidate with a nonzero
+    constant term takes the power test."""
+    q = 1 << s
+    for tail in range(1, q ** m):
+        if tail & (q - 1) == 0:
+            continue
+        coeffs = tuple((tail >> (j * s)) & (q - 1) for j in range(m)) + (1,)
+        if ext_x_order_is_full(FieldSpec(s, m, base_modulus, coeffs)):
+            return coeffs
+    raise FieldError(f"no primitive degree-{m} extension modulus over GF({q})")
+
+
+def np_mul_table(field) -> np.ndarray:
+    """t[a, b] = a * b in GF(q), one base_mul at a time."""
+    q = field.q
+    t = np.zeros((q, q), dtype=np.uint8)
+    for a in range(1, q):
+        for b in range(a, q):
+            t[a, b] = t[b, a] = field.base_mul(a, b)
+    return t
+
+
+def np_inv_table(field) -> np.ndarray:
+    """t[a] = 1 / a in GF(q) for a != 0 and t[0] = 0, one base_inv at a time."""
+    t = np.zeros(field.q, dtype=np.uint8)
+    for a in range(1, field.q):
+        t[a] = field.base_inv(a)
+    return t
 
 
 def x_pow_n_plus_1(n: int) -> tuple[int, ...]:

@@ -484,6 +484,19 @@ def test_poly_pretty():
     assert poly_pretty(f, (2, 1)) == "x + w"
 
 
+@pytest.mark.parametrize("s,m", [(1, 5), (2, 3), (4, 2), (8, 2)])
+def test_poly_pretty_matches_the_term_loop(s, m):
+    # generator polynomials of both parities, and random polynomials with
+    # zero and one coefficients at degrees 0 and 1
+    f = make_field(s, m)
+    rng = random.Random(s)
+    polys_ = [code_from_T(f, build_T(f.q, m, p)).generator for p in (0, 1)]
+    polys_ += [tuple(rng.choice([0, 1, rng.randrange(f.q)]) for _ in range(k))
+               for k in (1, 2, 3, 9) for _ in range(8)]
+    for p in polys_:
+        assert poly_pretty(f, p) == oracle.poly_pretty(f, p), p
+
+
 def test_code_json_round_trip():
     f = make_field(2, 2)
     c0, _ = pair(f, 4, 2)

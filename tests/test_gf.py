@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracle
@@ -92,7 +93,7 @@ def monic_polys(q, m):
     return [tail + (1,) for tail in itertools.product(range(q), repeat=m)]
 
 
-def assert_verdicts(candidates, build, has_factor, accepted):
+def assert_verdicts(candidates, build, has_factor, accepted, which):
     """make_field accepts exactly ``accepted`` candidates, and a rejection
     says "reducible" exactly when brute-force division finds a factor."""
     good = 0
@@ -100,9 +101,9 @@ def assert_verdicts(candidates, build, has_factor, accepted):
         try:
             build(cand)
         except FieldError as exc:
-            msg = str(exc)
-            assert ("reducible" in msg) == has_factor(cand), (cand, msg)
-            assert "reducible" in msg or "not primitive" in msg, (cand, msg)
+            want = (f"reducible {which} modulus" if has_factor(cand)
+                    else f"{which} modulus root is not primitive")
+            assert str(exc) == want, cand
         else:
             assert not has_factor(cand), cand
             good += 1
@@ -116,7 +117,7 @@ def test_reducible_base_modulus_rejected():
     for s in range(1, 7):
         assert_verdicts(range(1 << s, 1 << (s + 1)),
                         lambda f: make_field(s, 2, base_modulus=f),
-                        gf2_has_factor, totient(2 ** s - 1) // s)
+                        gf2_has_factor, totient(2 ** s - 1) // s, "base")
 
 
 def test_reducible_ext_modulus_rejected():
@@ -126,7 +127,7 @@ def test_reducible_ext_modulus_rejected():
     gf4 = make_field(2, 2)
     assert_verdicts(monic_polys(4, 3),
                     lambda f: make_field(2, 3, ext_modulus=f),
-                    lambda f: ext_has_factor(gf4, f), 12)
+                    lambda f: ext_has_factor(gf4, f), 12, "extension")
 
 
 def test_non_primitive_ext_modulus_rejected():
@@ -137,7 +138,58 @@ def test_non_primitive_ext_modulus_rejected():
         base = make_field(s, 2)
         assert_verdicts(monic_polys(1 << s, 2),
                         lambda f: make_field(s, 2, ext_modulus=f),
-                        lambda f: ext_has_factor(base, f), accepted)
+                        lambda f: ext_has_factor(base, f), accepted, "extension")
+
+
+@pytest.mark.parametrize("s,m", [(2, 4), (4, 2), (3, 3)])
+def test_order_test_matches_the_pow_test(s, m):
+    # every monic candidate, f(0) = 0 included: the squaring-map order test
+    # agrees with polynomial powers, make_field accepts the phi(n)/m
+    # primitive ones, and each rejection keeps its wording
+    base = make_field(s, 2)
+    n = (1 << s) ** m - 1
+    factors = _prime_factors(n)
+    specs = [FieldSpec(s, m, base.base_modulus, cand)
+             for cand in monic_polys(1 << s, m)]
+    assert [spec._modulus.x_order_is_full(factors) for spec in specs] == \
+        [oracle.ext_x_order_is_full(spec) for spec in specs]
+    assert_verdicts(monic_polys(1 << s, m),
+                    lambda f: make_field(s, m, ext_modulus=f),
+                    lambda f: ext_has_factor(base, f), totient(n) // m, "extension")
+
+
+def test_default_ext_modulus_matches_the_pow_search():
+    # the root sieve and the squaring-map order test pick the same modulus
+    # as a power test of every candidate: each field with q^m <= 2^22, and
+    # three past the table limit
+    sizes = [(s, m) for s in range(1, 9) for m in range(2, 17)
+             if (1 << s) ** m <= 1 << 22] + [(2, 12), (3, 8), (4, 6)]
+    for s, m in sizes:
+        want = oracle.default_ext_modulus(s, m, default_base_modulus(s))
+        assert make_field(s, m).ext_modulus == want, (s, m)
+
+
+@pytest.mark.parametrize("s,m", [(2, 3), (3, 7), (8, 16), (5, 9)])
+def test_times_x_and_square_match_the_coefficient_loop(s, m):
+    # on random monic moduli, primitive or not, past the table limit too
+    rng = random.Random(31 * s + m)
+    q = 1 << s
+    for _ in range(4):
+        cand = tuple(rng.randrange(q) for _ in range(m)) + (1,)
+        spec = FieldSpec(s, m, default_base_modulus(s), cand)
+        for v in [0, 1, spec.q ** m - 1] + [rng.randrange(q ** m) for _ in range(20)]:
+            assert spec._ext_times_x(v) == oracle.ext_times_x(spec, v)
+            assert spec._ext_square(v) == spec._ext_mul_poly(v, v)
+
+
+def test_np_tables_match_the_loop():
+    for s in range(1, 9):
+        f = make_field(s, 2)
+        assert f.np_mul_table.dtype == f.np_inv_table.dtype == np.uint8
+        assert not f.np_mul_table.flags.writeable
+        assert not f.np_inv_table.flags.writeable
+        assert np.array_equal(f.np_mul_table, oracle.np_mul_table(f)), s
+        assert np.array_equal(f.np_inv_table, oracle.np_inv_table(f)), s
 
 
 def test_prime_factors_match_sympy():
