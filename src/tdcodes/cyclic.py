@@ -14,6 +14,13 @@ polynomials step together on the field's log/exp tables (the scalar
 ``minimal_polynomial`` serves fields too large for tables), and a
 balanced product tree folds them on the batched multiply of
 :mod:`tdcodes.polys`, an exact bit-plane FFT for long operands.
+
+``row_reduce`` brings a whole stack of matrices to reduced echelon form in
+one sweep, one 64-column strip at a time.  Where it pays, the words right
+of a strip take all of its steps at once from Four-Russians tables, as in
+M4RI (Albrecht, Bard and Hart, the Method of Four Russians over GF(2)) and
+its GF(2^e) extension M4RIE (Albrecht), whose bit-sliced layout
+:mod:`tdcodes.packed` uses.
 """
 
 from __future__ import annotations
@@ -188,7 +195,7 @@ def extend_code(code: CyclicCode) -> GeneratorMatrix:
     return GeneratorMatrix(code.field, arr)
 
 
-_BLOCK_WORDS = 1 << 15  # words a row update touches per numpy call, to stay in cache
+_BLOCK_WORDS = 1 << 15  # words a row update or a table holds per numpy call, to stay in cache
 
 
 def row_reduce(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
@@ -197,55 +204,101 @@ def row_reduce(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, list[li
     each matrix).
 
     The stack is bit-sliced (:mod:`tdcodes.packed`), (s, W, k, B), and so
-    are the rrefs; a lone matrix is a stack with B = 1.  At each column
-    every matrix reads its column off one byte per plane and row, and takes
-    as pivot the first row not yet used that is nonzero there.  Each matrix
-    then XORs into every row, from the pivot's word on, the multiple of its
-    pivot row that the row's entry selects; the pivot row itself takes
-    1 + 1/lead, which normalises it.  The rows not yet used are zero left
-    of the column, so the earlier words stay as they are.  A matrix with no
-    pivot in the column picks a spare zero row k instead, which changes
-    nothing.  The rref is unique, so the rows need no swaps: they are put
-    in pivot order once, at the end, with the unused rows, which are zero,
-    last."""
+    are the rrefs; a lone matrix is a stack with B = 1.  The sweep takes one
+    64-column word, a strip, at a time.  At each column every matrix reads
+    its column off one byte per plane and row, and takes as pivot the first
+    row not yet used that is nonzero there.  Each matrix then XORs into
+    every row the multiple of its pivot row that the row's entry / lead
+    selects, by one `take` from the pivot row's q multiples; the pivot
+    row's entry, set to lead + 1, selects 1 + 1/lead, which normalises it.
+    The rows not yet used are zero left of the column, so the earlier words
+    stay as they are.  A matrix with no pivot in the column picks a spare
+    zero row k instead, which changes nothing.
+
+    A step touches the strip's word and every word to its right, unless the
+    strip is tracked, as in M4RI.  Then each row carries a tracker word
+    instead, whose symbol j is the coefficient of the strip's j-th pivot
+    row, as it was when the strip began, in what the row has gained: the
+    pivot row enters step j with symbol j set, so the row updates keep the
+    trackers too.  After the strip, the words to its right take all of its
+    steps at once from Four-Russians tables of the q^g combinations of g
+    strip-start pivot rows each (:func:`_add_combinations`).  Through the
+    tables a step costs a row (q^g + k + 1) / (g (k + 1)) word updates per
+    word, against one directly; g, a divisor of 8 with q^g <= 256, is the
+    one that costs least, as M4RI sizes its tables by the row count.  A
+    strip is tracked when that, with the tracker's own word, is the cheaper
+    and its words to the right hold a block of _BLOCK_WORDS (below that a
+    step's numpy calls cost more than its words): the large forms, such as
+    the [1023, 512]_4 and [4095, 2047]_4 ones of ``sampled_upper``.  The
+    rref is unique, so the rows need no swaps: they are put in pivot order
+    once, at the end, with the unused rows, which are zero, last."""
     s, nwords, k, nmat = stack.shape
     rows = np.zeros((s, nwords, k + 1, nmat), dtype=packed.WORD)
     rows[:, :, :k] = stack
-    octets = rows.view(np.uint8)       # byte j of lane b's word at [..., 8b + j]
-    plane_bits = np.arange(s, dtype=np.uint8)[:, None, None]
+    work = np.empty((s, 2, k + 1, nmat), dtype=packed.WORD)  # the strip's word, the tracker
+    places = (1 << np.arange(s, dtype=np.uint8))[:, None, None]   # of the planes' bits
     masks = packed.scalar_masks(field)
-    mul, inv = field.np_mul_table, field.np_inv_table
+    divided = field.np_mul_table[field.np_inv_table].ravel()   # a / c at q c + a
+    by_lead = field.q * np.arange(field.q)
     lanes = np.arange(nmat)
     offsets = field.q * lanes          # lane b's multiples in the flat table
     span = max(1, _BLOCK_WORDS // (s * (k + 1) * nmat))
+    gathered = np.empty(max(_BLOCK_WORDS, 2 * s * (k + 1) * nmat), dtype=packed.WORD)
+    # word updates a step costs a row per word right of a tracked strip
+    g = min((g for g in (1, 2, 4, 8) if s * g <= 8), key=lambda g: ((1 << s * g) + k + 1) / g)
+    share = ((1 << s * g) + k + 1) / (g * (k + 1))
     free = np.ones((k + 1, nmat), dtype=bool)  # row k: the spare
     cand = np.ones((k + 1, nmat), dtype=bool)  # the spare stays a candidate
     cols: list[int] = []               # per step: the column and each
     used: list[np.ndarray] = []        # matrix's pivot row (k for none)
     left = k * nmat
-    for c in range(64 * nwords):
+    for w in range(nwords):
         if not left:
             break
-        w, b = divmod(c, 64)
-        octet = octets[:, w, :, b // 8::8] >> (b % 8)
-        octet &= 1
-        col = np.bitwise_or.reduce(octet << plane_bits, axis=0)
-        np.logical_and(col[:k], free[:k], out=cand[:k])
-        p = cand.argmax(axis=0)
-        found = int(np.count_nonzero(p < k))
-        if not found:
-            continue
-        free[p, lanes] = False
-        left -= found
-        cols.append(c)
-        used.append(p)
-        lead_inv = inv.take(col[p, lanes])
-        pick = mul[lead_inv].take(col + offsets)
-        pick[p, lanes] = lead_inv ^ 1
-        table = packed.multiples(masks, rows[:, w:, p, lanes]).reshape(s, nwords - w, -1)
-        pick = pick + offsets
-        for lo in range(w, nwords, span):  # a cache-sized block of words at a time
-            rows[:, lo:lo + span] ^= table[:, lo - w:lo - w + span].take(pick, axis=-1)
+        right = nwords - w - 1
+        tracked = 1 + right * share < right and s * (k + 1) * nmat * right >= _BLOCK_WORDS
+        if tracked:
+            strip = work
+            strip[:, 0] = rows[:, w]
+            strip[:, 1] = 0
+        else:
+            strip = rows[:, w:]
+        octets = strip.view(np.uint8)  # byte j of lane b's word at [..., 8b + j]
+        blocks = [(lo, strip[:, lo:lo + span]) for lo in range(0, strip.shape[1], span)]
+        blocks = [(lo, block, _front(gathered, block.shape)) for lo, block in blocks]
+        first = len(cols)
+        for b in range(64):
+            if not left:
+                break
+            col = octets[:, 0, :, b // 8::8] >> b % 8
+            col &= 1
+            col *= places
+            col = col.sum(axis=0, dtype=np.uint8)
+            np.logical_and(col[:k], free[:k], out=cand[:k])
+            p = cand.argmax(axis=0)
+            lead = col[p, lanes]       # zero for a matrix that takes the spare
+            found = np.count_nonzero(lead)
+            if not found:
+                continue
+            free[p, lanes] = False
+            left -= found
+            pivot = strip[:, :, p, lanes]
+            if tracked:
+                pivot[0, 1] |= packed.WORD.type(1 << (len(cols) - first))
+            # a row picks the multiple entry / lead of the pivot row, and the
+            # pivot row's entry, set to lead + 1, gives 1 + 1/lead
+            table = packed.multiples(masks, pivot).reshape(s, strip.shape[1], -1)
+            col[p, lanes] = lead ^ 1
+            pick = divided.take(col + by_lead[lead]) + offsets
+            for lo, block, into in blocks:
+                np.take(table[:, lo:lo + span], pick, axis=-1, out=into, mode="wrap")
+                block ^= into
+            cols.append(64 * w + b)
+            used.append(p)
+        if tracked:
+            rows[:, w] = work[:, 0]
+            if len(cols) > first:
+                _add_combinations(masks, g, rows[:, w + 1:], work[:, 1], used[first:], gathered)
     # sort key of each row: the step that made it a pivot, or past the last
     # step for an unused row
     nsteps = len(cols)
@@ -256,8 +309,82 @@ def row_reduce(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, list[li
     cols = np.array(cols, dtype=np.intp)
     ranks = np.bincount(mat, minlength=nmat)
     pivots = [cols[at].tolist() for at in np.split(step, np.cumsum(ranks)[:-1])]
-    return rows[:, :, key.argsort(axis=0), lanes], pivots
+    order = key.argsort(axis=0) * nmat + lanes    # one flat take, so the rrefs are C-ordered
+    return rows.reshape(s, nwords, -1).take(order, axis=-1), pivots
 
+
+def _front(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The front of a flat buffer as an array of the given shape: the
+    kernel gathers into it, so its loops allocate no large temporaries."""
+    return buffer[:int(np.prod(shape))].reshape(shape)
+
+
+def _add_combinations(masks: np.ndarray, g: int, right: np.ndarray, tracker: np.ndarray,
+                      steps: list[np.ndarray], buffer: np.ndarray) -> None:
+    """Give the words right of a strip, (s, W', k + 1, B), all of the strip's
+    steps at once: each row gains the combination of the strip-start pivot
+    rows (row steps[j][b] of matrix b for step j) that its tracker word
+    holds.  The steps go in groups of g, a divisor of 8 with q^g <= 256; a
+    group's table holds all q^g combinations of its g pivot rows, entry
+    sum_(i,u) 2^(g u + i) being the sum of 2^u times pivot row i over the
+    bits u of symbol i set in it.  So a row's entry is bits G g, ..., G g +
+    g - 1 of each tracker plane u, at bit g u, all within one byte.  A
+    table is the XOR of the spans of its low and high s g / 2 words, each
+    built by doubling, for a batch of groups at once, and the rows read it
+    by one take.  Words and lanes go in tiles whose tables and gathers hold
+    at most _BLOCK_WORDS words (or one word of one lane, if that is more)."""
+    s, nwords, nrows, nmat = right.shape
+    size = 1 << (s * g)
+    ngroups = -(-len(steps) // g)
+    pivots = np.full((ngroups * g, nmat), nrows - 1, dtype=np.intp)  # padded with the spare
+    pivots[:len(steps)] = steps
+    per_byte = 8 // g
+    octets = tracker.view(np.uint8).reshape(s, nrows, nmat, 8).transpose(0, 3, 1, 2)
+    shifts = (g * np.arange(per_byte, dtype=np.uint8))[:, None, None, None]
+    entry = np.zeros((per_byte, 8, nrows, nmat), dtype=np.uint8)  # group per_byte m + r at [r, m]
+    for u in range(s):
+        plane = (octets[u] >> shifts) & ((1 << g) - 1)
+        plane <<= g * u
+        entry |= plane
+    low = s * g // 2                   # the bits of the low span
+    cells = max(1, _BLOCK_WORDS // (s * max(nrows, size)))    # words x lanes per tile
+    lane_span = min(nmat, cells)
+    word_span = max(1, cells // lane_span)
+    for b0 in range(0, nmat, lane_span):
+        lanes = np.arange(b0, min(nmat, b0 + lane_span))
+        offsets = size * (lanes - b0)
+        for lo in range(0, nwords, word_span):
+            part = right[:, lo:lo + word_span, :, b0:b0 + lanes.size]
+            into = _front(buffer, part.shape)
+            rows = np.ascontiguousarray(part[:, :, pivots[:, lanes], lanes - b0])
+            # word g u + i of group G: 2^u times its pivot row i, (G, s, W'', lanes)
+            basis = [rows] + [packed.times(masks, 1 << u, rows) for u in range(1, s)]
+            basis = [b.reshape(s, -1, ngroups, g, lanes.size).transpose(2, 3, 0, 1, 4)
+                     for b in basis]
+            words = [b[:, i] for b in basis for i in range(g)]
+            batch = max(1, _BLOCK_WORDS // (s * part.shape[1] * lanes.size * size))
+            tables = np.empty((min(batch, ngroups), s, part.shape[1], lanes.size, size),
+                              dtype=packed.WORD)
+            for g0 in range(0, ngroups, batch):
+                low_span, high_span = (_span([w[g0:g0 + batch] for w in half])
+                                       for half in (words[:low], words[low:]))
+                table = tables[:low_span.shape[0]]
+                np.bitwise_xor(high_span[..., :, None], low_span[..., None, :],
+                               out=table.reshape(high_span.shape + low_span.shape[-1:]))
+                for t, group in enumerate(table, start=g0):
+                    pick = entry[t % per_byte, t // per_byte, :, b0:b0 + lanes.size] + offsets
+                    np.take(group.reshape(s, part.shape[1], -1), pick, axis=-1, out=into,
+                            mode="wrap")
+                    part ^= into
+
+
+def _span(words: list[np.ndarray]) -> np.ndarray:
+    """All XOR combinations of the words, entry e the XOR of words[i] over
+    the bits i set in e, on a new last axis, built by doubling."""
+    table = np.zeros(words[0].shape + (1 << len(words),), dtype=packed.WORD)
+    for i, word in enumerate(words):
+        np.bitwise_xor(table[..., :1 << i], word[..., None], out=table[..., 1 << i:2 << i])
+    return table
 
 def _gram_band(code: CyclicCode) -> np.ndarray:
     """(r(0), ..., r(k-1)), r(d) = sum_u g_u g_(u+d).

@@ -27,7 +27,7 @@ DEFAULT_CAP = 1 << 24
 _CHUNK_BITS = 10
 _PASS_WORDS = 1 << 14
 _PAIR_SCAN_MAX_K = 64
-_STACK_WORDS = 1 << 15
+_STACK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -246,25 +246,37 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     best_w, best_cw = int(weights[0]), packed.unpack(words[..., 0], n)
 
     rng_msg = np.random.default_rng(seed)
+    # a * row j at j q + a: a chunk of messages gathers the multiples its
+    # symbols pick and XORs them together, the gathered words within
+    # _STACK_WORDS (a span of rows at a time when one message's k are more)
+    multiples = packed.multiples(masks, gen).reshape(gen.shape[:2] + (-1,))
+    offsets = field.q * np.arange(k)
+    picks = max(1, _STACK_WORDS // (gen.shape[0] * gen.shape[1]))
+    span = min(k, picks)
+    chunk = picks // span
     done = 0
     while done < trials:
         batch = min(512, trials - done)
         msgs = rng_msg.integers(0, field.q, size=(batch, k), dtype=np.uint8)
-        words = np.zeros(gen.shape[:2] + (batch,), dtype=packed.WORD)
-        for j in range(k):  # batch x n working memory, whatever k is
-            words ^= packed.multiples(masks, gen[..., j]).take(msgs[:, j], axis=-1)
-        weights = packed.weights(words)
-        weights[weights == 0] = n + 1
-        j = int(weights.argmin())
-        if weights[j] < best_w:
-            best_w, best_cw = int(weights[j]), packed.unpack(words[..., j], n)
+        for lo in range(0, batch, chunk):
+            pick = msgs[lo:lo + chunk] + offsets
+            words = np.bitwise_xor.reduce(multiples.take(pick[:, :span], axis=-1), axis=-1)
+            for row in range(span, k, span):
+                words ^= np.bitwise_xor.reduce(multiples.take(pick[:, row:row + span], axis=-1),
+                                               axis=-1)
+            weights = packed.weights(words)
+            weights[weights == 0] = n + 1
+            j = int(weights.argmin())
+            if weights[j] < best_w:
+                best_w, best_cw = int(weights[j]), packed.unpack(words[..., j], n)
         done += batch
+    del multiples, words               # freed before the forms' stacks are built
 
     rng_sys = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + 1) & (2**63 - 1))
     forms = max(1, trials // 16)
-    # the stack's words, and the q multiples of its pivot rows that each
-    # reduction step builds, stay within _STACK_WORDS
-    per_stack = max(1, _STACK_WORDS // (gen.shape[0] * gen.shape[1] * max(k, field.q)))
+    # the stack's words stay within _STACK_WORDS: all of a call's forms share
+    # one reduction sweep when they fit
+    per_stack = max(1, _STACK_WORDS // gen.size)
     for start in range(0, forms, per_stack):
         perms = [rng_sys.permutation(n) for _ in range(min(per_stack, forms - start))]
         stack = np.empty(gen.shape + (len(perms),), dtype=packed.WORD)

@@ -277,6 +277,14 @@ def test_sampled_upper_results_are_pinned_at_n1023():
         [(348, "fb745ee85d321e48"), (351, "c750656f869d6486")]
 
 
+def test_sampled_upper_results_are_pinned_at_n4095():
+    # one 2047 x 4095 form over GF(4): 64 words, most strips' steps reach
+    # the words to their right through the tables
+    f = make_field(2, 6)
+    r = sampled_upper(code_from_T(f, build_T(4, 6, 1)), trials=16, seed=0)
+    assert (r.upper, digest(r.witness)) == (1467, "6d7692cabf61e314")
+
+
 def test_sampled_upper_results_are_pinned_across_form_stacks():
     # 10 systematic forms of the [1023, 512]_4 codes, 2 x 16 x 512 words
     # each, fill several stacks of row reductions; the values of the
@@ -337,13 +345,15 @@ def test_pair_scan_skips_pairs_that_cancel():
 def test_sampled_upper_working_memory_does_not_grow_with_k():
     f = make_field(2, 4)
     c = code_from_T(f, build_T(4, 4, 0))  # [255, 129]
+    # 64 systematic forms of 2 x 4 x 129 words fill two stacks
+    assert 64 * 2 * 4 * 129 > distance._STACK_WORDS
     tracemalloc.start()
     try:
-        r = sampled_upper(c, trials=512, seed=0)
+        r = sampled_upper(c, trials=1024, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert r.upper == 77
+    assert r.upper == 75
     # a (trials, k, n) gather of the messages would take 16.8 MB
     assert peak < 4 * 2 ** 20
 

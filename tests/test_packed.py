@@ -106,6 +106,33 @@ def row_reduce_cases():
             a[3] = field.np_mul_table[2, a[1]] ^ a[2]   # a dependent row
             a[:, n - 1] = 0
             cases.append((f"n{n}-q{field.q}-k{k}", field, a))
+    return cases + strip_cases(rng)
+
+
+# (s, n, k) of matrices that cross 64-column strips: with a small block
+# budget the words right of a strip take its steps through the tables, in
+# groups of g = 4 or 8 steps for s = 1, 2 or 4 for s = 2 and 2 for s = 3
+STRIP_SHAPES = [(1, 129, 65), (1, 257, 200), (1, 320, 250), (2, 200, 65), (2, 257, 130),
+                (2, 320, 200), (2, 320, 250), (3, 200, 130), (3, 320, 130), (3, 257, 200),
+                (4, 129, 65), (4, 320, 200), (8, 200, 65), (8, 257, 130)]
+
+
+def strip_cases(rng):
+    cases = []
+    for s, n, k in STRIP_SHAPES:
+        f = make_field(s, 2)
+        a = rng.integers(0, f.q, size=(k, n), dtype=np.uint8)
+        a[k // 2] = f.np_mul_table[f.q - 1, a[0]] ^ a[1]   # a dependent row
+        cases.append((f"strips-s{s}-n{n}-k{k}", f, a))
+    f2 = make_field(2, 2)
+    a = rng.integers(0, 4, size=(130, 257), dtype=np.uint8)
+    a[:, 64:128] = 0                   # an all-zero 64-column word
+    cases.append(("strips-zero-word", f2, a))
+    a = rng.integers(0, 4, size=(130, 320), dtype=np.uint8)
+    for r in range(100, 130):          # rank 100: the last pivot falls mid-strip
+        i, j = rng.integers(0, 100, size=2)
+        a[r] = f2.np_mul_table[rng.integers(1, 4), a[i]] ^ a[j]
+    cases.append(("strips-rank-mid-strip", f2, a))
     return cases
 
 
@@ -159,3 +186,58 @@ def test_stacked_row_reduce_members_of_different_rank():
         assert pivots == ref_pivots
         assert np.array_equal(rref, ref)
     assert [len(p) for _, p in got] == [12, 4, 0, 4, 12]
+
+
+STRIP_CASES = [pytest.param(f, a, id=name) for name, f, a in row_reduce_cases()
+               if name.startswith("strips")]
+
+
+@pytest.mark.parametrize("budget", [1 << 8, 1 << 12])
+@pytest.mark.parametrize("field,array", STRIP_CASES)
+def test_strip_tables_match_the_byte_oracle_form_by_form(monkeypatch, budget, field, array):
+    # a small block budget sends the words right of a strip through the
+    # tables, in tiles of one lane and word (2^8) or of several (2^12)
+    monkeypatch.setattr(cyclic, "_BLOCK_WORDS", budget)
+    rng = np.random.default_rng(array.size)
+    forms = [array] + [array[:, rng.permutation(array.shape[1])] for _ in range(2)]
+    for form, (rref, pivots) in zip(forms, reduce_forms(field, forms)):
+        ref, ref_pivots = oracle.row_reduce(field, form)
+        assert pivots == ref_pivots
+        assert np.array_equal(rref, ref)
+
+
+def test_strip_cases_reach_every_table_size_the_cost_model_picks(monkeypatch):
+    seen = set()
+    real = cyclic._add_combinations
+
+    def spy(masks, g, *rest):
+        seen.add((masks.shape[0], g))
+        return real(masks, g, *rest)
+
+    monkeypatch.setattr(cyclic, "_add_combinations", spy)
+    monkeypatch.setattr(cyclic, "_BLOCK_WORDS", 1 << 8)
+    for param in STRIP_CASES:
+        reduce_forms(param.values[0], [param.values[1]])
+    # from s = 4 on, q^g more table words than rows cost more than they spare
+    assert seen == {(1, 4), (1, 8), (2, 2), (2, 4), (3, 2)}
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 8, 1 << 12])
+def test_stack_members_finish_in_different_strips(monkeypatch, budget):
+    if budget:
+        monkeypatch.setattr(cyclic, "_BLOCK_WORDS", budget)
+    f = make_field(2, 2)
+    rng = np.random.default_rng(11)
+    full = rng.integers(0, 4, size=(100, 320), dtype=np.uint8)
+    late = full.copy()
+    late[:, :128] = 0                  # its pivots start two strips later
+    low = full.copy()
+    low[70:] = f.np_mul_table[3, low[:30]] ^ low[30:60]   # rank 70
+    forms = [full, late, low, np.zeros_like(full), full[:, rng.permutation(320)]]
+    got = reduce_forms(f, forms)
+    for form, (rref, pivots) in zip(forms, got):
+        ref, ref_pivots = oracle.row_reduce(f, form)
+        assert pivots == ref_pivots
+        assert np.array_equal(rref, ref)
+    assert [len(p) for _, p in got] == [100, 100, 70, 0, 100]
+    assert [p[-1] for _, p in got if p] == [99, 227, 69, 99]

@@ -10,21 +10,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_quick_structure_run_yields_every_layer_metric():
+def traced_quick_run(workload: str) -> dict:
+    """The result line of a traced quick worker run on ``workload``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py"),
-         "--workload", "structure", "--seed", "0", "--seconds", "0",
+         "--workload", workload, "--seed", "0", "--seconds", "0",
          "--trace", "1", "--quick"],
         env=env, cwd=ROOT, text=True, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failed"] == 0, result["errors"]
+    return result
+
+
+def test_traced_quick_structure_run_yields_every_layer_metric():
+    result = traced_quick_run("structure")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     missing = [m["name"] for m in spec["per_layer"]
                if result["layers"].get(m["name"], {}).get("value") is None]
     assert not missing
+
+
+def test_traced_quick_distance_run_times_the_row_reduction():
+    # the tracer finds the kernel by name inside sampled_upper
+    layers = traced_quick_run("distance")["layers"]
+    assert layers["cyclic.row_reduce.ms"]["value"] is not None
+    assert layers["distance.sampled_upper.row_reduce_share"]["value"] is not None
 
 
 def test_cold_start_snippet_builds_the_structure_fields():
