@@ -224,10 +224,10 @@ def row_reduce(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, list[li
     steps at once from Four-Russians tables of the q^g combinations of g
     strip-start pivot rows each (:func:`_add_combinations`).  Through the
     tables a step costs a row (q^g + k + 1) / (g (k + 1)) word updates per
-    word, against one directly; g, a divisor of 8 with q^g <= 256, is the
-    one that costs least, as M4RI sizes its tables by the row count.  A
-    strip is tracked when that, with the tracker's own word, is the cheaper
-    and its words to the right hold a block of _BLOCK_WORDS (below that a
+    word, against one directly, where g = 8 // s, so q^g <= 256 and a
+    group's symbols fill at most a byte of each tracker plane.  A strip is
+    tracked when that, with the tracker's own word, is the cheaper and its
+    words to the right hold a block of _BLOCK_WORDS (below that a
     step's numpy calls cost more than its words): the large forms, such as
     the [1023, 512]_4 and [4095, 2047]_4 ones of ``sampled_upper``.  The
     rref is unique, so the rows need no swaps: they are put in pivot order
@@ -244,8 +244,8 @@ def row_reduce(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, list[li
     offsets = field.q * lanes          # lane b's multiples in the flat table
     span = max(1, _BLOCK_WORDS // (s * (k + 1) * nmat))
     gathered = np.empty(max(_BLOCK_WORDS, 2 * s * (k + 1) * nmat), dtype=packed.WORD)
+    g = 8 // s
     # word updates a step costs a row per word right of a tracked strip
-    g = min((g for g in (1, 2, 4, 8) if s * g <= 8), key=lambda g: ((1 << s * g) + k + 1) / g)
     share = ((1 << s * g) + k + 1) / (g * (k + 1))
     free = np.ones((k + 1, nmat), dtype=bool)  # row k: the spare
     cand = np.ones((k + 1, nmat), dtype=bool)  # the spare stays a candidate
@@ -291,7 +291,7 @@ def row_reduce(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, list[li
             col[p, lanes] = lead ^ 1
             pick = divided.take(col + by_lead[lead]) + offsets
             for lo, block, into in blocks:
-                np.take(table[:, lo:lo + span], pick, axis=-1, out=into, mode="wrap")
+                np.take(table[:, lo:lo + span], pick, axis=-1, out=into, mode="clip")
                 block ^= into
             cols.append(64 * w + b)
             used.append(p)
@@ -324,8 +324,8 @@ def _add_combinations(masks: np.ndarray, g: int, right: np.ndarray, tracker: np.
     """Give the words right of a strip, (s, W', k + 1, B), all of the strip's
     steps at once: each row gains the combination of the strip-start pivot
     rows (row steps[j][b] of matrix b for step j) that its tracker word
-    holds.  The steps go in groups of g, a divisor of 8 with q^g <= 256; a
-    group's table holds all q^g combinations of its g pivot rows, entry
+    holds.  The steps go in groups of g = 8 // s, so q^g <= 256; a group's
+    table holds all q^g combinations of its g pivot rows, entry
     sum_(i,u) 2^(g u + i) being the sum of 2^u times pivot row i over the
     bits u of symbol i set in it.  So a row's entry is bits G g, ..., G g +
     g - 1 of each tracker plane u, at bit g u, all within one byte.  A
@@ -374,7 +374,7 @@ def _add_combinations(masks: np.ndarray, g: int, right: np.ndarray, tracker: np.
                 for t, group in enumerate(table, start=g0):
                     pick = entry[t % per_byte, t // per_byte, :, b0:b0 + lanes.size] + offsets
                     np.take(group.reshape(s, part.shape[1], -1), pick, axis=-1, out=into,
-                            mode="wrap")
+                            mode="clip")
                     part ^= into
 
 

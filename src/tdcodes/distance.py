@@ -27,7 +27,7 @@ DEFAULT_CAP = 1 << 24
 _CHUNK_BITS = 10
 _PASS_WORDS = 1 << 14
 _PAIR_SCAN_MAX_K = 64
-_STACK_WORDS = 1 << 16
+_STACK_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,42 @@ def _lightest(masks: np.ndarray, stack: np.ndarray, n: int, pair_scan: bool):
     return best_w, best
 
 
+def _lightest_message(masks: np.ndarray, gen: np.ndarray, n: int, trials: int,
+                      rng: np.random.Generator):
+    """The lightest nonzero word among ``trials`` random messages times the
+    packed (s, W, k) generator, drawn in batches of 512, and its weight:
+    the first in draw order, or n + 1 and None if every word is zero.
+
+    A span of generator rows at a time gives its q multiples, a * row j at
+    j q + a, from which each chunk of messages gathers what its symbols
+    pick and XORs it together.  Table and gathers stay within _STACK_WORDS
+    words, so the working memory is batch x n, whatever k is."""
+    s, nwords, k = gen.shape
+    q = masks.shape[-1]
+    span = min(k, max(1, _STACK_WORDS // (s * nwords * q)))
+    chunk = max(1, _STACK_WORDS // (s * nwords * span))
+    offsets = q * np.arange(span)
+    best_w, best = n + 1, None
+    done = 0
+    while done < trials:
+        batch = min(512, trials - done)
+        msgs = rng.integers(0, q, size=(batch, k), dtype=np.uint8)
+        words = np.zeros((s, nwords, batch), dtype=packed.WORD)
+        for row in range(0, k, span):
+            multiples = packed.multiples(masks, gen[..., row:row + span]).reshape(s, nwords, -1)
+            for lo in range(0, batch, chunk):
+                pick = msgs[lo:lo + chunk, row:row + span] + offsets[:min(span, k - row)]
+                words[..., lo:lo + chunk] ^= np.bitwise_xor.reduce(
+                    multiples.take(pick, axis=-1), axis=-1)
+        weights = packed.weights(words)
+        weights[weights == 0] = n + 1
+        j = int(weights.argmin())
+        if weights[j] < best_w:
+            best_w, best = int(weights[j]), words[..., j].copy()
+        done += batch
+    return best_w, best
+
+
 def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
                   lower: int = 1) -> DistanceReport:
     """Reproducible upper bound on the minimum distance.
@@ -245,38 +281,17 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     weights, words = _lightest(masks, gen[..., None], n, pair_scan)
     best_w, best_cw = int(weights[0]), packed.unpack(words[..., 0], n)
 
-    rng_msg = np.random.default_rng(seed)
-    # a * row j at j q + a: a chunk of messages gathers the multiples its
-    # symbols pick and XORs them together, the gathered words within
-    # _STACK_WORDS (a span of rows at a time when one message's k are more)
-    multiples = packed.multiples(masks, gen).reshape(gen.shape[:2] + (-1,))
-    offsets = field.q * np.arange(k)
-    picks = max(1, _STACK_WORDS // (gen.shape[0] * gen.shape[1]))
-    span = min(k, picks)
-    chunk = picks // span
-    done = 0
-    while done < trials:
-        batch = min(512, trials - done)
-        msgs = rng_msg.integers(0, field.q, size=(batch, k), dtype=np.uint8)
-        for lo in range(0, batch, chunk):
-            pick = msgs[lo:lo + chunk] + offsets
-            words = np.bitwise_xor.reduce(multiples.take(pick[:, :span], axis=-1), axis=-1)
-            for row in range(span, k, span):
-                words ^= np.bitwise_xor.reduce(multiples.take(pick[:, row:row + span], axis=-1),
-                                               axis=-1)
-            weights = packed.weights(words)
-            weights[weights == 0] = n + 1
-            j = int(weights.argmin())
-            if weights[j] < best_w:
-                best_w, best_cw = int(weights[j]), packed.unpack(words[..., j], n)
-        done += batch
-    del multiples, words               # freed before the forms' stacks are built
+    w, word = _lightest_message(masks, gen, n, trials, np.random.default_rng(seed))
+    if w < best_w:
+        best_w, best_cw = w, packed.unpack(word, n)
 
     rng_sys = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + 1) & (2**63 - 1))
     forms = max(1, trials // 16)
-    # the stack's words stay within _STACK_WORDS: all of a call's forms share
-    # one reduction sweep when they fit
-    per_stack = max(1, _STACK_WORDS // gen.size)
+    # all of a call's forms share one reduction sweep, and so its per-column
+    # cost, when they fit in twice _STACK_WORDS words; more are spread over
+    # the fewest stacks of that size, ceil(forms / stacks) to a stack
+    fit = max(1, 2 * _STACK_WORDS // gen.size)
+    per_stack = -(-forms // -(-forms // fit))
     for start in range(0, forms, per_stack):
         perms = [rng_sys.permutation(n) for _ in range(min(per_stack, forms - start))]
         stack = np.empty(gen.shape + (len(perms),), dtype=packed.WORD)

@@ -289,7 +289,7 @@ def test_sampled_upper_results_are_pinned_across_form_stacks():
     # 10 systematic forms of the [1023, 512]_4 codes, 2 x 16 x 512 words
     # each, fill several stacks of row reductions; the values of the
     # one-form-at-a-time engine
-    assert 10 * 2 * 16 * 512 > 2 * distance._STACK_WORDS
+    assert 10 * 2 * 16 * 512 > 2 * (2 * distance._STACK_WORDS)
     f = make_field(2, 5)
     got = [sampled_upper(code_from_T(f, build_T(4, 5, p)), trials=160, seed=0)
            for p in (0, 1)]
@@ -346,7 +346,7 @@ def test_sampled_upper_working_memory_does_not_grow_with_k():
     f = make_field(2, 4)
     c = code_from_T(f, build_T(4, 4, 0))  # [255, 129]
     # 64 systematic forms of 2 x 4 x 129 words fill two stacks
-    assert 64 * 2 * 4 * 129 > distance._STACK_WORDS
+    assert 64 * 2 * 4 * 129 > 2 * distance._STACK_WORDS
     tracemalloc.start()
     try:
         r = sampled_upper(c, trials=1024, seed=0)
@@ -355,6 +355,22 @@ def test_sampled_upper_working_memory_does_not_grow_with_k():
         tracemalloc.stop()
     assert r.upper == 75
     # a (trials, k, n) gather of the messages would take 16.8 MB
+    assert peak < 4 * 2 ** 20
+
+
+def test_random_messages_working_memory_does_not_grow_with_k():
+    # the [4095, 2047]_4 generator packs to 2 MB; a table of the q
+    # multiples of all its rows would take 8.4 MB, 25 MB while built
+    f = make_field(2, 6)
+    gen = packed.pack(generator_matrix(code_from_T(f, build_T(4, 6, 1))).array, 2)
+    tracemalloc.start()
+    try:
+        w, word = distance._lightest_message(packed.scalar_masks(f), gen, 4095, 512,
+                                             np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w == int(packed.weights(word[..., None])[0]) < 4095
     assert peak < 4 * 2 ** 20
 
 

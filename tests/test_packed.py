@@ -111,10 +111,10 @@ def row_reduce_cases():
 
 # (s, n, k) of matrices that cross 64-column strips: with a small block
 # budget the words right of a strip take its steps through the tables, in
-# groups of g = 4 or 8 steps for s = 1, 2 or 4 for s = 2 and 2 for s = 3
-STRIP_SHAPES = [(1, 129, 65), (1, 257, 200), (1, 320, 250), (2, 200, 65), (2, 257, 130),
+# groups of g = 8 // s steps, for s <= 4 where the rows outnumber a table
+STRIP_SHAPES = [(1, 129, 65), (1, 257, 200), (1, 448, 250), (2, 200, 65), (2, 257, 130),
                 (2, 320, 200), (2, 320, 250), (3, 200, 130), (3, 320, 130), (3, 257, 200),
-                (4, 129, 65), (4, 320, 200), (8, 200, 65), (8, 257, 130)]
+                (4, 129, 65), (4, 448, 400), (8, 200, 65), (8, 257, 130)]
 
 
 def strip_cases(rng):
@@ -206,7 +206,7 @@ def test_strip_tables_match_the_byte_oracle_form_by_form(monkeypatch, budget, fi
         assert np.array_equal(rref, ref)
 
 
-def test_strip_cases_reach_every_table_size_the_cost_model_picks(monkeypatch):
+def test_strip_cases_reach_the_tables_for_s_up_to_4(monkeypatch):
     seen = set()
     real = cyclic._add_combinations
 
@@ -218,8 +218,32 @@ def test_strip_cases_reach_every_table_size_the_cost_model_picks(monkeypatch):
     monkeypatch.setattr(cyclic, "_BLOCK_WORDS", 1 << 8)
     for param in STRIP_CASES:
         reduce_forms(param.values[0], [param.values[1]])
-    # from s = 4 on, q^g more table words than rows cost more than they spare
-    assert seen == {(1, 4), (1, 8), (2, 2), (2, 4), (3, 2)}
+    # from s = 5 on g = 1, and a table costs a row more than a direct step
+    assert seen == {(1, 8), (2, 4), (3, 2), (4, 2)}
+
+
+def test_strip_tables_with_a_partial_last_lane_tile(monkeypatch):
+    # s = 1 tables hold 2^8 words, and a block budget of three of them puts
+    # 5 lanes in tiles of 3 and 2: the last tile starts at lane 3 and is
+    # narrower than the others
+    monkeypatch.setattr(cyclic, "_BLOCK_WORDS", 3 << 8)
+    lanes = []
+    real = cyclic._add_combinations
+
+    def spy(masks, g, right, *rest):
+        lanes.append(right.shape[-1])
+        return real(masks, g, right, *rest)
+
+    monkeypatch.setattr(cyclic, "_add_combinations", spy)
+    f = make_field(1, 2)
+    rng = np.random.default_rng(13)
+    a = rng.integers(0, 2, size=(65, 320), dtype=np.uint8)
+    forms = [a] + [a[:, rng.permutation(320)] for _ in range(4)]
+    for form, (rref, pivots) in zip(forms, reduce_forms(f, forms)):
+        ref, ref_pivots = oracle.row_reduce(f, form)
+        assert pivots == ref_pivots
+        assert np.array_equal(rref, ref)
+    assert lanes and set(lanes) == {5}
 
 
 @pytest.mark.parametrize("budget", [None, 1 << 8, 1 << 12])
