@@ -23,7 +23,7 @@ import click
 
 from tdcodes import bounds, coset, cyclic, distance, verify
 from tdcodes.bounds import DomainError
-from tdcodes.gf import FieldError, FieldSpec, load_field_spec, make_field
+from tdcodes.gf import FieldError, FieldSpec, check_field_size, load_field_spec, make_field
 
 VARIANTS = ("plain", "even_like", "dual", "complement", "extended")
 DISTANCE_MAX_BYTES = 1 << 28  # largest k x n generator matrix `distance` builds
@@ -48,7 +48,13 @@ def _checked_s(q: int, m: int) -> int:
 
 
 def _build_field(q: int, m: int, field_spec_path) -> FieldSpec:
+    """GF(q^m) from the field-spec file or the default moduli: a usage error
+    past TD_MAX_N or outside the field domain, exit 3 if the moduli fail."""
     s = _checked_s(q, m)
+    try:
+        check_field_size(s, m)
+    except FieldError as exc:
+        raise click.UsageError(str(exc)) from None
     if s == 1:
         click.echo("warning: q = 2 is outside the verified bound analysis; "
                    "constructions are exploratory", file=sys.stderr)

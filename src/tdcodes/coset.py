@@ -50,19 +50,6 @@ def _parity_mask(s: int, m: int) -> int:
     return mask
 
 
-def cyclotomic_coset(i: int, q: int, n: int) -> tuple[int, ...]:
-    """The q-cyclotomic coset of i modulo n, sorted ascending."""
-    if math.gcd(n, q) != 1:
-        raise ValueError("q must be invertible modulo n")
-    i %= n
-    orbit = [i]
-    j = i * q % n
-    while j != i:
-        orbit.append(j)
-        j = j * q % n
-    return tuple(sorted(orbit))
-
-
 def leader_mask(q: int, n: int) -> np.ndarray:
     """Whether each i in [0, n) is the least member of its q-cyclotomic
     coset: the orbits i, qi, q^2 i, ... mod n are walked all at once."""

@@ -10,10 +10,9 @@ Code equality is equality of (field, defining set), and derived codes
 (dual, complement, even-like) transform the defining set's mask.  The
 generator polynomial, one minimal polynomial per coset leader in T, is
 computed lazily since set-level derivations never need it.  All minimal
-polynomials step together on the field's log/exp tables (the scalar
-``minimal_polynomial`` serves fields too large for tables), and a
-balanced product tree folds them on the batched multiply of
-:mod:`tdcodes.polys`, an exact bit-plane FFT for long operands.
+polynomials step together on the field's log/exp tables, and a balanced
+product tree folds them on the batched multiply of :mod:`tdcodes.polys`,
+an exact bit-plane FFT for long operands.
 
 ``row_reduce`` brings a whole stack of matrices to reduced echelon form in
 one sweep, one 64-column strip at a time.  Where it pays, the words right
@@ -31,43 +30,17 @@ from functools import cached_property
 import numpy as np
 
 from tdcodes import coset, packed, polys
-from tdcodes.coset import DefiningSet, cyclotomic_coset, negate_set, complement_set, \
-    dual_defining_set
+from tdcodes.coset import DefiningSet, negate_set, complement_set, dual_defining_set
 from tdcodes.gf import FieldError, FieldSpec
-
-
-def minimal_polynomial(field: FieldSpec, i: int) -> tuple[int, ...]:
-    """Minimal polynomial of beta^i over GF(q): the product of (x - beta^j)
-    over the cyclotomic coset of i, projected back to base coefficients,
-    one scalar field operation at a time (the path of fields without
-    tables)."""
-    orbit = cyclotomic_coset(i, field.q, field.n)
-    acc = [1]  # extension-field coefficients, little-endian
-    for j in orbit:
-        root = field.beta_power(j)
-        nxt = [0] * (len(acc) + 1)
-        for t, c in enumerate(acc):
-            if c:
-                nxt[t] ^= field.ext_mul(root, c)
-                nxt[t + 1] ^= c
-        acc = nxt
-    return tuple(field.project_base(c) for c in acc)
 
 
 def _minimal_polynomials(field: FieldSpec, leaders: np.ndarray):
     """The minimal polynomials of beta^e for the coset leaders e, as uint8
     rows of m + 1 base coefficients (zero above each degree) and their
-    degrees.  With the field tables, all rows step at once: step t
-    multiplies each row by x + beta^(e q^t) by log/exp gathers, until
-    e q^(t+1) = e closes the row's coset."""
-    tables = field._ext_tables
-    if tables is None:
-        mins = [minimal_polynomial(field, e) for e in leaders.tolist()]
-        rows = np.zeros((leaders.size, field.m + 1), dtype=np.uint8)
-        for row, p in zip(rows, mins):
-            row[:len(p)] = p
-        return rows, np.array([len(p) - 1 for p in mins], dtype=np.intp)
-    exp, log = tables
+    degrees.  All rows step at once: step t multiplies each row by
+    x + beta^(e q^t) by log/exp gathers, until e q^(t+1) = e closes the
+    row's coset."""
+    exp, log = field._ext_tables
     n, q = field.n, field.q
     acc = np.zeros((leaders.size, field.m + 1), dtype=np.int32)  # extension coefficients
     acc[:, 0] = 1

@@ -4,9 +4,10 @@ Base-field elements of GF(q), q = 2^s, are integers in [0, q) read as
 little-endian coefficient bit vectors over GF(2), so base addition is XOR.
 Extension elements of GF(q^m) are packed integers holding m base
 coefficients in s-bit groups, which makes extension addition plain XOR as
-well.  Multiplication reduces modulo the chosen moduli; discrete-log
-tables accelerate both fields whenever the field fits (q^m <= 2^20),
-with polynomial-basis arithmetic as the fallback above that.
+well.  Multiplication reads discrete-log tables of both fields.
+
+The domain is s in 1..8, m in 2..16 and q^m <= MAX_TABLE_ORDER = 2^22, so
+every field has its exp/log tables; larger fields are refused up front.
 
 A modulus is validated by the order of its root alone: a root of full
 order q^m - 1 makes every nonzero residue a unit, so the modulus is
@@ -15,104 +16,48 @@ The order test reads x^(q^m) = x and then x^(n/p) != 1 for each prime
 p | n off GF(2)-linear maps of the s*m packed bits (squaring and times x
 modulo the candidate, one list of bit images each).  The default-modulus
 search first drops, a block of q candidates at a time, every candidate with
-a root in GF(q).  It still tests candidates one by one in a fixed order, so
-fields whose first primitive modulus comes late stay slow: each of (5, 8),
-(5, 16), (6, 8), (6, 12), (6, 16), (7, 8), (7, 11), (7, 12), (7, 13),
-(7, 16), (8, 4), (8, 6), (8, 8), (8, 9), (8, 10), (8, 12), (8, 14) and
-(8, 16) needs more than 5 s without an explicit ``ext_modulus``.
+a root in GF(q), then tests the rest one by one in a fixed order.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-MAX_TABLE_ORDER = 1 << 20
+MAX_TABLE_ORDER = 1 << 22  # the largest q^m of the field domain
 
 
 class FieldError(ValueError):
     """Bad modulus, unsupported size, or invalid element operation."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    # Miller-Rabin with the first 13 prime bases: deterministic below
-    # 3.3e24; the field orders above that are cross-checked in the tests
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_brent(n: int) -> int:
-    """A proper factor of the composite n (Brent's cycle search, gcds
-    batched over 128 steps)."""
-    for c in itertools.count(1):
-        y, r, g, prod = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    prod = prod * (x - y) % n
-                g = math.gcd(prod, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot: replay it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g
+def check_field_size(s: int, m: int) -> None:
+    """Refuse a GF((2^s)^m) outside the field domain: s in 1..8, m in 2..16
+    and q^m <= MAX_TABLE_ORDER."""
+    if not 1 <= s <= 8:
+        raise FieldError(f"unsupported base degree s={s} (need 1..8)")
+    if not 2 <= m <= 16:
+        raise FieldError(f"unsupported extension degree m={m} (need 2..16)")
+    if 1 << (s * m) > MAX_TABLE_ORDER:
+        raise FieldError(f"q^m = 2^{s * m} = {1 << (s * m)} is over the field "
+                         f"limit 2^{MAX_TABLE_ORDER.bit_length() - 1} = {MAX_TABLE_ORDER}")
 
 
 def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending."""
-    found = set()
+    """Distinct prime factors of n >= 1, ascending, by trial division: every
+    order of the field domain is below 2^22, so p runs to 2048 at most."""
+    found = []
     p = 2
-    while p < 1000 and p * p <= n:  # composite p never divides what is left
+    while p * p <= n:  # composite p never divides what is left
         if n % p == 0:
-            found.add(p)
+            found.append(p)
             while n % p == 0:
                 n //= p
         p += 1
-    rest = [n] if n > 1 else []
-    while rest:
-        k = rest.pop()
-        if _is_prime(k):
-            found.add(k)
-        else:
-            d = _pollard_brent(k)
-            rest += [d, k // d]
-    return sorted(found)
+    return found + [n] if n > 1 else found
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +189,7 @@ class FieldSpec:
     ext_modulus: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.s <= 8:
-            raise FieldError(f"unsupported base degree s={self.s} (need 1..8)")
-        if not 2 <= self.m <= 16:
-            raise FieldError(f"unsupported extension degree m={self.m} (need 2..16)")
+        check_field_size(self.s, self.m)
         if self.base_modulus.bit_length() - 1 != self.s:
             raise FieldError("base modulus degree mismatch")
         if len(self.ext_modulus) != self.m + 1:
@@ -316,18 +258,15 @@ class FieldSpec:
         return self.pack_coeffs(self.ext_modulus[:-1])
 
     @cached_property
-    def _ext_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def _ext_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(exp, log) as read-only int32 arrays: exp[k] = beta^k for k < n,
-        log[exp[k]] = k and log[0] = -1; None above MAX_TABLE_ORDER.
+        log[exp[k]] = k and log[0] = -1.
 
         exp is built by doubling, exp[2^j + i] = beta^(2^j) exp[i].  Times a
         fixed element is a GF(2)-linear map of the s*m packed bits, so each
         doubling is one masked XOR of the image of each bit, and the next
         beta^(2^(j+1)) comes from the squaring map.  The root is primitive
         iff its first n powers are distinct and beta^n = 1."""
-        size = self.q ** self.m
-        if size > MAX_TABLE_ORDER:
-            return None
         n = self.n
         exp = np.empty(n, dtype=np.int32)
         exp[0] = 1
@@ -340,7 +279,7 @@ class FieldSpec:
                 out ^= ((src >> b) & 1) * image
             done += src.size
             c = self._ext_square(c)
-        log = np.full(size, -1, dtype=np.int32)
+        log = np.full(n + 1, -1, dtype=np.int32)
         log[exp] = np.arange(n, dtype=np.int32)
         if np.count_nonzero(log >= 0) != n \
                 or self._ext_times_x(int(exp[-1])) != 1:
@@ -407,8 +346,8 @@ class FieldSpec:
         return r
 
     def _ext_pow_poly(self, a: int, e: int) -> int:
-        # raw square-and-multiply; exponent reduction mod n is only sound
-        # once the modulus is known to be primitive, so callers do it
+        # raw square-and-multiply modulo any monic modulus, primitive or
+        # not (Rabin's test words a rejection with it), so e is not reduced
         r = 1
         while e:
             if e & 1:
@@ -423,26 +362,11 @@ class FieldSpec:
     def ext_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        t = self._ext_tables
-        if t is None:
-            return self._ext_mul_poly(a, b)
-        exp, log = t
+        exp, log = self._ext_tables
         return int(exp[(int(log[a]) + int(log[b])) % self.n])
 
     def beta_power(self, i: int) -> int:
-        t = self._ext_tables
-        if t is None:
-            return self._ext_pow_poly(self.beta, i % self.n)
-        return int(t[0][i % self.n])
-
-    # -- subfield embedding --------------------------------------------------
-
-    def project_base(self, x: int) -> int:
-        """The base-field element x is, as a packed extension element (GF(q)
-        embeds as the constants); fails if x lies outside the embedded GF(q)."""
-        if not 0 <= x < self.q:
-            raise FieldError(f"element {x} is not in the base subfield")
-        return x
+        return int(self._ext_tables[0][i % self.n])
 
     # -- numpy helper tables for matrix work --------------------------------
 
@@ -530,8 +454,7 @@ def make_field(s: int, m: int,
                base_modulus: int | None = None,
                ext_modulus: tuple[int, ...] | None = None) -> FieldSpec:
     """Validated field tower; defaults are chosen deterministically."""
-    if not 1 <= s <= 8 or not 2 <= m <= 16:
-        raise FieldError(f"unsupported sizes s={s}, m={m} (need 1<=s<=8, 2<=m<=16)")
+    check_field_size(s, m)
     if base_modulus is None:
         base_modulus = default_base_modulus(s)
     else:

@@ -22,9 +22,10 @@ from tdcodes.gf import FieldSpec, make_field
 
 STRUCTURE_CHECK_MAX_N = 16383
 WITNESS_MAX_LENGTH = 1 << 22
-# suites that build codes, and so accept a caller-supplied field
-FIELD_SUITES = ("thm2", "thm3", "thm16", "thm18")
-SIZED_SUITES = FIELD_SUITES + ("lemma1", "lemma6")  # work grows with n
+# suites that build a field, and so accept a caller-supplied one
+FIELD_SUITES = ("thm2", "thm3")
+# suites whose work grows with n
+SIZED_SUITES = ("thm2", "thm3", "thm16", "thm18", "lemma1", "lemma6")
 # the theorems whose cases are the rows of bounds.BOUND_CASES
 _THEOREM_DOMAINS = {"thm8": "odd m >= 3", "thm12": "m = 2 mod 4",
                     "thm15": "m = 0 mod 4"}
@@ -265,41 +266,51 @@ def verify_bound_theorem(theorem: str, q: int, m: int) -> list[ClaimCheck]:
         f"d >= {bounds.theorem_bound(q, m, Parity.EVEN)}")]
 
 
-def verify_thm16(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimCheck]:
+def _defining_sets(q: int, m: int):
+    """(T_0, T_1): the parameter summaries read only the defining sets,
+    never g, so they build no field."""
+    _s_of(q)
+    return coset.build_T(q, m, Parity.EVEN), coset.build_T(q, m, Parity.ODD)
+
+
+def verify_thm16(q: int, m: int) -> list[ClaimCheck]:
     """Odd-m parameter summary for the pair, the extension, and the
     even-like codes."""
     _require(m >= 3 and m % 2 == 1, f"need odd m >= 3, got m={m}")
-    f, c0, c1 = _pair(q, m, field)
-    n = f.n
+    Ts = _defining_sets(q, m)
+    n = Ts[0].n
+    k0, k1 = (n - len(T) for T in Ts)
     d = bounds.theorem_bound(q, m, Parity.EVEN)
     return [
         ClaimCheck("pair has parameters [n, (n+1)/2]",
-                   c0.k == c1.k == (n + 1) // 2, f"[{n}, {c0.k}]"),
+                   k0 == k1 == (n + 1) // 2, f"[{n}, {k0}]"),
         ClaimCheck("extension has parameters [n+1, (n+1)/2]",
-                   c0.k == (n + 1) // 2, f"[{n + 1}, {c0.k}]"),
+                   k0 == (n + 1) // 2, f"[{n + 1}, {k0}]"),
+        # an even-like code adjoins 0 to T, which drops k by one
         ClaimCheck("even-like codes have parameters [n, (n-1)/2]",
-                   all(cyclic.even_like(c).k == (n - 1) // 2 for c in (c0, c1)),
-                   ""),
+                   all(0 not in T and k - 1 == (n - 1) // 2
+                       for T, k in zip(Ts, (k0, k1))), ""),
         ClaimCheck("distance bound q^((m-1)/2) + 2q - 1",
-                   _bounds_witnessed(q, m, lambda p: (c0, c1)[p].T), f"d >= {d}"),
+                   _bounds_witnessed(q, m, Ts.__getitem__), f"d >= {d}"),
     ]
 
 
-def verify_thm18(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimCheck]:
+def verify_thm18(q: int, m: int) -> list[ClaimCheck]:
     """Even-m parameter summary for the two LCD codes."""
     _require(m >= 2 and m % 2 == 0, f"need even m >= 2, got m={m}")
-    f, c0, c1 = _pair(q, m, field)
-    n = f.n
+    Ts = _defining_sets(q, m)
+    n = Ts[0].n
+    k0, k1 = (n - len(T) for T in Ts)
     d0 = bounds.theorem_bound(q, m, Parity.EVEN)
     d1 = bounds.theorem_bound(q, m, Parity.ODD)
     return [
         ClaimCheck("LCD codes (defining-set level)",
-                   cyclic.is_lcd(c0) and cyclic.is_lcd(c1), ""),
+                   all(coset.negate_set(T) == T for T in Ts), ""),
         ClaimCheck("parameters [n, (n+3)/2] and [n, (n-1)/2]",
-                   c0.k == (n + 3) // 2 and c1.k == (n - 1) // 2,
-                   f"k0={c0.k}, k1={c1.k}"),
+                   k0 == (n + 3) // 2 and k1 == (n - 1) // 2,
+                   f"k0={k0}, k1={k1}"),
         ClaimCheck("distance bounds per the case table",
-                   _bounds_witnessed(q, m, lambda p: (c0, c1)[p].T),
+                   _bounds_witnessed(q, m, Ts.__getitem__),
                    f"d0 >= {d0}, d1 >= {d1}"),
     ]
 

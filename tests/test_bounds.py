@@ -4,14 +4,13 @@ import random
 import pytest
 
 import oracle
-from oracle import SMALL_QM, progression_members, q_weight
+from oracle import SMALL_QM, cyclotomic_coset, progression_members, q_weight
 from tdcodes import bounds
 from tdcodes.bounds import (BOUND_CASES, APWitness, BoundReport, DomainError,
                             ap_in_set, bch_search, bound_case,
                             lemma_bound_report, lemma_witness, negate_witness,
                             report_to_json, theorem_bound, witnesses_for)
-from tdcodes.coset import (Parity, build_T, cyclotomic_coset, defining_set,
-                           negate_set, scale_set)
+from tdcodes.coset import Parity, build_T, defining_set, negate_set, scale_set
 
 UP_TO_255 = [(q, m) for q, m in SMALL_QM if q ** m - 1 <= 255]
 

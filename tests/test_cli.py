@@ -134,6 +134,30 @@ def test_max_n_guard(runner, monkeypatch):
         assert "TD_MAX_N" in res.stderr, args
 
 
+def test_field_limit_guard(runner, monkeypatch, tmp_path):
+    # with TD_MAX_N out of the way, a command that builds a field past
+    # q^m = 2^22 exits 2 naming q^m and the limit, before it reads a
+    # field-spec file; a bad field-spec file inside the limit still exits 3
+    monkeypatch.setenv("TD_MAX_N", str(1 << 40))
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("not a field spec")
+    for args, order in ((["construct", "--q", "4", "--m", "12"], "2^24"),
+                        (["construct", "--q", "256", "--m", "4"], "2^32"),
+                        (["verify", "--id", "thm2", "--q", "4", "--m", "13"], "2^26"),
+                        (["construct", "--q", "4", "--m", "12",
+                          "--field-spec", str(garbage)], "2^24")):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, args
+        assert f"q^m = {order} = " in res.stderr, args
+        assert "over the field limit 2^22" in res.stderr, args
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"s": 2, "m": 3, "base_modulus": [1, 0, 1],
+                               "ext_modulus": [[2], [1], [1], [1]]}))
+    res = runner.invoke(main, ["construct", "--q", "4", "--m", "3",
+                               "--field-spec", str(bad)])
+    assert res.exit_code == 3
+
+
 def test_verify_rejects_a_witness_over_the_length_cap(runner, monkeypatch):
     from tdcodes import coset
 

@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import SMALL_QM, coset_partition, q_adic_digits, q_weight
+from oracle import (SMALL_QM, coset_partition, cyclotomic_coset, q_adic_digits,
+                    q_weight)
 from tdcodes import coset
 from tdcodes.bounds import bch_search
 from tdcodes.coset import (CheckResult, Parity, build_T, complement_set,
-                           cyclotomic_coset, defining_set, dual_defining_set,
-                           gcd_lemma5_check, leader_mask, lemma6_check,
-                           negate_set, scale_set, splitting_check)
+                           defining_set, dual_defining_set, gcd_lemma5_check,
+                           leader_mask, lemma6_check, negate_set, scale_set,
+                           splitting_check)
 from tdcodes.cyclic import code_from_T, generator_polynomial
 from tdcodes.gf import make_field
 

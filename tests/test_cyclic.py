@@ -10,9 +10,8 @@ from tdcodes.cyclic import (_gram_band, code_from_T, complement_code,
                             dual_code, even_like, extend_code,
                             extension_is_self_dual, generator_matrix,
                             generator_polynomial, hull_dimension, is_lcd,
-                            is_self_orthogonal, minimal_polynomial,
-                            poly_pretty, code_to_json)
-from tdcodes.gf import make_field
+                            is_self_orthogonal, poly_pretty, code_to_json)
+from tdcodes.gf import MAX_TABLE_ORDER, make_field
 
 # generator polynomials of the two quaternary length-63 codes, little-endian
 # base reprs (0, 1, w -> 2, w^2 -> 3); known printed values for this tower
@@ -32,12 +31,12 @@ def pair(field, q, m):
 
 def test_minimal_polynomial_of_one():
     f = make_field(2, 2)
-    assert minimal_polynomial(f, 0) == (1, 1)  # x + 1
+    assert oracle.minimal_polynomial(f, 0) == (1, 1)  # x + 1
 
 
 def test_minimal_polynomial_degree_one_coset():
     f = make_field(2, 2)
-    mp = minimal_polynomial(f, 5)
+    mp = oracle.minimal_polynomial(f, 5)
     assert len(mp) == 2 and mp[1] == 1
     assert oracle.embed_base(f, mp[0]) == f.beta_power(5)
 
@@ -114,7 +113,7 @@ def test_poly_gcd(s):
     part = oracle.coset_partition(f.q, f.n)
     leaders = rng.sample(part.leaders, min(6, len(part.leaders)))
     for i, j in zip(leaders, leaders[1:]):
-        mi, mj = minimal_polynomial(f, i), minimal_polynomial(f, j)
+        mi, mj = oracle.minimal_polynomial(f, i), oracle.minimal_polynomial(f, j)
         assert polys.gcd(f, mi, mj) == (1,)
         assert polys.gcd(f, polys.mul(f, mi, mj), mi) == mi
 
@@ -138,7 +137,7 @@ def test_product_of_minimal_polynomials_is_x_n_minus_1(s, m):
     part = oracle.coset_partition(f.q, f.n)
     prod = (1,)
     for leader in part.leaders:
-        mp = minimal_polynomial(f, leader)
+        mp = oracle.minimal_polynomial(f, leader)
         assert len(mp) - 1 == len(part.coset(leader))
         prod = polys.mul(f, prod, mp)
     assert prod == oracle.x_pow_n_plus_1(f.n)
@@ -204,17 +203,21 @@ def test_generator_roots_under_a_second_primitive_modulus(s, m):
             assert (oracle.eval_ext(f, g, f.beta_power(i)) == 0) == (i in T), i
 
 
-def test_generator_polynomial_on_a_field_without_tables():
-    # q^m = 2^21 is past MAX_TABLE_ORDER: the scalar minimal polynomials
-    # feed the same product tree
-    f = make_field(7, 3)
-    assert f._ext_tables is None
-    T = defining_set(f.n, f.q, (0, 1, 128, 16384, 3, 384, 49152))
-    g = generator_polynomial(f, T)
+@pytest.mark.parametrize("s,m", [(7, 3), (2, 11)])
+def test_generator_polynomial_on_a_field_past_2_20(s, m):
+    # fields up to q^m = 2^22 build their tables, and g matches the product
+    # of the oracle's scalar minimal polynomials
+    f = make_field(s, m)
+    assert 1 << 20 < f.q ** m <= MAX_TABLE_ORDER
+    exp, log = f._ext_tables
+    assert exp.size == f.n and log.size == f.n + 1
+    leaders = (0, 1, 3)
+    T = defining_set(f.n, f.q, [e for i in leaders
+                                for e in oracle.cyclotomic_coset(i, f.q, f.n)])
     want = (1,)
-    for i in (0, 1, 3):
-        want = oracle.poly_mul(f, want, minimal_polynomial(f, i))
-    assert g == want and len(g) == 8
+    for i in leaders:
+        want = oracle.poly_mul(f, want, oracle.minimal_polynomial(f, i))
+    assert generator_polynomial(f, T) == want and len(want) == 2 * m + 2
 
 
 @pytest.mark.parametrize("s", range(1, 9))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import oracle
-from tdcodes import polys
-from tdcodes.gf import (FieldError, FieldSpec, _prime_factors,
+from tdcodes import gf, polys
+from tdcodes.gf import (MAX_TABLE_ORDER, FieldError, FieldSpec, _prime_factors,
                         default_base_modulus, field_spec_from_json, make_field)
 
 EXAMPLE_FIELD = dict(s=2, m=3, base_modulus=0b111, ext_modulus=(2, 1, 1, 1))
@@ -160,18 +160,17 @@ def test_order_test_matches_the_pow_test(s, m):
 
 def test_default_ext_modulus_matches_the_pow_search():
     # the root sieve and the squaring-map order test pick the same modulus
-    # as a power test of every candidate: each field with q^m <= 2^22, and
-    # three past the table limit
+    # as a power test of every candidate: each field of the domain
     sizes = [(s, m) for s in range(1, 9) for m in range(2, 17)
-             if (1 << s) ** m <= 1 << 22] + [(2, 12), (3, 8), (4, 6)]
+             if (1 << s) ** m <= MAX_TABLE_ORDER]
     for s, m in sizes:
         want = oracle.default_ext_modulus(s, m, default_base_modulus(s))
         assert make_field(s, m).ext_modulus == want, (s, m)
 
 
-@pytest.mark.parametrize("s,m", [(2, 3), (3, 7), (8, 16), (5, 9)])
+@pytest.mark.parametrize("s,m", [(2, 3), (3, 7), (7, 3), (2, 11)])
 def test_times_x_and_square_match_the_coefficient_loop(s, m):
-    # on random monic moduli, primitive or not, past the table limit too
+    # on random monic moduli, primitive or not, up to q^m = 2^22
     rng = random.Random(31 * s + m)
     q = 1 << s
     for _ in range(4):
@@ -193,8 +192,9 @@ def test_np_tables_match_the_loop():
 
 
 def test_prime_factors_match_sympy():
+    # every order of the field domain, 2^k - 1 for k <= 22, and 1..2000
     sympy = pytest.importorskip("sympy")
-    orders = {2 ** (s * m) - 1 for s in range(1, 9) for m in range(2, 17)}
+    orders = {2 ** k - 1 for k in range(1, 23)}
     for n in sorted(orders | set(range(1, 2001))):
         assert _prime_factors(n) == sorted(sympy.factorint(n)), n
 
@@ -206,6 +206,24 @@ def test_unsupported_sizes():
         make_field(9, 2)
     with pytest.raises(FieldError):
         make_field(2, 1)
+
+
+@pytest.mark.parametrize("s,m", [(2, 12), (8, 4), (8, 16)])
+def test_fields_past_2_22_are_refused_before_any_modulus_search(s, m, monkeypatch):
+    # q^m = 2^24, 2^32 and 2^128: refused with q^m and the limit named, by
+    # make_field before its default-modulus search and by FieldSpec itself
+    def refuse(*args):
+        raise AssertionError("a modulus search ran")
+
+    monkeypatch.setattr(gf, "default_ext_modulus", refuse)
+    monkeypatch.setattr(gf, "default_base_modulus", refuse)
+    message = f"q^m = 2^{s * m} = {1 << (s * m)} is over the field limit 2^22 = 4194304"
+    with pytest.raises(FieldError) as exc:
+        make_field(s, m)
+    assert str(exc.value) == message
+    with pytest.raises(FieldError) as exc:
+        FieldSpec(s, m, default_base_modulus(s), (1,) * m + (1,))
+    assert str(exc.value) == message
 
 
 def test_base_gf4_multiplication_table():
@@ -298,17 +316,25 @@ def test_embed_base_is_a_ring_embedding():
 
 def test_project_base_rejects_non_subfield_elements():
     f = example_field()
+    assert [oracle.project_base(f, a) for a in range(4)] == [0, 1, 2, 3]
     with pytest.raises(FieldError):
-        f.project_base(f.beta)
+        oracle.project_base(f, f.beta)
 
 
-def test_big_field_falls_back_to_polynomial_arithmetic():
-    f = make_field(2, 11)  # 4^11 = 2^22 > table limit
-    assert f._ext_tables is None
+def test_largest_field_runs_on_tables():
+    # 4^11 = 2^22, the field limit: the tables exist, and their products
+    # match the polynomial-basis products
+    f = make_field(2, 11)
+    exp, log = f._ext_tables
+    assert exp.size == f.n and log.size == f.n + 1
     assert f.ext_mul(f.beta, oracle.ext_inv(f, f.beta)) == 1
     assert f.beta_power(f.n) == 1
     a = f.beta_power(12345)
     assert f.ext_mul(a, f.beta_power(f.n - 12345)) == 1
+    rng = random.Random(11)
+    for _ in range(200):
+        x, y = rng.randrange(f.n + 1), rng.randrange(f.n + 1)
+        assert f.ext_mul(x, y) == f._ext_mul_poly(x, y)
 
 
 def test_field_spec_json_round_trip():

@@ -170,6 +170,18 @@ def test_thm18_suite(q, m):
     all_ok(run_suite("thm18", q, m))
 
 
+@pytest.mark.parametrize("claim,m", [("thm16", 3), ("thm18", 4)])
+def test_parameter_summaries_build_no_field(monkeypatch, claim, m):
+    # thm16 and thm18 read only each parity's T and k = n - |T|, never g
+    from tdcodes import verify
+
+    def refuse(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(verify, "make_field", refuse)
+    all_ok(run_suite(claim, 4, m))
+
+
 @pytest.mark.parametrize("suite,wid,q,m,claim", [
     ("thm8", "lemma7", 4, 3, "shared lower bound for both codes of the pair"),
     ("thm16", "lemma7", 4, 3, "distance bound q^((m-1)/2) + 2q - 1"),
