@@ -16,6 +16,7 @@ import numpy as np
 
 from tdcodes import coset
 from tdcodes.coset import DefiningSet, Parity
+from tdcodes.gf import _prime_factors
 
 
 class DomainError(ValueError):
@@ -244,6 +245,25 @@ def _longest_run(t: int, n: int, a: int, floor: int) -> tuple[int, int]:
     return length, (hits & -hits).bit_length() - 1
 
 
+def _unit_mask(n: int) -> np.ndarray:
+    """Whether each i in [0, n) is a unit modulo n: the multiples of each
+    prime factor of n are sieved out."""
+    unit = np.ones(n, dtype=bool)
+    for p in _prime_factors(n):
+        unit[::p] = False
+    return unit
+
+
+def _kth_true(mask: np.ndarray, k: int) -> int:
+    """The index of the k-th True of mask (from 0; mask has more than k),
+    counted a block at a time."""
+    for lo, hi in coset._blocks(mask.size):
+        found = int(np.count_nonzero(mask[lo:hi]))
+        if k < found:
+            return lo + int(np.flatnonzero(mask[lo:hi])[k])
+        k -= found
+
+
 def bch_search(T: DefiningSet, budget: int | None = None) -> BoundReport:
     """Maximum progression-based bound over all (a, b).
 
@@ -266,14 +286,15 @@ def bch_search(T: DefiningSet, budget: int | None = None) -> BoundReport:
         return BoundReport(1, None, "exhaustive search")
     if T.mask.all():
         return BoundReport(n, APWitness(0, 1, 0, n - 2), "exhaustive search")
-    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-    partial = budget is not None and budget < units.size
+    units = _unit_mask(n)
+    partial = budget is not None and budget < np.count_nonzero(units)
     if partial:
-        units = units[:max(budget, 0)]
+        units[_kth_true(units, max(budget, 0)):] = False
+    units &= coset._orbit_leaders(T.q, n, signed=True)
     t = int.from_bytes(np.packbits(T.mask, bitorder="little").tobytes(), "little")
     best_len = 0
     best_a = best_b = 0
-    for a in units[coset._orbit_leaders(T.q, n, signed=True)[units]].tolist():
+    for a in np.flatnonzero(units).tolist():
         length, b = _longest_run(t, n, a, best_len + 1)
         if length:
             best_len, best_a, best_b = length, a, b

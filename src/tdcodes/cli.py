@@ -107,7 +107,8 @@ def main():
               default="json", show_default=True)
 @click.option("--pretty", "pretty_flag", is_flag=True,
               help="Shorthand for --format pretty.")
-@click.option("--field-spec", "field_spec_path", type=click.Path(exists=True),
+@click.option("--field-spec", "field_spec_path",
+              type=click.Path(exists=True, dir_okay=False),
               default=None, help="JSON file overriding the default moduli.")
 @click.option("--out", type=click.Path(), default=None)
 def construct(q, m, parity, variant, fmt, pretty_flag, field_spec_path, out):
@@ -141,10 +142,10 @@ def inspect(q, m, parity, fmt):
     _checked_s(q, m)
     n = q ** m - 1
     T = coset.build_T(q, m, parity)
-    cosets = int((T.mask & coset.leader_mask(q, n)).sum())
+    cosets = coset.coset_count(T)
     data = {"q": q, "m": m, "parity": parity, "n": n, "set_size": len(T),
             "k": n - len(T), "cosets": cosets,
-            "fixed_by_negation": coset.negate_set(T) == T}
+            "fixed_by_negation": coset.is_negation(T, T)}
     text = (f"T_({q},{m};{parity}): n={n}, |T|={len(T)}, k={n - len(T)}, "
             f"{cosets} cosets, fixed by negation: "
             f"{data['fixed_by_negation']}")
@@ -157,7 +158,8 @@ def inspect(q, m, parity, fmt):
               help="Claim suite to run.")
 @click.option("--q", type=int, required=True)
 @click.option("--m", type=int, required=True)
-@click.option("--field-spec", "field_spec_path", type=click.Path(exists=True),
+@click.option("--field-spec", "field_spec_path",
+              type=click.Path(exists=True, dir_okay=False),
               default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "pretty"]),
               default="pretty", show_default=True)
@@ -220,12 +222,13 @@ def bound(q, m, parity, search, budget, out):
 @click.option("--parity", type=click.IntRange(0, 1), default=0, show_default=True)
 @click.option("--variant", type=click.Choice(VARIANTS), default="plain",
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--cap", type=int, default=distance.DEFAULT_CAP, show_default=True,
               help="Max codeword evaluations for exact enumeration.")
 @click.option("--trials", type=click.IntRange(min=1), default=2048,
               show_default=True)
-@click.option("--field-spec", "field_spec_path", type=click.Path(exists=True),
+@click.option("--field-spec", "field_spec_path",
+              type=click.Path(exists=True, dir_okay=False),
               default=None)
 @click.option("--out", type=click.Path(), default=None)
 def distance_cmd(q, m, parity, variant, seed, cap, trials, field_spec_path, out):

@@ -7,7 +7,9 @@ it, never loops over members.
 
 Every code length here is n = q^m - 1 = 2^(sm) - 1 with q = 2^s, so
 multiplying a residue by q mod n rotates its B = sm bits left by s
-(``_times_q``).  Residue arrays are unsigned and as narrow as that step
+(``_times_q``).  The kernels walk the residues one block of ``_BLOCK`` at a
+time (``_blocks``), so besides the masks they return they hold only
+fixed-size scratch.  Residue blocks are unsigned and as narrow as that step
 allows (``_residues``): uint32 below 2^32, else uint64.  Any other modulus
 keeps the product x*q mod n.  Base-q digit sums for the Lemma 6 reflection
 come from one table built digit by digit, wt(d q^j + i) = d + wt(i).
@@ -41,13 +43,19 @@ class CheckResult:
         return self.ok
 
 
-def _parity_mask(s: int, m: int) -> int:
-    # bit j*s of i is the low bit of digit j, so the digit-sum parity of i
-    # is the popcount parity of i & mask
-    mask = 0
-    for j in range(m):
-        mask |= 1 << (j * s)
-    return mask
+_BLOCK = 1 << 15  # residues per step of the blocked kernels
+
+
+def _blocks(n: int):
+    """(lo, hi) for consecutive blocks of [0, n), _BLOCK long but the last."""
+    for lo in range(0, n, _BLOCK):
+        yield lo, min(lo + _BLOCK, n)
+
+
+def _overlap(a: np.ndarray, b: np.ndarray) -> int:
+    """|a & b| for boolean arrays (or views) of one length, a block at a time."""
+    return sum(int(np.count_nonzero(a[lo:hi] & b[lo:hi]))
+               for lo, hi in _blocks(a.size))
 
 
 def leader_mask(q: int, n: int) -> np.ndarray:
@@ -65,13 +73,13 @@ def _rotation(q: int, n: int) -> tuple[int, int] | None:
     return B, (q.bit_length() - 1) % B
 
 
-def _residues(q: int, n: int) -> np.ndarray:
-    """0, 1, ..., n-1 in the narrowest unsigned type ``_times_q`` works in:
-    uint32 when its values stay below 2^32, else uint64.  A rotation needs
-    only n < 2^32 (the bits its left shift pushes past the word are the
-    ones the mask drops); a product needs (n - 1)(q mod n) < 2^32."""
+def _residues(q: int, n: int, lo: int, hi: int) -> np.ndarray:
+    """lo, lo + 1, ..., hi - 1 in the narrowest unsigned type ``_times_q``
+    works in modulo n: uint32 when its values stay below 2^32, else uint64.
+    A rotation needs only n < 2^32 (the bits its left shift pushes past the
+    word are the ones the mask drops); a product needs (n - 1)(q mod n) < 2^32."""
     top = n if _rotation(q, n) else (n - 1) * (q % n)
-    return np.arange(n, dtype=np.uint32 if top < 1 << 32 else np.uint64)
+    return np.arange(lo, hi, dtype=np.uint32 if top < 1 << 32 else np.uint64)
 
 
 def _times_q(x: np.ndarray, q: int, n: int, tmp: np.ndarray) -> np.ndarray:
@@ -104,18 +112,23 @@ def _order(q: int, n: int) -> int:
 def _orbit_leaders(q: int, n: int, signed: bool) -> np.ndarray:
     """Whether each i in [0, n) is the least of its orbit under
     multiplication by the powers of q, and with ``signed`` by their
-    negatives too: the orbit minimum is kept over the order of q steps."""
+    negatives too: block by block, the orbit minimum is kept over the order
+    of q steps, and one more step brings the block back to its residues."""
     if math.gcd(n, q) != 1:
         raise ValueError("q must be invertible modulo n")
-    x = _residues(q, n)
-    low, tmp = x.copy(), np.empty_like(x)
-    for j in range(_order(q, n)):
-        if j:
-            np.minimum(low, _times_q(x, q, n, tmp), out=low)
-        if signed:
-            np.minimum(low, np.subtract(n, x, out=tmp), out=low)
-    del x, tmp
-    return low == _residues(q, n)
+    order = _order(q, n)
+    out = np.empty(n, dtype=bool)
+    for lo, hi in _blocks(n):
+        x = _residues(q, n, lo, hi)
+        low, tmp = x.copy(), np.empty_like(x)
+        for j in range(order):
+            if j:
+                np.minimum(low, _times_q(x, q, n, tmp), out=low)
+            if signed:
+                np.minimum(low, np.subtract(n, x, out=tmp), out=low)
+        np.equal(low, _times_q(x, q, n, tmp), out=out[lo:hi])
+        del x, low, tmp  # before the next block's are made
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,10 +170,13 @@ class DefiningSet:
 def _first_unclosed(S: DefiningSet) -> int | None:
     """The least member e of S with qe mod n outside S, or None when S is
     closed under multiplication by q."""
-    x = _residues(S.q, S.n)
-    bad = S.mask & ~S.mask[_times_q(x, S.q, S.n, np.empty_like(x))]
-    e = int(bad.argmax())
-    return e if bad[e] else None
+    q, n, mask = S.q, S.n, S.mask
+    for lo, hi in _blocks(n):
+        x = _residues(q, n, lo, hi)
+        bad = mask[lo:hi] & ~mask[_times_q(x, q, n, np.empty_like(x))]
+        if bad.any():
+            return lo + int(bad.argmax())
+    return None
 
 
 def defining_set(n: int, q: int, elems, validate: bool = True) -> DefiningSet:
@@ -187,9 +203,16 @@ def build_T(q: int, m: int, parity: Parity | int) -> DefiningSet:
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     want = int(Parity(parity))
-    x = _residues(q, q ** m - 1)
-    x &= _parity_mask(s, m)
-    mask = (np.bitwise_count(x) & 1) == want
+    # filled in place by doubling: adding 2^b to i < 2^b adds 2^(b mod s) to
+    # digit b // s, which flips the digit-sum parity only when s divides b
+    mask = np.empty(q ** m - 1, dtype=bool)
+    mask[0] = want == 0
+    for b in range(s * m):
+        lo, hi = 1 << b, min(2 << b, mask.size)
+        if b % s:
+            mask[lo:hi] = mask[:hi - lo]
+        else:
+            np.logical_not(mask[:hi - lo], out=mask[lo:hi])
     mask[0] = False
     return DefiningSet(q, mask)
 
@@ -200,13 +223,48 @@ def build_T(q: int, m: int, parity: Parity | int) -> DefiningSet:
 
 def negate_set(S: DefiningSet) -> DefiningSet:
     """Elementwise -x mod n; preserves coset closure."""
-    return DefiningSet(S.q, np.roll(S.mask[::-1], 1))
+    mask = np.empty_like(S.mask)
+    mask[0] = S.mask[0]
+    mask[1:] = S.mask[:0:-1]
+    return DefiningSet(S.q, mask)
+
+
+def is_negation(S1: DefiningSet, S2: DefiningSet) -> bool:
+    """Whether S2 = -S1, read off a reversed view of S1's mask: -S1 and S2
+    are equal when both have the size of their intersection."""
+    if S1.n != S2.n or S1.q != S2.q:
+        return False
+    a, b = S1.mask, S2.mask
+    both = int(a[0] & b[0]) + _overlap(a[:0:-1], b[1:])
+    return len(S1) == len(S2) == both
+
+
+def disjoint_cover(S1: DefiningSet, S2: DefiningSet) -> bool:
+    """Whether S1 and S2 are disjoint and every nonzero residue is in one:
+    disjoint sets cover Z_n minus {0} when their sizes, less 1 if 0 is in
+    one, add up to n - 1."""
+    if S1.n != S2.n or _overlap(S1.mask, S2.mask):
+        return False
+    return len(S1) + len(S2) - int(S1.mask[0] | S2.mask[0]) == S1.n - 1
+
+
+def coset_count(S: DefiningSet) -> int:
+    """The number of q-cyclotomic cosets in S: its members that lead one."""
+    lead = leader_mask(S.q, S.n)
+    lead &= S.mask
+    return int(np.count_nonzero(lead))
 
 
 def scale_set(v: int, S: DefiningSet) -> DefiningSet:
     """Elementwise v*x mod n (v need not be a unit); preserves coset closure."""
-    mask = np.zeros(S.n, dtype=bool)
-    mask[np.flatnonzero(S.mask) * (v % S.n) % S.n] = True
+    n, v = S.n, v % S.n
+    mask = np.zeros(n, dtype=bool)
+    for lo, hi in _blocks(n):
+        x = np.flatnonzero(S.mask[lo:hi])
+        x += lo
+        x *= v
+        x %= n
+        mask[x] = True
     return DefiningSet(S.q, mask)
 
 
@@ -225,7 +283,7 @@ def splitting_check(S1: DefiningSet, S2: DefiningSet, v: int) -> CheckResult:
     if S1.n != S2.n or S1.q != S2.q:
         return CheckResult(False, "sets live on different (n, q)")
     n = S1.n
-    if (S1.mask & S2.mask).any():
+    if _overlap(S1.mask, S2.mask):
         return CheckResult(False, "S1 and S2 intersect")
     if len(S1) + len(S2) != n - 1 or S1.mask[0] or S2.mask[0]:
         return CheckResult(False, "S1 and S2 do not cover Z_n minus {0}")
@@ -275,7 +333,8 @@ def _reflects(q: int, m: int, top: int, total: int) -> bool:
     if not 0 <= top < q ** m:
         raise ValueError(f"need 0 <= top < q^m, got top={top}")
     w = _digit_sums(q, top, np.min_scalar_type(2 * (q - 1) * m))
-    return bool((w + w[::-1] == total).all())
+    return all(bool((w[lo:hi] + w[::-1][lo:hi] == total).all())
+               for lo, hi in _blocks(w.size))
 
 
 def lemma6_check(q: int, m: int, A: int, h: int) -> bool:

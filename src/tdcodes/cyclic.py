@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from tdcodes import coset, packed, polys
-from tdcodes.coset import DefiningSet, negate_set, complement_set, dual_defining_set
+from tdcodes.coset import DefiningSet, complement_set, dual_defining_set
 from tdcodes.gf import FieldError, FieldSpec
 
 
@@ -64,7 +64,9 @@ def generator_polynomial(field: FieldSpec, T: DefiningSet) -> tuple[int, ...]:
     leader, folded by a balanced product tree."""
     if coset._first_unclosed(T) is not None:
         raise ValueError("defining set is not closed under multiplication by q")
-    leaders = np.flatnonzero(T.mask & coset.leader_mask(field.q, field.n))
+    leaders = coset.leader_mask(field.q, field.n)
+    leaders &= T.mask
+    leaders = np.flatnonzero(leaders)
     g = polys._fold(field, *_minimal_polynomials(field, leaders))
     assert g.size - 1 == len(T)
     return tuple(g.tolist())
@@ -127,7 +129,7 @@ def complement_code(code: CyclicCode) -> CyclicCode:
 
 def is_lcd(code: CyclicCode) -> bool:
     """LCD iff the defining set is fixed by negation."""
-    return negate_set(code.T) == code.T
+    return coset.is_negation(code.T, code.T)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,8 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     mat = _as_matrix(code_or_matrix)
     field = mat.field
     masks = packed.scalar_masks(field)

@@ -488,5 +488,14 @@ def field_spec_from_json(data: dict) -> FieldSpec:
 
 
 def load_field_spec(path) -> FieldSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return field_spec_from_json(json.load(fh))
+    """The field a field-spec file describes; a file that is not JSON, lacks
+    an entry or holds one of the wrong kind raises FieldError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return field_spec_from_json(json.load(fh))
+    except FieldError:
+        raise
+    except KeyError as exc:
+        raise FieldError(f"the field-spec file has no {exc} entry") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise FieldError(f"the field-spec file is malformed: {exc}") from None

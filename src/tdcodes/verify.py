@@ -82,7 +82,7 @@ def verify_lemma1(q: int, m: int) -> list[ClaimCheck]:
             len(T0) == len(T1) == (n - 1) // 2,
             f"|T_0|={len(T0)}, |T_1|={len(T1)}"))
         checks.append(ClaimCheck(
-            "-T_0 = T_1", coset.negate_set(T0) == T1, ""))
+            "-T_0 = T_1", coset.is_negation(T0, T1), ""))
     else:
         checks.append(ClaimCheck(
             "sizes (n-3)/2 and (n+1)/2",
@@ -90,11 +90,9 @@ def verify_lemma1(q: int, m: int) -> list[ClaimCheck]:
             f"|T_0|={len(T0)}, |T_1|={len(T1)}"))
         checks.append(ClaimCheck(
             "-T_i = T_i",
-            coset.negate_set(T0) == T0 and coset.negate_set(T1) == T1, ""))
-    disjoint = not (T0.mask & T1.mask).any()
+            coset.is_negation(T0, T0) and coset.is_negation(T1, T1), ""))
     checks.append(ClaimCheck(
-        "disjoint cover of Z_n",
-        disjoint and bool((T0.mask | T1.mask)[1:].all()), ""))
+        "disjoint cover of Z_n", coset.disjoint_cover(T0, T1), ""))
     return checks
 
 
@@ -131,13 +129,14 @@ def verify_lemma6(q: int, m: int) -> list[ClaimCheck]:
 # ---------------------------------------------------------------------------
 
 class _ImplicitT:
-    """T_(q,m;parity) as a membership test, never built: as in coset.build_T,
-    the nonzero i whose digit-sum parity (popcount parity of i & mask) is
-    the requested one."""
+    """T_(q,m;parity) as a membership test, never built: the nonzero i whose
+    digit-sum parity is the requested one.  Bit j*s of i is the low bit of
+    digit j, so that parity is the popcount parity of i & mask."""
 
     def __init__(self, q: int, m: int, parity: Parity | int):
         self.n = q ** m - 1
-        self._mask = coset._parity_mask(q.bit_length() - 1, m)
+        s = q.bit_length() - 1
+        self._mask = sum(1 << (j * s) for j in range(m))
         self._parity = int(parity)
 
     def __contains__(self, i: int) -> bool:
@@ -305,7 +304,7 @@ def verify_thm18(q: int, m: int) -> list[ClaimCheck]:
     d1 = bounds.theorem_bound(q, m, Parity.ODD)
     return [
         ClaimCheck("LCD codes (defining-set level)",
-                   all(coset.negate_set(T) == T for T in Ts), ""),
+                   all(coset.is_negation(T, T) for T in Ts), ""),
         ClaimCheck("parameters [n, (n+3)/2] and [n, (n-1)/2]",
                    k0 == (n + 3) // 2 and k1 == (n - 1) // 2,
                    f"k0={k0}, k1={k1}"),

@@ -8,16 +8,16 @@ sieve, builds the field tables by doubling, computes all minimal
 polynomials in one vectorized pass and folds them by a product tree on a
 bit-plane FFT multiply, divides polynomials with vectorized table rows,
 row-reduces, encodes and scores codewords on bit-sliced words, enumerates
-one message per projective point, counts cosets with a vectorized leader
-mask that steps residues by bit rotation, runs the progression search as
-shift-AND doubling on a bitset over one unit per orbit of +-q^j, and reads
-digit sums off one table built digit by digit; these
-references test every candidate modulus by polynomial powers, build the
-tables one power or product at a time, fold one scalar minimal
-polynomial at a time, build the k x n generator matrices, run the
-schoolbook product and long division, eliminate, encode and score one
-byte per symbol, enumerate all q^k messages, walk each coset one member
-at a time, scan every unit for runs, list the members of each progression
+one message per projective point, counts cosets with a leader mask that
+steps one block of residues at a time by bit rotation, runs the progression
+search as shift-AND doubling on a bitset over one unit per orbit of +-q^j,
+and reads digit sums off one table built digit by digit; these references
+test every candidate modulus by polynomial powers, build the tables one
+power or product at a time, fold one scalar minimal polynomial at a time,
+build the k x n generator matrices, run the schoolbook product and long
+division, eliminate, encode and score one byte per symbol, enumerate all
+q^k messages, walk each coset one member at a time or all residues at once
+by products, scan every unit for runs, list the members of each progression
 and sum the digits of one integer at a time instead, so the tests can
 compare two independent computations."""
 
@@ -92,6 +92,23 @@ def coset_partition(q: int, n: int) -> CosetPartition:
         for j in orbit:
             coset_of[j] = orbit[0]
     return CosetPartition(n, q, tuple(leaders), coset_of)
+
+
+def orbit_leaders(q: int, n: int, signed: bool) -> np.ndarray:
+    """Whether each i in [0, n) is the least of its orbit under the powers
+    of q, and with ``signed`` their negatives too: all n residues at once,
+    stepped by int64 products x*q mod n until they come back."""
+    if math.gcd(n, q) != 1:
+        raise ValueError("q must be invertible modulo n")
+    x = np.arange(n, dtype=np.int64)
+    low, y = x.copy(), x.copy()
+    while True:
+        if signed:
+            np.minimum(low, n - y, out=low)
+        y = y * (q % n) % n
+        if np.array_equal(y, x):
+            return low == x
+        np.minimum(low, y, out=low)
 
 
 def progression_members(w: APWitness, n: int) -> list[int]:

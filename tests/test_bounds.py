@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracle
 from oracle import SMALL_QM, cyclotomic_coset, progression_members, q_weight
-from tdcodes import bounds
+from tdcodes import bounds, coset
 from tdcodes.bounds import (BOUND_CASES, APWitness, BoundReport, DomainError,
                             ap_in_set, bch_search, bound_case,
                             lemma_bound_report, lemma_witness, negate_witness,
@@ -185,6 +186,26 @@ def test_bch_search_budget_flags_partial():
     assert r.delta >= 2  # best-so-far is still a valid bound
     with pytest.raises(ValueError, match="2\\^16"):
         bch_search(defining_set((1 << 17) - 1, 4, (1, 2), validate=False))
+
+
+def test_unit_sieve_matches_the_gcd_definition():
+    for n in [*range(1, 2001), 4095, 16383, 65535, 4 ** 10 - 1]:
+        assert np.array_equal(bounds._unit_mask(n), np.gcd(np.arange(n), n) == 1), n
+
+
+def test_kth_true_counts_across_blocks():
+    rng = np.random.default_rng(0)
+    mask = rng.random(3 * coset._BLOCK + 7) < 0.3
+    where = np.flatnonzero(mask)
+    for k in (0, 1, where.size // 2, where.size - 1):
+        assert bounds._kth_true(mask, k) == where[k]
+
+
+def test_bch_search_budget_of_zero_or_less_scans_nothing():
+    T = build_T(4, 3, 0)
+    for budget in (0, -3):
+        assert bch_search(T, budget) == oracle.bch_search(T, budget) == \
+            BoundReport(1, None, "exhaustive search", True)
 
 
 def test_witnesses_for_covers_every_case():

@@ -113,6 +113,27 @@ def test_construct_bad_field_spec_exits_3(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("content,reason", [
+    ("not json", "malformed"), ('{"s": 2}', "no 'base_modulus' entry"),
+    ("[1, 2]", "malformed"),
+    ('{"s": 2, "m": 3, "base_modulus": "x", "ext_modulus": []}', "malformed")])
+@pytest.mark.parametrize("command", [["construct"], ["verify", "--id", "thm2"],
+                                     ["distance"]])
+def test_unreadable_field_spec_file_exits_3(runner, tmp_path, command, content,
+                                            reason):
+    path = tmp_path / "spec.json"
+    path.write_text(content)
+    res = runner.invoke(main, command + ["--q", "4", "--m", "3",
+                                         "--field-spec", str(path)])
+    assert res.exit_code == 3, res.output
+    assert "field construction failed: the field-spec file" in res.stderr
+    assert reason in res.stderr
+    assert "Traceback" not in res.output
+    res = runner.invoke(main, command + ["--q", "4", "--m", "3",
+                                         "--field-spec", str(tmp_path)])
+    assert res.exit_code == 2 and "is a directory" in res.stderr
+
+
 def test_construct_warns_for_binary_alphabet(runner):
     res = runner.invoke(main, ["construct", "--q", "2", "--m", "3"])
     assert res.exit_code == 0
@@ -189,6 +210,13 @@ def test_distance_rejects_an_oversized_generator_matrix(runner, monkeypatch,
     assert res.exit_code == 2
     assert f"the {size} generator matrix needs" in res.stderr
     assert "bytes" in res.stderr
+
+
+def test_distance_rejects_a_negative_seed(runner):
+    res = runner.invoke(main, ["distance", "--q", "4", "--m", "3", "--seed", "-1"])
+    assert res.exit_code == 2
+    assert "Invalid value for '--seed'" in res.stderr
+    assert "Traceback" not in res.output
 
 
 def test_distance_rejects_trials_below_one(runner):

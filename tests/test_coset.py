@@ -1,17 +1,18 @@
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracle import (SMALL_QM, coset_partition, cyclotomic_coset, q_adic_digits,
-                    q_weight)
+from conftest import peak_traced_bytes
+from oracle import (SMALL_QM, coset_partition, cyclotomic_coset, orbit_leaders,
+                    q_adic_digits, q_weight)
 from tdcodes import coset
 from tdcodes.bounds import bch_search
-from tdcodes.coset import (CheckResult, Parity, build_T, complement_set,
-                           defining_set, dual_defining_set, gcd_lemma5_check,
-                           leader_mask, lemma6_check, negate_set, scale_set,
-                           splitting_check)
+from tdcodes.coset import (CheckResult, DefiningSet, Parity, build_T,
+                           complement_set, coset_count, defining_set,
+                           disjoint_cover, dual_defining_set, gcd_lemma5_check,
+                           is_negation, leader_mask, lemma6_check, negate_set,
+                           scale_set, splitting_check)
 from tdcodes.cyclic import code_from_T, generator_polynomial
 from tdcodes.gf import make_field
 
@@ -398,7 +399,7 @@ def test_orbit_step_is_the_rotation_and_matches_the_product(B, q):
     n = (1 << B) - 1
     s = (q.bit_length() - 1) % B
     assert coset._rotation(q, n) == (B, s)
-    x = coset._residues(q, n)
+    x = coset._residues(q, n, 0, n)
     assert x.dtype == np.uint32 and x.tolist() == list(range(n))
     got = coset._times_q(x, q, n, np.empty_like(x))
     assert got is x
@@ -415,7 +416,7 @@ def test_orbit_step_on_other_moduli_keeps_the_product(q, n):
     """No rotation when n + 1 or q is not a power of two; the product stays
     in uint32 while (n - 1)(q mod n) < 2^32 and moves to uint64 above."""
     assert coset._rotation(q, n) is None
-    x = coset._residues(q, n)
+    x = coset._residues(q, n, 0, n)
     wide = (n - 1) * (q % n) >= 1 << 32
     assert x.dtype == (np.uint64 if wide else np.uint32)
     got = coset._times_q(x, q, n, np.empty_like(x))
@@ -425,24 +426,106 @@ def test_orbit_step_on_other_moduli_keeps_the_product(q, n):
                                          if pow(q, k, n) == 1)
 
 
-def _peak_bytes(f, *args):
-    f(*args)   # warm caches and lazy imports outside the measurement
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+_B = coset._BLOCK
+# n just below, at and just above a multiple of the block, with the rotation
+# (uint32), the product in uint32, and the product in uint64
+_BLOCK_EDGES = [(4, _B - 1, np.uint32), (16, 2 * _B - 1, np.uint32),
+                (8, 4 * _B - 1, np.uint32),
+                (4097, _B, np.uint32), (8, _B + 1, np.uint32),
+                (4097, 2 * _B, np.uint32), (4, 2 * _B + 1, np.uint32),
+                (45907, 3 * _B - 1, np.uint64), (45055, 3 * _B, np.uint64),
+                (44943, 3 * _B + 1, np.uint64)]
+
+
+@pytest.mark.parametrize("q,n,dtype", _BLOCK_EDGES)
+def test_blocked_orbit_leaders_match_the_unblocked_oracle(q, n, dtype):
+    assert coset._residues(q, n, 0, 1).dtype == dtype
+    assert (coset._rotation(q, n) is not None) == (n + 1 & n == 0)
+    for signed in (False, True):
+        assert np.array_equal(coset._orbit_leaders(q, n, signed),
+                              orbit_leaders(q, n, signed)), signed
+
+
+def _digit_sums(q, lo, hi):
+    i = np.arange(lo, hi, dtype=np.int64)
+    w = np.zeros_like(i)
+    while i.any():
+        w += i % q
+        i //= q
+    return w
+
+
+def _parity_set(q, lo, hi, parity):
+    want = _digit_sums(q, lo, hi) % 2 == parity
+    want[:max(0, 1 - lo)] = False  # 0 is in neither set
+    return want
+
+
+@pytest.mark.parametrize("q,m", [(q, m) for q in (2, 4, 8, 16, 32, 64, 128, 256)
+                                 for m in range(2, 17) if q ** m - 1 <= 1 << 16])
+def test_build_T_is_the_digit_sum_parity(q, m):
+    n = q ** m - 1
+    for parity in (0, 1):
+        assert np.array_equal(build_T(q, m, parity).mask,
+                              _parity_set(q, 0, n, parity))
+
+
+def test_build_T_matches_digit_sums_on_slices_at_4_11():
+    n = 4 ** 11 - 1
+    for parity in (0, 1):
+        mask = build_T(4, 11, parity).mask
+        assert mask.size == n
+        for lo in (0, 1 << 20, 3 << 20, n // 2 - 5000, n - 10000):
+            hi = min(lo + 10000, n)
+            assert np.array_equal(mask[lo:hi], _parity_set(4, lo, hi, parity)), lo
+
+
+def test_negation_and_cover_across_blocks():
+    """is_negation and disjoint_cover against the mask definitions on
+    random sets over three blocks, with 0 in and out."""
+    rng = np.random.default_rng(1)
+    n = 2 * _B + 5
+    for _ in range(20):
+        a = DefiningSet(4, rng.random(n) < 0.5)
+        neg = negate_set(a)
+        assert neg.mask[0] == a.mask[0]
+        assert neg.mask[1:].tolist() == a.mask[:0:-1].tolist()
+        assert is_negation(a, neg) and is_negation(neg, a)
+        for flip in (0, 1, n // 2, n - 1, rng.integers(n)):
+            b = neg.mask.copy()
+            b[flip] ^= True
+            assert not is_negation(a, DefiningSet(4, b))
+        comp = ~a.mask
+        comp[0] = False
+        assert disjoint_cover(a, DefiningSet(4, comp))
+        for flip in (1, _B, n - 1):
+            b = comp.copy()
+            b[flip] ^= True
+            assert not disjoint_cover(a, DefiningSet(4, b))
+    assert not is_negation(build_T(4, 3, 0), build_T(8, 2, 1))
+    assert not is_negation(build_T(4, 3, 0), DefiningSet(8, build_T(4, 3, 1).mask.copy()))
+    assert not disjoint_cover(build_T(4, 3, 0), build_T(8, 2, 1))
+
+
+@pytest.mark.parametrize("q,m", [(4, 8), (2, 16), (16, 4)])
+def test_coset_count_matches_the_oracle_leaders(q, m):
+    n = q ** m - 1
+    lead = orbit_leaders(q, n, False)
+    for parity in (0, 1):
+        T = build_T(q, m, parity)
+        assert coset_count(T) == int(np.count_nonzero(T.mask & lead))
 
 
 def test_residue_kernels_stay_narrow_in_memory():
-    """tracemalloc peaks per residue: uint32 residues and a uint8 digit table
-    (int64 residues read 33, 10 and 80 bytes per residue here)."""
+    """tracemalloc peaks per residue at n = 4^10 - 1: one byte for each mask
+    returned or read, plus blocks of _BLOCK residues (the unblocked uint32
+    kernels read 6 and 12 bytes per residue, and 7 for Lemma 1)."""
     from tdcodes import verify
     n = 4 ** 10 - 1
-    assert _peak_bytes(leader_mask, 4, n) <= 12.5 * n
-    assert _peak_bytes(coset._orbit_leaders, 4, n, True) <= 12.5 * n
+    assert peak_traced_bytes(leader_mask, 4, n) <= 1.5 * n
+    assert peak_traced_bytes(coset._orbit_leaders, 4, n, True) <= 1.5 * n
     for parity in (0, 1):
-        assert _peak_bytes(build_T, 4, 10, parity) <= 6.5 * n
+        assert peak_traced_bytes(build_T, 4, 10, parity) <= 1.1 * n
+    assert peak_traced_bytes(verify.verify_lemma1, 4, 10) <= 2.2 * n
     # the largest table verify_lemma6(16, 4) reads: i <= 15 * 16^3 - 1
-    assert _peak_bytes(verify.verify_lemma6, 16, 4) <= 4 * 15 * 16 ** 3
+    assert peak_traced_bytes(verify.verify_lemma6, 16, 4) <= 4 * 15 * 16 ** 3

@@ -1,12 +1,12 @@
 import hashlib
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracle
+from conftest import peak_traced_bytes
 from tdcodes import distance, packed, polys
 from tdcodes.bounds import DomainError, bch_search, theorem_bound
 from tdcodes.coset import build_T, defining_set
@@ -342,20 +342,20 @@ def test_pair_scan_skips_pairs_that_cancel():
     assert sampled_upper(GeneratorMatrix(f, a), trials=1).upper == 1
 
 
+def test_sampled_upper_rejects_a_negative_seed():
+    _, c0, _ = gf64_codes()
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        sampled_upper(c0, trials=16, seed=-1)
+
+
 def test_sampled_upper_working_memory_does_not_grow_with_k():
     f = make_field(2, 4)
     c = code_from_T(f, build_T(4, 4, 0))  # [255, 129]
     # 64 systematic forms of 2 x 4 x 129 words fill two stacks
     assert 64 * 2 * 4 * 129 > 2 * distance._STACK_WORDS
-    tracemalloc.start()
-    try:
-        r = sampled_upper(c, trials=1024, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert r.upper == 75
+    assert sampled_upper(c, trials=1024, seed=0).upper == 75
     # a (trials, k, n) gather of the messages would take 16.8 MB
-    assert peak < 4 * 2 ** 20
+    assert peak_traced_bytes(sampled_upper, c, trials=1024, seed=0) < 4 * 2 ** 20
 
 
 def test_random_messages_working_memory_does_not_grow_with_k():
@@ -363,15 +363,13 @@ def test_random_messages_working_memory_does_not_grow_with_k():
     # multiples of all its rows would take 8.4 MB, 25 MB while built
     f = make_field(2, 6)
     gen = packed.pack(generator_matrix(code_from_T(f, build_T(4, 6, 1))).array, 2)
-    tracemalloc.start()
-    try:
-        w, word = distance._lightest_message(packed.scalar_masks(f), gen, 4095, 512,
-                                             np.random.default_rng(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    def lightest():
+        return distance._lightest_message(packed.scalar_masks(f), gen, 4095, 512,
+                                          np.random.default_rng(0))
+    w, word = lightest()
     assert w == int(packed.weights(word[..., None])[0]) < 4095
-    assert peak < 4 * 2 ** 20
+    assert peak_traced_bytes(lightest) < 4 * 2 ** 20
 
 
 def test_sampled_upper_witness_is_a_codeword():

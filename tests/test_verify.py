@@ -1,8 +1,8 @@
 import dataclasses
 import itertools
-import tracemalloc
 
 import pytest
+from conftest import peak_traced_bytes
 
 from tdcodes import bounds, coset, cyclic
 from tdcodes.bounds import DomainError
@@ -24,13 +24,10 @@ def test_lemma1_suite(q, m):
 
 
 def test_lemma1_at_n_near_2_20_stays_within_32_mb():
-    # n = 1048575: the sets and their negations are boolean masks of n bytes
-    tracemalloc.start()
-    try:
-        all_ok(run_suite("lemma1", 4, 10))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # n = 1048575: the sets are boolean masks of n bytes, and the negation
+    # and cover checks read them a block at a time
+    all_ok(run_suite("lemma1", 4, 10))
+    peak = peak_traced_bytes(run_suite, "lemma1", 4, 10)
     assert peak < 32 * 2 ** 20, peak
 
 
