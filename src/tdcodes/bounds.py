@@ -280,7 +280,7 @@ def bch_search(T: DefiningSet, budget: int | None = None) -> BoundReport:
     n = T.n
     if budget is None and n > 1 << 16:
         raise ValueError("exhaustive search needs n <= 2^16; pass a budget")
-    if coset._first_unclosed(T) is not None:
+    if T.first_unclosed is not None:
         raise ValueError("defining set is not closed under multiplication by q")
     if len(T) == 0:
         return BoundReport(1, None, "exhaustive search")

@@ -224,7 +224,8 @@ def bound(q, m, parity, search, budget, out):
               show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--cap", type=int, default=distance.DEFAULT_CAP, show_default=True,
-              help="Max codeword evaluations for exact enumeration.")
+              help="Largest message space q^k for an exact distance; above it the "
+                   "distance is sampled.")
 @click.option("--trials", type=click.IntRange(min=1), default=2048,
               show_default=True)
 @click.option("--field-spec", "field_spec_path",

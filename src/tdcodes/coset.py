@@ -152,6 +152,13 @@ class DefiningSet:
         """The members in ascending order, derived from the mask."""
         return tuple(np.flatnonzero(self.mask).tolist())
 
+    @cached_property
+    def first_unclosed(self) -> int | None:
+        """The least member e with qe mod n outside the set, or None when
+        the set is closed under multiplication by q: checked once per set,
+        however many callers ask."""
+        return _first_unclosed(self)
+
     def __contains__(self, i: int) -> bool:
         return bool(self.mask[i % self.n])
 
@@ -184,7 +191,7 @@ def defining_set(n: int, q: int, elems, validate: bool = True) -> DefiningSet:
     mask = np.zeros(n, dtype=bool)
     mask[np.fromiter(elems, dtype=np.int64) % n] = True
     S = DefiningSet(q, mask)
-    if validate and (e := _first_unclosed(S)) is not None:
+    if validate and (e := S.first_unclosed) is not None:
         raise ValueError(
             f"set is not closed under multiplication by {q} mod {n}: "
             f"{e} is in, {e * q % n} is not")
@@ -288,7 +295,7 @@ def splitting_check(S1: DefiningSet, S2: DefiningSet, v: int) -> CheckResult:
     if len(S1) + len(S2) != n - 1 or S1.mask[0] or S2.mask[0]:
         return CheckResult(False, "S1 and S2 do not cover Z_n minus {0}")
     for S, name in ((S1, "S1"), (S2, "S2")):
-        if _first_unclosed(S) is not None:
+        if S.first_unclosed is not None:
             return CheckResult(False, f"{name} is not a union of cosets")
     if math.gcd(v, n) != 1:
         return CheckResult(False, f"v={v} is not a unit modulo {n}")

@@ -62,7 +62,7 @@ def _minimal_polynomials(field: FieldSpec, leaders: np.ndarray):
 def generator_polynomial(field: FieldSpec, T: DefiningSet) -> tuple[int, ...]:
     """Product of the minimal polynomials of the cosets in T, one per coset
     leader, folded by a balanced product tree."""
-    if coset._first_unclosed(T) is not None:
+    if T.first_unclosed is not None:
         raise ValueError("defining set is not closed under multiplication by q")
     leaders = coset.leader_mask(field.q, field.n)
     leaders &= T.mask
@@ -100,7 +100,7 @@ def code_from_T(field: FieldSpec, T: DefiningSet) -> CyclicCode:
     if T.n != field.n or T.q != field.q:
         raise ValueError(f"defining set (n={T.n}, q={T.q}) does not match the "
                          f"field (n={field.n}, q={field.q})")
-    if coset._first_unclosed(T) is not None:
+    if T.first_unclosed is not None:
         raise ValueError("defining set is not closed under multiplication by q")
     return CyclicCode(field, T)
 

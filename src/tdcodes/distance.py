@@ -1,19 +1,22 @@
-"""Ground-truth minimum-distance machinery: exact distance by enumerating
-one message per projective point of the message space (the
-(q^k - 1)/(q - 1) messages whose last nonzero symbol is 1, Gray-coded so
-each codeword is one row XOR), randomized upper-bound search for codes too
-large to enumerate, and complete weight tallies for tiny codes.
+"""Ground-truth minimum-distance machinery: exact distance by
+Brouwer-Zimmermann enumeration over disjoint information sets, randomized
+upper-bound search for codes too large to enumerate, and complete weight
+tallies for tiny codes from a Gray scan of one message per projective point
+of the message space (the (q^k - 1)/(q - 1) messages whose last nonzero
+symbol is 1, each codeword one row XOR).
 
 Codewords are bit-sliced words (:mod:`tdcodes.packed`): s bit-planes of
 ceil(n/64) uint64 values, so a row XOR touches s*ceil(n/64) machine words
 and a weight is the popcount of the OR of the planes.  The random draws and
 every argmin tie-break are those of the byte-per-symbol engine, and the
-exact scan returns the witness of its full Gray scan, so each result and
-witness is unchanged.
+exact distance returns the witness of the full Gray scan, the first
+minimum-weight codeword in its order, so each result and witness is
+unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,7 @@ _CHUNK_BITS = 10
 _PASS_WORDS = 1 << 14
 _PAIR_SCAN_MAX_K = 64
 _STACK_WORDS = 1 << 15
+_ALONE_MESSAGES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -58,22 +62,21 @@ def _as_matrix(obj) -> GeneratorMatrix:
     raise TypeError(f"expected a cyclic code or generator matrix, got {type(obj)!r}")
 
 
-def _bit_rows(mat: GeneratorMatrix) -> np.ndarray:
-    """One packed word per message bit, 2^t times row j in lane j*s + t:
-    the message space of GF(2^s)^k is an XOR-span of k*s words, so Gray
-    enumeration flips one at a time."""
-    s = mat.field.s
-    gen = packed.pack(mat.array, s)
-    masks = packed.scalar_masks(mat.field)
+def _bit_rows(masks: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """One packed word per message bit of a packed (s, W, k) generator,
+    2^t times row j in lane j*s + t: the message space of GF(2^s)^k is an
+    XOR-span of k*s words, so Gray enumeration flips one at a time."""
+    s = gen.shape[0]
     rows = [packed.times(masks, 1 << t, gen) for t in range(s)]
     return np.stack(rows, axis=-1).reshape(gen.shape[:2] + (-1,))
 
 
-def _scan_codewords(mat: GeneratorMatrix, want_hist: bool):
-    """Minimum nonzero weight, a witness, and (optionally) the full weight
-    tally, from one message per projective point: a nonzero message and its
-    q - 1 nonzero multiples give codewords of one weight, so only the
-    (q^k - 1)/(q - 1) messages whose last nonzero symbol is 1 are visited.
+def _scan(masks: np.ndarray, gen: np.ndarray):
+    """The codewords of the (q^k - 1)/(q - 1) messages whose last nonzero
+    symbol is 1, one per projective point of the message space, from a
+    packed (s, W, k) generator: a nonzero message and its q - 1 nonzero
+    multiples give codewords of one weight.  Yields one pass of words at a
+    time, each the same array, changed in place for the next pass.
 
     For each leading symbol j, the words 1*row_j plus the span of the bit
     rows below j*s are Gray enumerated with a vectorized low-bit chunk.  The
@@ -84,20 +87,10 @@ def _scan_codewords(mat: GeneratorMatrix, want_hist: bool):
     gray(t + u) = gray(t) ^ gray(u) for t a multiple of 2^steps, pass p
     holds the words of Gray steps p*2^steps, ..., (p+1)*2^steps - 1 in
     order.  From pass p-1 to pass p, gray(p*2^steps) changes in bit
-    steps + ctz(p) and, if steps > 0, in bit steps - 1.
-
-    The tally is q - 1 times that of the visited messages, plus the zero
-    codeword.  The witness is the first minimum-weight codeword of the
-    order that enumerates all q^k messages with the low min(_CHUNK_BITS,
-    k*s) bits in binary order and Gray codes the bits above
-    (_scan_position).  Of a message's multiples, the one with leading
-    symbol 1 comes first in that order (its highest set bit is the lowest,
-    and the position keeps the highest set bit), so the witness is the
-    visited message of least position at the minimum."""
-    rows = _bit_rows(mat)
-    s = mat.field.s
+    steps + ctz(p) and, if steps > 0, in bit steps - 1."""
+    rows = _bit_rows(masks, gen)
+    s = gen.shape[0]
     kbits = rows.shape[-1]
-    ncols = mat.cols
     top = min(_CHUNK_BITS, kbits)
     chunk = np.zeros(rows.shape[:2] + (1,), dtype=packed.WORD)
     for b in range(top):
@@ -107,10 +100,6 @@ def _scan_codewords(mat: GeneratorMatrix, want_hist: bool):
     for u in range(1, 1 << min(kbits - top, spare)):
         offsets.append(offsets[-1] ^ rows[..., top + (u & -u).bit_length() - 1, None])
     offsets = np.concatenate(offsets, axis=-1)
-    hist = np.zeros(ncols + 1, dtype=np.int64) if want_hist else None
-
-    best_w = ncols + 1
-    best_pos, best_cw = None, None
     for lead in range(0, kbits, s):
         low = min(_CHUNK_BITS, lead)
         steps = min(lead - low, spare)
@@ -121,52 +110,305 @@ def _scan_codewords(mat: GeneratorMatrix, want_hist: bool):
                 words ^= rows[..., low + steps + (t & -t).bit_length() - 1, None]
                 if steps:
                     words ^= rows[..., low + steps - 1, None]
-            weights = packed.weights(words)
-            if want_hist:
-                hist += np.bincount(weights, minlength=ncols + 1)
-            w = int(weights.min())
-            if w > best_w:
-                continue
-            if w < best_w:
-                best_w, best_pos = w, None
-            lanes = np.flatnonzero(weights == w)
-            ids = lanes.astype(np.uint64)
-            g = np.uint64(t << steps) + (ids >> np.uint64(low))  # Gray step
-            msgs = ((g ^ g >> np.uint64(1)) << np.uint64(low)
-                    | ids & np.uint64((1 << low) - 1) | np.uint64(1 << lead))
-            pos = _scan_position(msgs, top)
-            at = int(pos.argmin())
-            if best_pos is None or pos[at] < best_pos:
-                best_pos, best_cw = int(pos[at]), words[..., lanes[at]].copy()
-    if want_hist:
-        hist *= mat.field.q - 1
-        hist[0] += 1
-    witness = None if best_cw is None else packed.unpack(best_cw, ncols)
-    return best_w, witness, hist
+            yield words
 
 
-def _scan_position(msgs: np.ndarray, low: int) -> np.ndarray:
-    """Position of each message in the order that puts the low bits in
-    binary order and Gray codes the bits above:
-    invgray(x >> low) << low | x mod 2^low.  Messages are uint64 bit
-    strings, so k*s <= 64, past any message space a scan can finish."""
-    high = msgs >> np.uint64(low)
-    for b in (1, 2, 4, 8, 16, 32):  # invgray: the XOR of all right shifts
-        high ^= high >> np.uint64(b)
-    return high << np.uint64(low) | msgs & np.uint64((1 << low) - 1)
+def _scan_codewords(mat: GeneratorMatrix) -> np.ndarray:
+    """The weight tally of all q^k codewords: q - 1 times that of the
+    scanned messages, one per projective point, plus the zero codeword."""
+    field = mat.field
+    hist = np.zeros(mat.cols + 1, dtype=np.int64)
+    for words in _scan(packed.scalar_masks(field), packed.pack(mat.array, field.s)):
+        hist += np.bincount(packed.weights(words), minlength=mat.cols + 1)
+    hist *= field.q - 1
+    hist[0] += 1
+    return hist
+
+
+def _scan_position(msgs: np.ndarray, s: int) -> np.ndarray:
+    """Position of each message, a (count, k) array of symbols, in the
+    order of a full Gray scan: the message is the bit string with bit t of
+    symbol j at j*s + t, its low min(_CHUNK_BITS, k*s) bits go in binary
+    order and the bits above are Gray coded, so the position is
+    invgray(x >> low) << low | x mod 2^low.  Of a message's q - 1 nonzero
+    multiples, the one whose last nonzero symbol is 1 comes first (its
+    highest set bit is the lowest, and the position keeps the highest set
+    bit), so the full scan's first codeword of a weight is that of the
+    least position among such messages.  Python integers hold the bit
+    strings past 64 bits."""
+    k = msgs.shape[-1]
+    low = min(_CHUNK_BITS, k * s)
+    dtype = packed.WORD if k * s <= 64 else object
+    x = np.bitwise_or.reduce(msgs.astype(dtype) << (s * np.arange(k)).astype(dtype), axis=-1)
+    high = x >> low
+    b = 1
+    while b < k * s - low:  # invgray: the XOR of all right shifts
+        high ^= high >> b
+        b <<= 1
+    return high << low | x & ((1 << low) - 1)
+
+
+def _refuse_zero(mat: GeneratorMatrix) -> None:
+    if not mat.array.any():
+        raise ValueError(f"the {mat.rows} x {mat.cols} generator matrix spans no "
+                         "nonzero codeword")
+
+
+def _windows(mat: GeneratorMatrix):
+    """Disjoint information sets ("windows") of a generator matrix G, taken
+    greedily: the pivot columns of [G | I_k], then the first k independent
+    columns of those left, and so on while the columns left have rank k.
+
+    Returns None when G has rank below k.  Otherwise returns the inverse E
+    of the first window's columns, so E G is systematic there and a
+    codeword's symbols on that window are its message in that basis, as
+    the packed q multiples of each row of E (a * row i at q i + a), and
+    per window its packed systematic form, whose columns are reordered, with
+    the places of the first window's columns in that order.  The later
+    windows are guessed to be runs of k consecutive columns of those left,
+    as they are for a cyclic code, and as many guesses as fit in twice
+    _STACK_WORDS words are reduced in one stack: the greedy window of each
+    reduction is right while the ones before it were, so a run the
+    reduction moves off ends the guess."""
+    field, k, n = mat.field, mat.rows, mat.cols
+    s = field.s
+    nwords = -(-n // 64)
+    both = np.concatenate([packed.pack(mat.array, s),
+                           packed.pack(np.eye(k, dtype=np.uint8), s)], axis=1)
+    reduced, (pivots,) = cyclic.row_reduce(field, both[..., None])
+    if pivots[-1] >= 64 * nwords:
+        return None
+    inverse = packed.multiples(packed.scalar_masks(field), reduced[:, nwords:, :, 0])
+    inverse = inverse.reshape(s, -1, k * field.q)
+    first = np.array(pivots)
+    forms, places = [np.ascontiguousarray(reduced[:, :nwords, :, 0])], [first]
+    taken = np.zeros(n, dtype=bool)
+    taken[first] = True
+    later = np.zeros(0, dtype=np.intp)
+    rest = np.flatnonzero(~taken)
+    fit = max(1, 2 * _STACK_WORDS // forms[0].size)  # guessed windows a stack holds
+    while rest.size >= k:
+        starts = range(0, min(rest.size - k + 1, fit * k), k)
+        orders = np.stack([np.concatenate([rest[lo:], first, rest[:lo], later])
+                           for lo in starts])
+        stack, ranked = cyclic.row_reduce(field, packed.pack(mat.array[:, orders], s))
+        for b, (lo, piv) in enumerate(zip(starts, ranked)):
+            span = rest.size - lo
+            if len(piv) < k or piv[-1] >= span:  # the columns left have rank < k
+                return inverse, forms, places
+            forms.append(np.ascontiguousarray(stack[..., b]))
+            places.append(span + np.arange(k))
+            taken[orders[b, piv]] = True
+            later = np.concatenate([later, orders[b, piv]])
+            if piv[-1] != k - 1:  # not the guessed run: the next guesses are off
+                break
+        rest = np.flatnonzero(~taken)
+    return inverse, forms, places
+
+
+def _pairs(major: np.ndarray, minor: np.ndarray, lo: np.ndarray, hi: np.ndarray, per: int):
+    """The words major_i + minor_j for lo_i <= j < hi_i, in i-major order,
+    lo and hi nondecreasing, one XOR per word, in pieces of up to ``per``.
+    Rows come in runs of one (lo, hi), at most one per key, and each run is
+    a rectangle of rows by columns; when all of them together hold no more
+    than ``per`` words, one XOR over the spanning rectangle and a mask
+    take them at once instead."""
+    rows = major.shape[-1]
+    if not rows:
+        return
+    c0, c1 = int(lo.min()), int(hi.max())
+    if rows * (c1 - c0) <= per:
+        cols = np.arange(c0, c1)
+        valid = (cols >= lo[:, None]) & (cols < hi[:, None])
+        if valid.any():
+            words = major[..., :, None] ^ minor[..., None, c0:c1]
+            yield words.reshape(major.shape[:-1] + (-1,)).compress(valid.ravel(), axis=-1)
+        return
+    cuts = (np.flatnonzero((np.diff(lo) != 0) | (np.diff(hi) != 0)) + 1).tolist()
+    for i0, i1 in zip([0] + cuts, cuts + [rows]):
+        a, b = int(lo[i0]), int(hi[i0])
+        if a >= b:
+            continue
+        cols = min(b - a, per)
+        step = max(1, per // cols)
+        for r in range(i0, i1, step):
+            r1 = min(i1, r + step)
+            for c in range(a, b, cols):
+                c1 = min(b, c + cols)
+                words = np.empty(major.shape[:-1] + (r1 - r, c1 - c), dtype=packed.WORD)
+                np.bitwise_xor(major[..., r:r1, None], minor[..., None, c:c1], out=words)
+                yield words.reshape(major.shape[:-1] + (-1,))
+
+
+class _Window:
+    """The weight-w messages of one systematic form whose last nonzero
+    symbol is 1, layer by layer.  A message is a head of weight w // 2 with
+    any nonzero symbols plus a tail of weight w - w // 2 whose last symbol
+    is 1 and whose first position is at or past the head's end (one past
+    its last position, 0 for the empty head): one XOR per codeword.  A head
+    of weight a is a multiple of a row plus a head of weight a - 1 that
+    ends at or before it, a tail of weight b a multiple of a row plus a
+    tail of weight b - 1 past it, so each is built from the one before by
+    one XOR per word, heads in order of end and tails of first position.
+    Heads of weight a end by k - a and tails of weight b start at b - 1 or
+    later: the rest pair with no tail or head of a later layer."""
+
+    def __init__(self, masks: np.ndarray, form: np.ndarray, per: int):
+        s, nwords, k = form.shape
+        self.k, self.per = k, per
+        # a * row p at (q - 1) p + a - 1
+        self.multiples = packed.multiples(masks, form)[..., 1:].reshape(s, nwords, -1)
+        self.row_of = np.repeat(np.arange(k), masks.shape[-1] - 1)
+        self.head = (0, np.zeros((s, nwords, 1), dtype=packed.WORD), np.zeros(1, dtype=np.intp))
+        self.tail = (1, form, np.arange(k))
+
+    def _grow(self, rows: np.ndarray, lo, hi, old: np.ndarray, keys: np.ndarray):
+        """The table of multiples[rows_i] + old_j, lo_i <= j < hi_i, keyed by row."""
+        words = list(_pairs(self.multiples[..., rows], old, lo, hi, self.per))
+        return (np.concatenate(words, axis=-1) if words else old[..., :0],
+                np.repeat(keys, hi - lo))
+
+    def layer(self, w: int):
+        """The layer's words, in pieces of up to ``per`` words."""
+        while self.head[0] < w // 2:
+            a, heads, ends = self.head
+            rows = np.flatnonzero(self.row_of < self.k - a - 1)
+            ends_by = np.searchsorted(ends, self.row_of[rows], side="right")
+            self.head = (a + 1, *self._grow(rows, np.zeros_like(ends_by), ends_by, heads,
+                                            self.row_of[rows] + 1))
+        while self.tail[0] < w - w // 2:
+            b, tails, firsts = self.tail
+            rows = np.flatnonzero(self.row_of >= b)
+            past = np.searchsorted(firsts, self.row_of[rows], side="right")
+            self.tail = (b + 1, *self._grow(rows, past, np.full_like(past, firsts.size), tails,
+                                            self.row_of[rows]))
+        _, heads, ends = self.head
+        _, tails, firsts = self.tail
+        lo = np.searchsorted(firsts, ends)
+        yield from _pairs(heads, tails, lo, np.full_like(lo, firsts.size), self.per)
+
+
+def _symbols(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The symbols at ``cols`` of each word of an (s, W, c) stack, (c, len(cols))."""
+    bits = words[:, cols >> 6] >> (cols & 63).astype(packed.WORD)[:, None]
+    bits &= 1
+    bits <<= np.arange(words.shape[0], dtype=packed.WORD)[:, None, None]
+    return np.bitwise_or.reduce(bits, axis=0).T.astype(np.uint8)
+
+
+def _earliest(field, inverse: np.ndarray, found: np.ndarray):
+    """Of the messages ``found`` in the first window's basis, (count, k),
+    the index of the one whose message in G's basis, scaled so that its
+    last nonzero symbol is 1, comes first in the full scan, and that scaled
+    message.  ``inverse`` holds the q multiples of each packed row of E,
+    the message in G's basis is the XOR of the ones the symbols pick; with
+    no inverse, the messages are in G's basis already."""
+    q, k = field.q, found.shape[1]
+    msgs = found
+    if inverse is not None:
+        picked = inverse.take(found + q * np.arange(k), axis=-1)
+        msgs = packed.unpack(np.bitwise_xor.reduce(picked, axis=-1), k)
+    last = k - 1 - (msgs[:, ::-1] != 0).argmax(axis=1)
+    scale = field.np_inv_table[msgs[np.arange(len(msgs)), last]]
+    msgs = field.np_mul_table[scale[:, None], msgs]
+    at = int(_scan_position(msgs, field.s).argmin())
+    return at, msgs[at]
+
+
+def _min_weight(mat: GeneratorMatrix):
+    """Minimum weight of the codewords of nonzero messages, the scan's
+    witness, and the number of messages visited, by Brouwer-Zimmermann
+    enumeration over the disjoint information sets of _windows (Zimmermann
+    1996; Grassl 2006).
+
+    A nonzero codeword weighs at least w + 1 on a window where its message
+    in that window's basis weighs over w.  The windows take layers w = 1,
+    2, ... in turn; once every window has visited its messages of weight up
+    to done_j, a codeword not seen weighs at least sum(done_j + 1), so the
+    enumeration stops when that passes the least weight seen: every
+    codeword of minimum weight has then been seen, and the witness is the
+    one the full scan reaches first.  If the next layer would take the
+    count past the scan's (q^k - 1)/(q - 1) messages, the first window
+    finishes alone, by the scan of its form, so no call visits twice as
+    many.  A message space of up to _ALONE_MESSAGES points is scanned whole
+    instead, on [G | I_k], whose codewords carry their messages past
+    column n: the reductions that find the windows would cost more than
+    scoring all of it."""
+    field, k, n = mat.field, mat.rows, mat.cols
+    q, s = field.q, field.s
+    nwords = -(-n // 64)
+    points = (q ** k - 1) // (q - 1)
+    if points <= _ALONE_MESSAGES:
+        inverse, places = None, [64 * nwords + np.arange(k)]
+        forms = [np.concatenate([packed.pack(mat.array, s),
+                                 packed.pack(np.eye(k, dtype=np.uint8), s)], axis=1)]
+    else:
+        found = _windows(mat)
+        if found is None:  # a nonzero message encodes the zero word
+            return 0, np.zeros(n, dtype=np.uint8), 0
+        inverse, forms, places = found
+    masks = packed.scalar_masks(field)
+    per = max(1, _PASS_WORDS // (s * forms[0].shape[1]))
+    best, hits, visited = n + 1, {}, 0
+
+    def chunks():
+        """The words to score and the window they come from, in turn; the
+        schedule reads best and visited as the loop below updates them."""
+        if inverse is None:
+            yield from ((words, 0) for words in _scan(masks, forms[0]))
+            return
+        windows = [_Window(masks, form, per) for form in forms]
+        done = [0] * len(windows)
+        while sum(done) + len(done) <= best:
+            j = done.index(min(done))
+            w = done[j] + 1
+            if visited + math.comb(k, w) * (q - 1) ** (w - 1) > points:
+                yield from ((words, 0) for words in _scan(masks, forms[0]))
+                return
+            yield from ((words, j) for words in windows[j].layer(w))
+            done[j] = w
+
+    def earliest(hits):
+        """The index among the hits, window by window, of the witness."""
+        found = [_symbols(np.concatenate(words, axis=-1), places[j]) for j, words in hits.items()]
+        return _earliest(field, inverse, np.concatenate(found))
+
+    for words, j in chunks():
+        visited += words.shape[-1]
+        weights = packed.weights(words[:, :nwords])
+        least = int(weights.min())
+        if least > best:
+            continue
+        if least < best:
+            best, hits, held = least, {}, 0
+        hits.setdefault(j, []).append(words[..., weights == best])
+        held += hits[j][-1].shape[-1]
+        if held > per:  # keep only the earliest so far
+            at, _ = earliest(hits)
+            for j, words in hits.items():
+                words = np.concatenate(words, axis=-1)
+                if at < words.shape[-1]:
+                    hits, held = {j: [words[..., at:at + 1]]}, 1
+                    break
+                at -= words.shape[-1]
+    _, msg = earliest(hits)
+    witness = np.bitwise_xor.reduce(field.np_mul_table[msg[:, None], mat.array], axis=0)
+    return best, witness, visited
 
 
 def exact_distance(code_or_matrix, cap: int = DEFAULT_CAP,
                    lower: int = 1) -> DistanceReport:
-    """Exact minimum distance by enumerating one message per projective
-    point; ``cap`` bounds q^k, the size of the whole message space.  A
+    """Exact minimum distance by Brouwer-Zimmermann enumeration, with the
+    witness the full scan of one message per projective point would return;
+    ``cap`` bounds q^k, the size of the whole message space.  A
     rank-deficient matrix has minimum 0 and is refused unless lower = 0."""
     mat = _as_matrix(code_or_matrix)
+    _refuse_zero(mat)
     total = mat.field.q ** mat.rows
     if total > cap:
         raise ValueError(f"q^k = {total} exceeds the enumeration cap {cap}; "
                          "use sampled_upper")
-    d, cw, _ = _scan_codewords(mat, want_hist=False)
+    d, cw, _ = _min_weight(mat)
     if d == 0 < lower:
         raise ValueError(f"the {mat.rows}-row generator matrix is rank-deficient: "
                          f"a nonzero message encodes the zero word, below lower={lower}")
@@ -180,7 +422,7 @@ def weight_distribution(code_or_matrix, cap: int = 1 << 20) -> dict[int, int]:
     total = mat.field.q ** mat.rows
     if total > cap:
         raise ValueError(f"q^k = {total} exceeds the tally cap {cap}")
-    _, _, hist = _scan_codewords(mat, want_hist=True)
+    hist = _scan_codewords(mat)
     return {w: int(c) for w, c in enumerate(hist) if c}
 
 
@@ -274,6 +516,7 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     mat = _as_matrix(code_or_matrix)
+    _refuse_zero(mat)
     field = mat.field
     masks = packed.scalar_masks(field)
     n = mat.cols
@@ -294,11 +537,15 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     # the fewest stacks of that size, ceil(forms / stacks) to a stack
     fit = max(1, 2 * _STACK_WORDS // gen.size)
     per_stack = -(-forms // -(-forms // fit))
+    # forms are packed a group at a time, whose byte gather fits in the same
+    # budget: the [1023, 512]_4 forms, 0.5 MB each, go one by one
+    group = max(1, 2 * _STACK_WORDS * packed.WORD.itemsize // mat.array.size)
     for start in range(0, forms, per_stack):
         perms = [rng_sys.permutation(n) for _ in range(min(per_stack, forms - start))]
         stack = np.empty(gen.shape + (len(perms),), dtype=packed.WORD)
-        for j, perm in enumerate(perms):
-            stack[..., j] = packed.pack(mat.array.take(perm, axis=1), field.s)
+        for lo in range(0, len(perms), group):
+            stack[..., lo:lo + group] = packed.pack(
+                mat.array.take(np.stack(perms[lo:lo + group]), axis=1), field.s)
         reduced, pivots = cyclic.row_reduce(field, stack)
         weights, words = _lightest(masks, reduced[:, :, :len(pivots[0])], n, pair_scan)
         for j, perm in enumerate(perms):  # in draw order, so ties go to the first

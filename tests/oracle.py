@@ -7,16 +7,18 @@ gcd(g, g*)), tests field moduli on GF(2)-linear squaring maps after a root
 sieve, builds the field tables by doubling, computes all minimal
 polynomials in one vectorized pass and folds them by a product tree on a
 bit-plane FFT multiply, divides polynomials with vectorized table rows,
-row-reduces, encodes and scores codewords on bit-sliced words, enumerates
-one message per projective point, counts cosets with a leader mask that
+row-reduces, encodes and scores codewords on bit-sliced words, finds the
+exact distance by Brouwer-Zimmermann enumeration over disjoint information
+sets, tallies weights by a Gray scan of one message per projective point,
+counts cosets with a leader mask that
 steps one block of residues at a time by bit rotation, runs the progression
 search as shift-AND doubling on a bitset over one unit per orbit of +-q^j,
 and reads digit sums off one table built digit by digit; these references
 test every candidate modulus by polynomial powers, build the tables one
 power or product at a time, fold one scalar minimal polynomial at a time,
 build the k x n generator matrices, run the schoolbook product and long
-division, eliminate, encode and score one byte per symbol, enumerate all
-q^k messages, walk each coset one member at a time or all residues at once
+division, eliminate, encode and score one byte per symbol, scan all q^k
+messages for both the minimum and the tally, walk each coset one member at a time or all residues at once
 by products, scan every unit for runs, list the members of each progression
 and sum the digits of one integer at a time instead, so the tests can
 compare two independent computations."""

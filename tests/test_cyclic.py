@@ -520,6 +520,23 @@ def test_code_from_T_validates_consistency():
         code_from_T(f, defining_set(15, 4, (1,), validate=False))
 
 
+def test_a_code_checks_its_defining_set_for_closure_once(monkeypatch):
+    # code_from_T and the generator polynomial both need a closed set; the
+    # set remembers the answer, so building a code and its g checks once
+    from tdcodes import coset
+    calls = []
+    check = coset._first_unclosed
+    monkeypatch.setattr(coset, "_first_unclosed", lambda S: calls.append(S) or check(S))
+    f = make_field(2, 3)
+    assert len(code_from_T(f, build_T(4, 3, 0)).generator) == 64 - 32
+    assert len(calls) == 1
+    # an unclosed set still fails both ways, with the same error
+    T = defining_set(63, 4, (1,), validate=False)
+    for build in (lambda: code_from_T(f, T), lambda: generator_polynomial(f, T)):
+        with pytest.raises(ValueError, match="not closed under multiplication by q"):
+            build()
+
+
 def test_defining_set_of_code_equals_root_set_of_generator():
     # spot-check the defining-set/root correspondence on a non-parity set
     f = make_field(2, 2)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -96,6 +97,21 @@ def test_exact_distance_rejects_a_rank_deficient_matrix():
     assert distance.weight_distribution(GeneratorMatrix(f, rows)) == {0: 4, 3: 12}
 
 
+def test_exact_distance_past_64_message_bits():
+    # k s = 70 bits per message: scan positions are Python integers, equal
+    # to the uint64 ones on messages with nothing past bit 64
+    msgs = np.random.default_rng(1).integers(0, 2, size=(50, 70), dtype=np.uint8)
+    msgs[:, 64:] = 0
+    assert distance._scan_position(msgs, 1).tolist() == \
+        distance._scan_position(msgs[:, :64], 1).tolist()
+    f = make_field(1, 2)
+    a = np.concatenate([np.eye(70, dtype=np.uint8), np.eye(70, dtype=np.uint8)[::-1]], axis=1)
+    a[5, 3] = 1  # every row but row 5 weighs 2, and the scan meets e_0 first
+    r = exact_distance(GeneratorMatrix(f, a), cap=2 ** 70)
+    assert r.exact == 2
+    assert np.flatnonzero(r.witness).tolist() == [0, 139]
+
+
 def test_witness_is_a_codeword_and_shift_invariant():
     f, c0, _ = gf16_codes()
     r = exact_distance(c0)
@@ -118,6 +134,20 @@ def test_weight_distribution_zero_code():
     f = make_field(2, 2)
     mat = GeneratorMatrix(f, np.zeros((0, 15), dtype=np.uint8))
     assert weight_distribution(mat) == {0: 1}
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_exact_distance_refuses_a_matrix_with_no_nonzero_codeword(rows):
+    mat = GeneratorMatrix(make_field(2, 2), np.zeros((rows, 15), dtype=np.uint8))
+    with pytest.raises(ValueError, match="spans no nonzero codeword"):
+        exact_distance(mat, lower=0)
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_sampled_upper_refuses_a_matrix_with_no_nonzero_codeword(rows):
+    mat = GeneratorMatrix(make_field(2, 2), np.zeros((rows, 15), dtype=np.uint8))
+    with pytest.raises(ValueError, match="spans no nonzero codeword"):
+        sampled_upper(mat, trials=16)
 
 
 def random_matrix(s, k, n):
@@ -147,6 +177,43 @@ def gf16_tied_matrix():
     return GeneratorMatrix(f, a)
 
 
+def binary_t25_matrix():
+    # [31, 16]_2 of T_(2,5;0): n < 2k, so one full window
+    f = make_field(1, 5)
+    return generator_matrix(code_from_T(f, build_T(2, 5, 0)))
+
+
+def extended_binary_matrix():
+    # the [63, 18]_2 code with non-zeros the cosets of 1, 5 and 11, plus the
+    # overall-sum column: a [64, 18]_2 matrix that no shift maps to itself
+    f = make_field(1, 6)
+    nonzeros = {x for e in (1, 5, 11) for x in oracle.cyclotomic_coset(e, 2, 63)}
+    T = defining_set(63, 2, sorted(set(range(63)) - nonzeros))
+    return extend_code(code_from_T(f, T))
+
+
+def deficient_second_window_matrix():
+    # [30, 9]_4 whose first 9 columns are an information set; past them,
+    # row 8 is row 0 + row 1, so those 21 columns have rank 8
+    f = make_field(2, 2)
+    a = np.random.default_rng(4).integers(0, f.q, size=(9, 30), dtype=np.uint8)
+    a[8, 9:] = a[0, 9:] ^ a[1, 9:]
+    return GeneratorMatrix(f, a)
+
+
+def bench_exact_matrix(seed):
+    # the [63, 12]_4 code that perfbench's exact_distance job builds at this
+    # seed: the random q-cyclotomic cosets it shuffles, taken while they fit
+    cosets = [oracle.cyclotomic_coset(e, 4, 63) for e in oracle.coset_partition(4, 63).leaders]
+    random.Random(seed).shuffle(cosets)
+    nonzeros = []
+    for c in cosets:
+        if len(nonzeros) + len(c) <= 12:
+            nonzeros += c
+    T = defining_set(63, 4, sorted(set(range(63)) - set(nonzeros)))
+    return generator_matrix(code_from_T(make_field(2, 3), T))
+
+
 SCAN_CASES = {
     **{f"{s}-{k}-{n}": (lambda s=s, k=k, n=n: random_matrix(s, k, n))
        for s, k, n in [(2, 9, 15), (2, 7, 100), (1, 16, 64), (3, 4, 130),
@@ -155,33 +222,74 @@ SCAN_CASES = {
     "short": lambda: random_matrix(3, 3, 25),  # k*s = 9 < _CHUNK_BITS
     "k1": lambda: random_matrix(4, 1, 12),
     "gf16-ties": gf16_tied_matrix,
+    "t25-one-window": binary_t25_matrix,
+    "extended-64-18": extended_binary_matrix,
+    "deficient-second-window": deficient_second_window_matrix,
+    "bench-63-12-seed0": lambda: bench_exact_matrix(0),
+    "bench-63-12-seed7": lambda: bench_exact_matrix(7),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
 def test_scan_matches_the_byte_gray_scan(case):
-    # same minimum, same tally, and the same first minimum-weight codeword
-    # as one Gray scan over all q^k messages, one byte per symbol
+    # the same tally as one Gray scan over all q^k messages, one byte per
+    # symbol, and the same minimum and first minimum-weight codeword
     mat = SCAN_CASES[case]()
-    d, witness, hist = _scan_codewords(mat, want_hist=True)
     ref_d, ref_witness, ref_hist = oracle.gray_scan(mat)
+    assert np.array_equal(_scan_codewords(mat), ref_hist)
+    assert weight_distribution(mat, cap=mat.field.q ** mat.rows) == \
+        {w: int(c) for w, c in enumerate(ref_hist) if c}
+    r = exact_distance(mat, lower=0)
+    assert r.exact == ref_d
+    assert r.witness == tuple(int(c) for c in ref_witness)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in SCAN_CASES if not c.startswith("bench")))
+def test_every_window_finds_the_witness_of_the_byte_gray_scan(monkeypatch, case):
+    # small message spaces are scanned on the first window alone; with that
+    # turned off, every matrix takes all its windows in turn, and the
+    # reductions guess one window a stack
+    monkeypatch.setattr(distance, "_ALONE_MESSAGES", 0)
+    monkeypatch.setattr(distance, "_STACK_WORDS", 1)
+    mat = SCAN_CASES[case]()
+    ref_d, ref_witness, _ = oracle.gray_scan(mat)
+    d, witness, visited = distance._min_weight(mat)
     assert d == ref_d
     assert np.array_equal(witness, ref_witness)
-    assert np.array_equal(hist, ref_hist)
-    assert weight_distribution(mat) == {w: int(c) for w, c in enumerate(ref_hist) if c}
-    assert exact_distance(mat, lower=0).witness == tuple(int(c) for c in ref_witness)
+    assert visited <= 2 * (mat.field.q ** mat.rows - 1) // (mat.field.q - 1)
+
+
+def test_enumeration_visits_at_most_twice_the_scan():
+    # every call stops within 2 (q^k - 1)/(q - 1) messages; the bench codes
+    # take five windows in turn: layers 1 and 2 on all five for d = 14,
+    # layers 1 to 4 on all five and layer 5 on four for d = 28
+    for case, build in SCAN_CASES.items():
+        mat = build()
+        _, _, visited = distance._min_weight(mat)
+        assert visited <= 2 * (mat.field.q ** mat.rows - 1) // (mat.field.q - 1), case
+    layer = [math.comb(12, w) * 3 ** (w - 1) for w in range(6)]
+    assert distance._min_weight(bench_exact_matrix(0))[2] == 5 * (layer[1] + layer[2]) == 1050
+    assert distance._min_weight(bench_exact_matrix(7))[2] == \
+        5 * sum(layer[1:5]) + 4 * layer[5] == 334383
 
 
 def test_scan_edge_cases_are_what_they_claim():
     mat = rank_deficient_matrix()
-    d, witness, hist = _scan_codewords(mat, want_hist=True)
-    assert d == 0 and not witness.any() and hist[0] == 4 ** 2
+    assert _scan_codewords(mat)[0] == 4 ** 2
+    assert not any(exact_distance(mat, lower=0).witness)
     mat = gf16_tied_matrix()
-    d, _, hist = _scan_codewords(mat, want_hist=True)
-    assert (d, hist[d]) == (5, 6 * 15)
+    hist = _scan_codewords(mat)
+    assert hist[1:5].sum() == 0 and hist[5] == 6 * 15
     for case in ("short", "k1"):
         mat = SCAN_CASES[case]()
         assert mat.rows * mat.field.s < distance._CHUNK_BITS
+    windows = {case: len(distance._windows(SCAN_CASES[case]())[1])
+               for case in ("t25-one-window", "extended-64-18", "deficient-second-window",
+                            "bench-63-12-seed0", "bench-63-12-seed7")}
+    assert windows == {"t25-one-window": 1, "extended-64-18": 3,
+                       "deficient-second-window": 1, "bench-63-12-seed0": 5,
+                       "bench-63-12-seed7": 5}
+    assert [exact_distance(bench_exact_matrix(seed)).exact for seed in (0, 7)] == [14, 28]
 
 
 def krawtchouk(n, q, j, i):
