@@ -93,6 +93,12 @@ def test_exact_distance_rejects_a_rank_deficient_matrix():
     with pytest.raises(ValueError, match="rank-deficient"):
         exact_distance(GeneratorMatrix(f, rows))
     assert exact_distance(GeneratorMatrix(f, rows), lower=0).exact == 0
+    # all-zero rows are rank-deficient too
+    zero = GeneratorMatrix(f, np.zeros((3, 5), dtype=np.uint8))
+    with pytest.raises(ValueError, match="rank-deficient"):
+        exact_distance(zero)
+    r = exact_distance(zero, lower=0)
+    assert r.exact == 0 and not any(r.witness)
     # the tally of the same matrix stays a tally over all q^k messages
     assert distance.weight_distribution(GeneratorMatrix(f, rows)) == {0: 4, 3: 12}
 
@@ -136,9 +142,8 @@ def test_weight_distribution_zero_code():
     assert weight_distribution(mat) == {0: 1}
 
 
-@pytest.mark.parametrize("rows", [0, 3])
-def test_exact_distance_refuses_a_matrix_with_no_nonzero_codeword(rows):
-    mat = GeneratorMatrix(make_field(2, 2), np.zeros((rows, 15), dtype=np.uint8))
+def test_exact_distance_refuses_a_matrix_with_no_nonzero_codeword():
+    mat = GeneratorMatrix(make_field(2, 2), np.zeros((0, 15), dtype=np.uint8))
     with pytest.raises(ValueError, match="spans no nonzero codeword"):
         exact_distance(mat, lower=0)
 
@@ -244,13 +249,17 @@ def test_scan_matches_the_byte_gray_scan(case):
     assert r.witness == tuple(int(c) for c in ref_witness)
 
 
+@pytest.mark.parametrize("pass_words", [distance._PASS_WORDS, 64])
 @pytest.mark.parametrize("case", sorted(c for c in SCAN_CASES if not c.startswith("bench")))
-def test_every_window_finds_the_witness_of_the_byte_gray_scan(monkeypatch, case):
+def test_every_window_finds_the_witness_of_the_byte_gray_scan(monkeypatch, case, pass_words):
     # small message spaces are scanned on the first window alone; with that
     # turned off, every matrix takes all its windows in turn, and the
-    # reductions guess one window a stack
+    # reductions guess one window a stack.  At 64 words a pass, every layer
+    # comes in many pieces and the lightest words seen are cut down to the
+    # earliest many times
     monkeypatch.setattr(distance, "_ALONE_MESSAGES", 0)
     monkeypatch.setattr(distance, "_STACK_WORDS", 1)
+    monkeypatch.setattr(distance, "_PASS_WORDS", pass_words)
     mat = SCAN_CASES[case]()
     ref_d, ref_witness, _ = oracle.gray_scan(mat)
     d, witness, visited = distance._min_weight(mat)
@@ -271,6 +280,18 @@ def test_enumeration_visits_at_most_twice_the_scan():
     assert distance._min_weight(bench_exact_matrix(0))[2] == 5 * (layer[1] + layer[2]) == 1050
     assert distance._min_weight(bench_exact_matrix(7))[2] == \
         5 * sum(layer[1:5]) + 4 * layer[5] == 334383
+
+
+def test_a_long_code_of_low_rate_goes_to_the_scan_after_one_round(monkeypatch):
+    # [100, 7]_4 with d = 59 on 14 windows, [130, 4]_8 with d = 103 on 32:
+    # certifying the lightest weight of the first round would take more
+    # messages than the scan, so the first window is scanned next
+    monkeypatch.setattr(distance, "_ALONE_MESSAGES", 0)
+    for case in ("2-7-100", "3-4-130"):
+        mat = SCAN_CASES[case]()
+        q, k = mat.field.q, mat.rows
+        windows = len(distance._windows(mat)[1])
+        assert distance._min_weight(mat)[2] == windows * k + (q ** k - 1) // (q - 1), case
 
 
 def test_scan_edge_cases_are_what_they_claim():
