@@ -190,11 +190,6 @@ def bound_case(m: int) -> BoundCase:
     return case
 
 
-def witnesses_for(q: int, m: int, parity: Parity | int) -> list[str]:
-    """Witness ids applicable to T_(q,m;parity), strongest first."""
-    return [bound_case(m).witness[Parity(parity)]]
-
-
 def theorem_bound(q: int, m: int, parity: Parity | int) -> int:
     """Closed-form lower bound on the minimum distance of the digit-parity
     code of that parity."""
@@ -308,7 +303,7 @@ def lemma_bound_report(q: int, m: int, parity: Parity | int) -> BoundReport:
     """Witness-backed report for the strongest named progression, negating
     the odd-m witness when the target parity asks for the mirror set."""
     parity = Parity(parity)
-    wid = witnesses_for(q, m, parity)[0]
+    wid = bound_case(m).witness[parity]
     witness, target = lemma_witness(wid, q, m)
     source = wid
     if target is not parity:

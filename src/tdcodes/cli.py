@@ -141,7 +141,10 @@ def inspect(q, m, parity, fmt):
     """Summarize a defining set without building the generator polynomial."""
     _checked_s(q, m)
     n = q ** m - 1
-    T = coset.build_T(q, m, parity)
+    try:
+        T = coset.build_T(q, m, parity)
+    except ValueError as exc:  # m below 2
+        raise click.UsageError(str(exc)) from None
     cosets = coset.coset_count(T)
     data = {"q": q, "m": m, "parity": parity, "n": n, "set_size": len(T),
             "k": n - len(T), "cosets": cosets,
@@ -277,7 +280,7 @@ def distance_cmd(q, m, parity, variant, seed, cap, trials, field_spec_path, out)
 def table(section, s_values, max_n, with_search, fmt):
     """Regenerate the parameter summary rows for one family."""
     cap = max_n if max_n is not None else _max_n()
-    s_list = sorted(s_values) if s_values else [2, 3, 4]
+    s_list = sorted(set(s_values)) if s_values else [2, 3, 4]
     rows = []
     for s in s_list:
         if s < 0:

@@ -1,5 +1,5 @@
 """Integer-side machinery: q-cyclotomic cosets modulo n, the digit-parity
-defining sets T_(q,m;0) / T_(q,m;1), the set transforms (negate, scale,
+defining sets T_(q,m;0) / T_(q,m;1), the set transforms (negate,
 complement, dual) used to derive codes, and the gcd and digit-weight
 identities of the bound analysis.  A defining set is one read-only boolean
 mask over Z_n; transforms, closure and coset leaders are array operations on
@@ -186,12 +186,12 @@ def _first_unclosed(S: DefiningSet) -> int | None:
     return None
 
 
-def defining_set(n: int, q: int, elems, validate: bool = True) -> DefiningSet:
-    """Normalize residues into [0, n) and optionally verify coset closure."""
+def defining_set(n: int, q: int, elems) -> DefiningSet:
+    """Normalize residues into [0, n) and verify coset closure."""
     mask = np.zeros(n, dtype=bool)
     mask[np.fromiter(elems, dtype=np.int64) % n] = True
     S = DefiningSet(q, mask)
-    if validate and (e := S.first_unclosed) is not None:
+    if (e := S.first_unclosed) is not None:
         raise ValueError(
             f"set is not closed under multiplication by {q} mod {n}: "
             f"{e} is in, {e * q % n} is not")
@@ -262,19 +262,6 @@ def coset_count(S: DefiningSet) -> int:
     return int(np.count_nonzero(lead))
 
 
-def scale_set(v: int, S: DefiningSet) -> DefiningSet:
-    """Elementwise v*x mod n (v need not be a unit); preserves coset closure."""
-    n, v = S.n, v % S.n
-    mask = np.zeros(n, dtype=bool)
-    for lo, hi in _blocks(n):
-        x = np.flatnonzero(S.mask[lo:hi])
-        x += lo
-        x *= v
-        x %= n
-        mask[x] = True
-    return DefiningSet(S.q, mask)
-
-
 def complement_set(S: DefiningSet) -> DefiningSet:
     return DefiningSet(S.q, ~S.mask)
 
@@ -284,9 +271,9 @@ def dual_defining_set(S: DefiningSet) -> DefiningSet:
     return complement_set(negate_set(S))
 
 
-def splitting_check(S1: DefiningSet, S2: DefiningSet, v: int) -> CheckResult:
-    """Whether (S1, S2, v) splits Z_n: disjoint cover of Z_n - {0} by
-    coset-closed sets swapped by the unit v."""
+def splitting_check(S1: DefiningSet, S2: DefiningSet) -> CheckResult:
+    """Whether (S1, S2, -1) splits Z_n: disjoint cover of Z_n - {0} by
+    coset-closed sets swapped by negation, the unit v = n - 1."""
     if S1.n != S2.n or S1.q != S2.q:
         return CheckResult(False, "sets live on different (n, q)")
     n = S1.n
@@ -297,13 +284,11 @@ def splitting_check(S1: DefiningSet, S2: DefiningSet, v: int) -> CheckResult:
     for S, name in ((S1, "S1"), (S2, "S2")):
         if S.first_unclosed is not None:
             return CheckResult(False, f"{name} is not a union of cosets")
-    if math.gcd(v, n) != 1:
-        return CheckResult(False, f"v={v} is not a unit modulo {n}")
-    # v permutes Z_n minus {0}, which S1 and S2 partition, so v*S1 = S2
-    # gives v*S2 = S1
-    if scale_set(v, S1) != S2:
-        return CheckResult(False, f"v*S1 != S2 for v={v}")
-    return CheckResult(True, f"(S1, S2, {v}) splits Z_{n}")
+    # -1 permutes Z_n minus {0}, which S1 and S2 partition, so -S1 = S2
+    # gives -S2 = S1
+    if not is_negation(S1, S2):
+        return CheckResult(False, f"v*S1 != S2 for v={n - 1}")
+    return CheckResult(True, f"(S1, S2, {n - 1}) splits Z_{n}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class DistanceReport:
     upper: int
     exact: int | None
     witness_weight: int
-    method: str  # exhaustive | sampled | none
+    method: str  # exhaustive | sampled
     seed: int | None = None
     witness: tuple[int, ...] | None = None
 
@@ -435,12 +435,13 @@ def exact_distance(code_or_matrix, cap: int = DEFAULT_CAP,
                           method="exhaustive", witness=tuple(int(c) for c in cw))
 
 
-def weight_distribution(code_or_matrix, cap: int = 1 << 20) -> dict[int, int]:
-    """Complete tally weight -> count over all q^k codewords."""
+def weight_distribution(code_or_matrix) -> dict[int, int]:
+    """Complete tally weight -> count over all q^k codewords, q^k up to
+    DEFAULT_CAP, the cap of exact_distance."""
     mat = _as_matrix(code_or_matrix)
     total = mat.field.q ** mat.rows
-    if total > cap:
-        raise ValueError(f"q^k = {total} exceeds the tally cap {cap}")
+    if total > DEFAULT_CAP:
+        raise ValueError(f"q^k = {total} exceeds the tally cap {DEFAULT_CAP}")
     hist = _scan_codewords(mat)
     return {w: int(c) for w, c in enumerate(hist) if c}
 
@@ -582,12 +583,11 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
 # Distance equality of a duadic pair
 # ---------------------------------------------------------------------------
 
-def verify_duadic_distance_equality(q: int, m: int, cap: int = DEFAULT_CAP,
-                                    trials: int = 2048,
-                                    seed: int = 0) -> CheckResult:
+def verify_duadic_distance_equality(q: int, m: int) -> CheckResult:
     """Compare the minimum distances of the two odd-m digit-parity codes:
-    exactly when both message spaces fit under ``cap``, otherwise by sampled
-    upper bounds with one shared budget (agreement is evidence, not proof)."""
+    exactly when both message spaces fit under DEFAULT_CAP, otherwise by
+    sampled upper bounds of the default trials and seed (agreement is
+    evidence, not proof)."""
     if m < 3 or m % 2 == 0:
         raise bounds.DomainError(f"the duadic pair needs odd m >= 3, got m={m}")
     s = q.bit_length() - 1
@@ -596,10 +596,10 @@ def verify_duadic_distance_equality(q: int, m: int, cap: int = DEFAULT_CAP,
     field = make_field(s, m)
     codes = [cyclic.code_from_T(field, coset.build_T(q, m, p))
              for p in (Parity.EVEN, Parity.ODD)]
-    if all(q ** c.k <= cap for c in codes):
-        d0, d1 = (exact_distance(c, cap=cap).exact for c in codes)
+    if all(q ** c.k <= DEFAULT_CAP for c in codes):
+        d0, d1 = (exact_distance(c).exact for c in codes)
         return CheckResult(d0 == d1, f"exact distances {d0} and {d1}")
-    u0, u1 = (sampled_upper(c, trials=trials, seed=seed).upper for c in codes)
+    u0, u1 = (sampled_upper(c).upper for c in codes)
     if u0 == u1:
         return CheckResult(True, f"sampled upper bounds agree at {u0} "
                                  "(not a proof of equality)")

@@ -4,7 +4,9 @@ Base-field elements of GF(q), q = 2^s, are integers in [0, q) read as
 little-endian coefficient bit vectors over GF(2), so base addition is XOR.
 Extension elements of GF(q^m) are packed integers holding m base
 coefficients in s-bit groups, which makes extension addition plain XOR as
-well.  Multiplication reads discrete-log tables of both fields.
+well.  Base multiplication reads discrete-log tables; the extension's
+exp/log tables (``_ext_tables``) give the roots of the minimal polynomials
+in :mod:`tdcodes.cyclic`.
 
 The domain is s in 1..8, m in 2..16 and q^m <= MAX_TABLE_ORDER = 2^22, so
 every field has its exp/log tables; larger fields are refused up front.
@@ -225,9 +227,6 @@ class FieldSpec:
             raise FieldError("base modulus root is not primitive")
         return exp, log
 
-    def base_add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def base_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -300,10 +299,6 @@ class FieldSpec:
             v |= c << (j * self.s)
         return v
 
-    def ext_coeffs(self, x: int) -> tuple[int, ...]:
-        mask = self.q - 1
-        return tuple((x >> (j * self.s)) & mask for j in range(self.m))
-
     def _ext_scalar(self, c: int, v: int) -> int:
         # multiply every base coefficient of v by c
         if c == 0 or v == 0:
@@ -355,18 +350,6 @@ class FieldSpec:
             a = self._ext_square(a)
             e >>= 1
         return r
-
-    def ext_add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def ext_mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        exp, log = self._ext_tables
-        return int(exp[(int(log[a]) + int(log[b])) % self.n])
-
-    def beta_power(self, i: int) -> int:
-        return int(self._ext_tables[0][i % self.n])
 
     # -- numpy helper tables for matrix work --------------------------------
 

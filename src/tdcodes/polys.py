@@ -14,13 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def trim(coeffs) -> tuple[int, ...]:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 _FFT_MIN_LEN = 32  # shorter operand length from which _mul_rows takes the FFT
 
 
@@ -134,14 +127,6 @@ def _divmod_array(field, a: np.ndarray, b: np.ndarray) -> tuple:
             rem[i:i + b.size] ^= table[c, monic]
     nz = np.flatnonzero(rem[:b.size - 1])
     return table[inv, quot], rem[:nz[-1] + 1 if nz.size else 0]
-
-
-def divmod_(field, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot, rem = _divmod_array(field, np.asarray(a, dtype=np.uint8),
-                              np.asarray(b, dtype=np.uint8))
-    return trim(quot.tolist()), tuple(rem.tolist())
 
 
 def gcd(field, a, b) -> tuple[int, ...]:

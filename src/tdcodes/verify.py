@@ -96,12 +96,11 @@ def verify_lemma1(q: int, m: int) -> list[ClaimCheck]:
     return checks
 
 
-def verify_lemma5(q: int, m: int, ell_max: int | None = None) -> list[ClaimCheck]:
+def verify_lemma5(q: int, m: int) -> list[ClaimCheck]:
     _s_of(q)
     _require(m >= 2, f"need m >= 2, got {m}")
-    ell_max = 2 * m if ell_max is None else ell_max
     tested = 0
-    for ell in range(1, ell_max + 1):
+    for ell in range(1, 2 * m + 1):
         if (m // math.gcd(ell, m)) % 2 == 0:
             continue
         tested += 1
@@ -109,7 +108,7 @@ def verify_lemma5(q: int, m: int, ell_max: int | None = None) -> list[ClaimCheck
             return [ClaimCheck("gcd(q^m-1, q^ell+1) = 1", False,
                                f"fails at ell={ell}")]
     return [ClaimCheck("gcd(q^m-1, q^ell+1) = 1", True,
-                       f"{tested} admissible ell in 1..{ell_max}")]
+                       f"{tested} admissible ell in 1..{2 * m}")]
 
 
 def verify_lemma6(q: int, m: int) -> list[ClaimCheck]:
@@ -191,7 +190,7 @@ def verify_thm2(q: int, m: int, field: FieldSpec | None = None) -> list[ClaimChe
     n = f.n
     checks = []
 
-    split = coset.splitting_check(c0.T, c1.T, n - 1)
+    split = coset.splitting_check(c0.T, c1.T)
     dims = c0.k == c1.k == (n + 1) // 2
     checks.append(ClaimCheck("duadic pair split by -1 with dimension (n+1)/2",
                              bool(split) and dims,

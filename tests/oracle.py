@@ -1,6 +1,7 @@
-"""Slow dense references for the fast paths of tdcodes, and the field
-helpers only the tests use (powers, inverses, the subfield embedding and
-projection, text and JSON forms).
+"""Slow dense references for the fast paths of tdcodes, and the helpers
+only the tests use (extension-field products, powers and inverses on tables
+of their own, the subfield embedding and projection, text and JSON forms,
+sets that skip the closure check, and set scaling).
 
 The library reads its structure checks off g(x) (the Gram band and
 gcd(g, g*)), tests field moduli on GF(2)-linear squaring maps after a root
@@ -23,6 +24,7 @@ by products, scan every unit for runs, list the members of each progression
 and sum the digits of one integer at a time instead, so the tests can
 compare two independent computations."""
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,8 +34,8 @@ import numpy as np
 from tdcodes.bounds import APWitness, BoundReport
 from tdcodes import coset
 from tdcodes.cyclic import GeneratorMatrix, dual_code, generator_matrix
-from tdcodes.gf import FieldError, FieldSpec, _prime_factors, make_field
-from tdcodes.polys import _mul_array, trim
+from tdcodes.gf import FieldError, FieldSpec, _prime_factors, default_base_modulus, make_field
+from tdcodes.polys import _mul_array
 
 # every (q, m) with q = 2^s, s = 1..4, m >= 2 and n = q^m - 1 <= 4095: the
 # sizes the differential tests sweep
@@ -278,11 +280,11 @@ def minimal_polynomial(field, i: int) -> tuple[int, ...]:
     one scalar field operation at a time."""
     acc = [1]  # extension-field coefficients, little-endian
     for j in cyclotomic_coset(i, field.q, field.n):
-        root = field.beta_power(j)
+        root = beta_power(field, j)
         nxt = [0] * (len(acc) + 1)
         for t, c in enumerate(acc):
             if c:
-                nxt[t] ^= field.ext_mul(root, c)
+                nxt[t] ^= ext_mul(field, root, c)
                 nxt[t + 1] ^= c
         acc = nxt
     return tuple(project_base(field, c) for c in acc)
@@ -300,17 +302,21 @@ def generator_polynomial(field, T) -> tuple[int, ...]:
 def second_primitive_field(s: int, m: int):
     """GF(q^m) under the second primitive extension modulus, in the order
     default_ext_modulus searches, so a field other than make_field's."""
-    q, found = 1 << s, 0
-    for tail in range(1, q ** m):
-        coeffs = tuple((tail >> (j * s)) & (q - 1) for j in range(m)) + (1,)
-        try:
-            field = make_field(s, m, ext_modulus=coeffs)
-        except FieldError:
-            continue
-        found += 1
-        if found == 2:
-            return field
-    raise ValueError(f"GF({q}^{m}) has fewer than two primitive moduli")
+    moduli = primitive_moduli(s, m, default_base_modulus(s))
+    return make_field(s, m, ext_modulus=next(itertools.islice(moduli, 1, None)))
+
+
+def raw_set(n: int, q: int, elems) -> coset.DefiningSet:
+    """The residues elems mod n as a set, closed under q or not: the
+    DefiningSet constructor checks nothing, coset.defining_set checks closure."""
+    mask = np.zeros(n, dtype=bool)
+    mask[[e % n for e in elems]] = True
+    return coset.DefiningSet(q, mask)
+
+
+def scale_set(v: int, S) -> coset.DefiningSet:
+    """Elementwise v*x mod n, one member at a time (v need not be a unit)."""
+    return raw_set(S.n, S.q, [v * e for e in S.elems])
 
 
 def poly_mul(field, a, b) -> tuple[int, ...]:
@@ -325,6 +331,14 @@ def poly_mul(field, a, b) -> tuple[int, ...]:
             if cb:
                 out[i + j] ^= field.base_mul(ca, cb)
     return tuple(out)
+
+
+def trim(coeffs) -> tuple[int, ...]:
+    """The coefficients without their trailing zeros."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
 def poly_divmod(field, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -356,7 +370,7 @@ def base_pow(field, a: int, e: int) -> int:
 
 def ext_pow(field, a: int, e: int) -> int:
     """a^e in GF(q^m) by square and multiply."""
-    return _power(field.ext_mul, field.n, a, e)
+    return _power(functools.partial(ext_mul, field), field.n, a, e)
 
 
 def ext_inv(field, a: int) -> int:
@@ -394,7 +408,7 @@ def project_base(field, x: int) -> int:
 
 def ext_text(field, x: int) -> str:
     """The base coefficients of x, lowest first, comma-separated."""
-    return ",".join(str(c) for c in field.ext_coeffs(x))
+    return ",".join(str(c) for c in ext_coeffs(field, x))
 
 
 def poly_pretty(field, p) -> str:
@@ -432,15 +446,56 @@ def eval_ext(field, p, x: int) -> int:
     """Evaluate at an extension-field point, coefficients embedded."""
     acc = 0
     for c in reversed(p):
-        acc = field.ext_mul(acc, x) ^ embed_base(field, c)
+        acc = ext_mul(field, acc, x) ^ embed_base(field, c)
     return acc
 
 
-def ext_tables(field) -> tuple[list[int], list[int]]:
+# fields of up to this many nonzero elements multiply off ext_tables, larger
+# ones by polynomial arithmetic: a list-built table of 2^22 entries would
+# take seconds and hundreds of MB
+_TABLE_MAX_N = 1 << 16
+
+
+def ext_coeffs(field, x: int) -> tuple[int, ...]:
+    """The m base coefficients of a packed extension element, lowest first."""
+    mask = field.q - 1
+    return tuple((x >> (j * field.s)) & mask for j in range(field.m))
+
+
+def ext_mul(field, a: int, b: int) -> int:
+    """a * b in GF(q^m), never through the library's extension tables."""
+    if a == 0 or b == 0:
+        return 0
+    if field.n > _TABLE_MAX_N:
+        return ext_mul_poly(field, a, b)
+    exp, log = ext_tables(field)
+    return exp[(log[a] + log[b]) % field.n]
+
+
+def beta_power(field, i: int) -> int:
+    """beta^i, never through the library's extension tables."""
+    if field.n > _TABLE_MAX_N:
+        return ext_pow(field, field.beta, i)
+    return ext_tables(field)[0][i % field.n]
+
+
+def ext_mul_poly(field, a: int, b: int) -> int:
+    """a * b modulo the extension modulus by Horner's rule over the base
+    coefficients of b: per coefficient, one multiplication by x and one
+    scalar multiple of a, one base_mul per coefficient of a."""
+    r = 0
+    for c in reversed(ext_coeffs(field, b)):
+        r = ext_times_x(field, r) ^ field.pack_coeffs(
+            [field.base_mul(c, d) for d in ext_coeffs(field, a)])
+    return r
+
+
+@functools.lru_cache(maxsize=8)
+def ext_tables(field) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """exp[k] = beta^k and log[beta^k] = k (log[0] = -1), one multiplication
     by beta at a time (shift up, then add the multiple of x^m that fell off
     the top, from a table of the q multiples); raises FieldError when beta
-    is not primitive."""
+    is not primitive.  Cached per field, so the tables are tuples."""
     exp, log = [0] * field.n, [-1] * (field.n + 1)
     top = (field.m - 1) * field.s
     carry = [ext_times_x(field, c << top) for c in range(field.q)]
@@ -453,14 +508,14 @@ def ext_tables(field) -> tuple[list[int], list[int]]:
         e = ((e & ((1 << top) - 1)) << field.s) ^ carry[e >> top]
     if e != 1:
         raise FieldError("extension modulus root is not primitive")
-    return exp, log
+    return tuple(exp), tuple(log)
 
 
 def ext_times_x(field, v: int) -> int:
     """x * v modulo the extension modulus, one base coefficient at a time:
     the coefficients shift up, and x^m = f_0 + ... + f_(m-1) x^(m-1) takes
     the one that falls off the top."""
-    c = field.ext_coeffs(v)
+    c = ext_coeffs(field, v)
     top = c[-1]
     return field.pack_coeffs([a ^ field.base_mul(top, f)
                               for a, f in zip((0,) + c[:-1], field.ext_modulus)])
@@ -489,18 +544,24 @@ def ext_x_order_is_full(field) -> bool:
         ext_pow_poly(field, x, n // p) != 1 for p in _prime_factors(n))
 
 
-def default_ext_modulus(s: int, m: int, base_modulus: int) -> tuple[int, ...]:
-    """The first monic degree-m polynomial over GF(q), in ascending packed
-    order, that passes ext_x_order_is_full: every candidate with a nonzero
-    constant term takes the power test."""
+def primitive_moduli(s: int, m: int, base_modulus: int):
+    """The monic degree-m polynomials over GF(q), in ascending packed order,
+    that pass ext_x_order_is_full: every candidate with a nonzero constant
+    term takes the power test."""
     q = 1 << s
     for tail in range(1, q ** m):
         if tail & (q - 1) == 0:
             continue
         coeffs = tuple((tail >> (j * s)) & (q - 1) for j in range(m)) + (1,)
         if ext_x_order_is_full(FieldSpec(s, m, base_modulus, coeffs)):
-            return coeffs
-    raise FieldError(f"no primitive degree-{m} extension modulus over GF({q})")
+            yield coeffs
+
+
+def default_ext_modulus(s: int, m: int, base_modulus: int) -> tuple[int, ...]:
+    """The first of primitive_moduli."""
+    for coeffs in primitive_moduli(s, m, base_modulus):
+        return coeffs
+    raise FieldError(f"no primitive degree-{m} extension modulus over GF({1 << s})")
 
 
 def np_mul_table(field) -> np.ndarray:

@@ -90,7 +90,7 @@ def test_criterion_04_odd_m_structure():
             field = make_field(s, m)
             n = field.n
             T0, T1 = build_T(q, m, 0), build_T(q, m, 1)
-            assert splitting_check(T0, T1, n - 1).ok, (q, m)
+            assert splitting_check(T0, T1).ok, (q, m)
             c0, c1 = code_from_T(field, T0), code_from_T(field, T1)
             for c in (c0, c1):
                 ext = extend_code(c)

@@ -10,8 +10,8 @@ from tdcodes import bounds, coset
 from tdcodes.bounds import (BOUND_CASES, APWitness, BoundReport, DomainError,
                             ap_in_set, bch_search, bound_case,
                             lemma_bound_report, lemma_witness, negate_witness,
-                            report_to_json, theorem_bound, witnesses_for)
-from tdcodes.coset import Parity, build_T, defining_set, negate_set, scale_set
+                            report_to_json, theorem_bound)
+from tdcodes.coset import Parity, build_T, defining_set, negate_set
 
 UP_TO_255 = [(q, m) for q, m in SMALL_QM if q ** m - 1 <= 255]
 
@@ -135,12 +135,12 @@ def test_theorem_bound_domain():
 
 
 def test_bch_search_trivial_sets():
-    full_minus_zero = defining_set(15, 4, tuple(range(1, 15)), validate=False)
+    full_minus_zero = oracle.raw_set(15, 4, tuple(range(1, 15)))
     r = bch_search(full_minus_zero)
     assert r.delta == 15
-    empty = defining_set(15, 4, (), validate=False)
+    empty = oracle.raw_set(15, 4, ())
     assert bch_search(empty).delta == 1
-    everything = defining_set(15, 4, tuple(range(15)), validate=False)
+    everything = oracle.raw_set(15, 4, tuple(range(15)))
     assert bch_search(everything).delta == 15
 
 
@@ -185,7 +185,7 @@ def test_bch_search_budget_flags_partial():
     assert r.partial
     assert r.delta >= 2  # best-so-far is still a valid bound
     with pytest.raises(ValueError, match="2\\^16"):
-        bch_search(defining_set((1 << 17) - 1, 4, (1, 2), validate=False))
+        bch_search(oracle.raw_set((1 << 17) - 1, 4, (1, 2)))
 
 
 def test_unit_sieve_matches_the_gcd_definition():
@@ -208,13 +208,13 @@ def test_bch_search_budget_of_zero_or_less_scans_nothing():
             BoundReport(1, None, "exhaustive search", True)
 
 
-def test_witnesses_for_covers_every_case():
-    assert witnesses_for(4, 3, 0) == ["lemma7"]
-    assert witnesses_for(4, 2, 1) == ["thm12m2p1"]
-    assert witnesses_for(4, 6, 0) == ["lemma11"]
-    assert witnesses_for(4, 6, 1) == ["lemma9"]
-    assert witnesses_for(4, 10, 0) == ["lemma10"]
-    assert witnesses_for(4, 4, 1) == ["lemma14"]
+def test_strongest_witness_covers_every_case():
+    assert bound_case(3).witness[0] == "lemma7"
+    assert bound_case(2).witness[1] == "thm12m2p1"
+    assert bound_case(6).witness[0] == "lemma11"
+    assert bound_case(6).witness[1] == "lemma9"
+    assert bound_case(10).witness[0] == "lemma10"
+    assert bound_case(4).witness[1] == "lemma14"
 
 
 def test_lemma_bound_report_covers_both_parities():
@@ -282,7 +282,7 @@ def test_bch_search_is_blind_to_negation_and_unit_scaling(q, m):
         delta = bch_search(T).delta
         assert bch_search(negate_set(T)).delta == delta
         for v in rng.sample(units, min(4, len(units))):
-            assert bch_search(scale_set(v, T)).delta == delta, v
+            assert bch_search(oracle.scale_set(v, T)).delta == delta, v
 
 
 @pytest.mark.parametrize("q,m", UP_TO_255)
@@ -299,8 +299,8 @@ def test_longest_run_matches_the_member_lists(q, m):
         units = rng.sample(units, 8)
     sets = [build_T(q, m, parity) for parity in (0, 1)]
     for keep in (0.7, 0.95):
-        sets.append(defining_set(n, q, [e for e in range(n) if rng.random() < keep]
-                                 + [rng.randrange(n)], validate=False))
+        sets.append(oracle.raw_set(n, q, [e for e in range(n) if rng.random() < keep]
+                                 + [rng.randrange(n)]))
     for T in sets:
         if len(T) == n:
             continue

@@ -143,6 +143,12 @@ def test_construct_warns_for_binary_alphabet(runner):
 def test_construct_usage_error(runner):
     res = runner.invoke(main, ["construct", "--q", "5", "--m", "2"])
     assert res.exit_code == 2
+    # m below 2: inspect refuses it as bound and verify do, with no traceback
+    for m in ("1", "0"):
+        res = runner.invoke(main, ["inspect", "--q", "4", "--m", m])
+        assert res.exit_code == 2, m
+        assert f"m must be at least 2, got {m}" in res.stderr
+        assert "Traceback" not in res.output
 
 
 def test_max_n_guard(runner, monkeypatch):
@@ -287,9 +293,11 @@ def test_distance_sampled_certificate(runner):
 
 
 def test_table_section_16(runner):
-    res = runner.invoke(main, ["table", "--section", "16", "--s", "2",
+    # a repeated --s lists its rows once
+    res = runner.invoke(main, ["table", "--section", "16", "--s", "2", "--s", "2",
                                "--format", "json"])
     rows = json.loads(res.stdout)
+    assert len({(r["q"], r["m"], r["family"]) for r in rows}) == len(rows)
     pair = [r for r in rows if r["m"] == 3 and r["family"] == "pair"][0]
     assert (pair["n"], pair["k"], pair["d_bound"]) == (63, 32, 11)
     ext = [r for r in rows if r["m"] == 3 and r["family"] == "extended"][0]

@@ -5,14 +5,14 @@ import pytest
 
 from conftest import peak_traced_bytes
 from oracle import (SMALL_QM, coset_partition, cyclotomic_coset, orbit_leaders,
-                    q_adic_digits, q_weight)
+                    q_adic_digits, q_weight, raw_set)
 from tdcodes import coset
 from tdcodes.bounds import bch_search
 from tdcodes.coset import (CheckResult, DefiningSet, Parity, build_T,
                            complement_set, coset_count, defining_set,
                            disjoint_cover, dual_defining_set, gcd_lemma5_check,
                            is_negation, leader_mask, lemma6_check, negate_set,
-                           scale_set, splitting_check)
+                           splitting_check)
 from tdcodes.cyclic import code_from_T, generator_polynomial
 from tdcodes.gf import make_field
 
@@ -106,39 +106,31 @@ def test_negate_scale_complement():
     assert negate_set(T0) == T1                      # odd m swaps parities
     assert negate_set(build_T(4, 2, 0)) == build_T(4, 2, 0)  # even m fixes
     assert negate_set(negate_set(T0)) == T0
-    assert scale_set(1, T0) == T0
     assert complement_set(complement_set(T0)) == T0
     assert 0 in complement_set(T0)
-
-
-def test_scale_set_preserves_coset_closure_for_any_v():
-    T = build_T(4, 2, 0)
-    for v in range(15):
-        S = scale_set(v, T)
-        assert all(e * 4 % 15 in S for e in S.elems)
 
 
 def test_dual_defining_set():
     T0 = build_T(4, 2, 0)
     T1 = build_T(4, 2, 1)
     assert dual_defining_set(T0).elems == (0,) + T1.elems
-    empty = defining_set(15, 4, (), validate=False)
+    empty = raw_set(15, 4, ())
     assert dual_defining_set(empty).elems == tuple(range(15))
-    full = defining_set(15, 4, tuple(range(15)), validate=False)
+    full = raw_set(15, 4, tuple(range(15)))
     assert dual_defining_set(full).elems == ()
 
 
 def test_splitting_check():
     T0, T1 = build_T(4, 3, 0), build_T(4, 3, 1)
-    res = splitting_check(T0, T1, 62)
+    res = splitting_check(T0, T1)
     assert res.ok and bool(res)
     even0, even1 = build_T(4, 2, 0), build_T(4, 2, 1)
-    res = splitting_check(even0, even1, 14)
+    res = splitting_check(even0, even1)
     assert not res.ok
     assert "v*S1 != S2" in res.reason
-    n15 = defining_set(15, 4, (), validate=False)
-    rest = defining_set(15, 4, tuple(range(1, 15)), validate=False)
-    res = splitting_check(n15, rest, 1)
+    n15 = raw_set(15, 4, ())
+    rest = raw_set(15, 4, tuple(range(1, 15)))
+    res = splitting_check(n15, rest)
     assert not res.ok
 
 
@@ -146,7 +138,7 @@ def test_defining_set_validation():
     defining_set(15, 4, [1, 4])                     # a closed coset
     with pytest.raises(ValueError, match="not closed"):
         defining_set(15, 4, [1])
-    s = defining_set(15, 4, [16, 4], validate=True)  # normalized mod n
+    s = defining_set(15, 4, [16, 4])  # normalized mod n
     assert s.elems == (1, 4)
 
 
@@ -205,9 +197,8 @@ def test_defining_set_is_one_read_only_mask():
     assert same is not T and same == T and hash(same) == hash(T)
     assert len({T, same, build_T(4, 3, 1)}) == 2
     assert T != build_T(4, 3, 1)
-    assert T != defining_set(63, 16, T.elems, validate=False)   # another q
-    assert build_T(4, 2, 0) != defining_set(63, 4, build_T(4, 2, 0).elems,
-                                            validate=False)   # another n
+    assert T != raw_set(63, 16, T.elems)   # another q
+    assert build_T(4, 2, 0) != raw_set(63, 4, build_T(4, 2, 0).elems)   # another n
     assert T != T.elems
 
 
@@ -230,11 +221,9 @@ def test_mask_sets_match_python_set_arithmetic(q, m):
         assert set(negate_set(S).elems) == negated
         assert set(complement_set(S).elems) == everything - ref
         assert set(dual_defining_set(S).elems) == everything - negated
-        for v in [0, 1, q, n - 1, -1, n + 2] + rng.sample(range(n), min(6, n)):
-            assert set(scale_set(v, S).elems) == {v * e % n for e in ref}, v
     # Lemma 1: -1 swaps T_0 and T_1 for odd m and fixes each for even m
     T0, T1 = sets[0][0], sets[1][0]
-    split = splitting_check(T0, T1, n - 1)
+    split = splitting_check(T0, T1)
     assert bool(split) == (m % 2 == 1)
     if m % 2 == 0:
         assert split.reason == f"v*S1 != S2 for v={n - 1}"
@@ -278,29 +267,27 @@ def test_leader_mask_on_other_moduli():
 
 def test_splitting_check_failure_reasons():
     T0, T1 = build_T(4, 3, 0), build_T(4, 3, 1)
-    assert splitting_check(T0, build_T(4, 2, 1), 62).reason == \
+    assert splitting_check(T0, build_T(4, 2, 1)).reason == \
         "sets live on different (n, q)"
-    assert splitting_check(T0, defining_set(63, 16, T1.elems, validate=False),
-                           62).reason == "sets live on different (n, q)"
-    assert splitting_check(T0, T0, 62).reason == "S1 and S2 intersect"
+    assert splitting_check(T0, raw_set(63, 16, T1.elems)).reason == \
+        "sets live on different (n, q)"
+    assert splitting_check(T0, T0).reason == "S1 and S2 intersect"
     lost = set(cyclotomic_coset(T1.elems[0], 4, 63))
     short = defining_set(63, 4, set(T1.elems) - lost)
-    assert splitting_check(T0, short, 62).reason == \
+    assert splitting_check(T0, short).reason == \
         "S1 and S2 do not cover Z_n minus {0}"
-    with_zero = defining_set(63, 4, (0,) + T0.elems, validate=False)
-    one_less = defining_set(63, 4, T1.elems[1:], validate=False)
-    assert splitting_check(with_zero, one_less, 62).reason == \
+    with_zero = raw_set(63, 4, (0,) + T0.elems)
+    one_less = raw_set(63, 4, T1.elems[1:])
+    assert splitting_check(with_zero, one_less).reason == \
         "S1 and S2 do not cover Z_n minus {0}"
     a, b = T0.elems[0], T1.elems[0]
-    S1 = defining_set(63, 4, set(T0.elems) - {a} | {b}, validate=False)
-    S2 = defining_set(63, 4, set(T1.elems) - {b} | {a}, validate=False)
-    assert splitting_check(S1, S2, 62).reason == "S1 is not a union of cosets"
+    S1 = raw_set(63, 4, set(T0.elems) - {a} | {b})
+    S2 = raw_set(63, 4, set(T1.elems) - {b} | {a})
+    assert splitting_check(S1, S2).reason == "S1 is not a union of cosets"
     # with q not invertible modulo n, S1 can be closed while S2 is not
     assert splitting_check(defining_set(6, 2, (1, 2, 4)),
-                           defining_set(6, 2, (3, 5), validate=False),
-                           5).reason == "S2 is not a union of cosets"
-    assert splitting_check(T0, T1, 3).reason == "v=3 is not a unit modulo 63"
-    assert splitting_check(T0, T1, 62).reason == "(S1, S2, 62) splits Z_63"
+                           raw_set(6, 2, (3, 5))).reason == "S2 is not a union of cosets"
+    assert splitting_check(T0, T1).reason == "(S1, S2, 62) splits Z_63"
 
 
 @pytest.mark.parametrize("q,m", [(2, 4), (4, 2), (4, 3), (8, 2), (2, 6)])
@@ -318,7 +305,7 @@ def test_unclosed_sets_are_rejected_everywhere(q, m):
         with pytest.raises(ValueError, match=f"mod {n}: {first} is in, "
                                              f"{first * q % n} is not"):
             defining_set(n, q, S)
-        raw = defining_set(n, q, S, validate=False)
+        raw = raw_set(n, q, S)
         for reject in (lambda: code_from_T(field, raw),
                        lambda: generator_polynomial(field, raw),
                        lambda: bch_search(raw)):

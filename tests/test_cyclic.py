@@ -11,7 +11,7 @@ from tdcodes.cyclic import (_gram_band, code_from_T, complement_code,
                             extension_is_self_dual, generator_matrix,
                             generator_polynomial, hull_dimension, is_lcd,
                             is_self_orthogonal, poly_pretty, code_to_json)
-from tdcodes.gf import MAX_TABLE_ORDER, make_field
+from tdcodes.gf import MAX_TABLE_ORDER, FieldSpec, make_field
 
 # generator polynomials of the two quaternary length-63 codes, little-endian
 # base reprs (0, 1, w -> 2, w^2 -> 3); known printed values for this tower
@@ -38,7 +38,7 @@ def test_minimal_polynomial_degree_one_coset():
     f = make_field(2, 2)
     mp = oracle.minimal_polynomial(f, 5)
     assert len(mp) == 2 and mp[1] == 1
-    assert oracle.embed_base(f, mp[0]) == f.beta_power(5)
+    assert oracle.embed_base(f, mp[0]) == oracle.beta_power(f, 5)
 
 
 @pytest.mark.parametrize("s", [1, 2, 4, 8])
@@ -63,7 +63,7 @@ def _add(a, b):
     for p in (a, b):
         for i, c in enumerate(p):
             out[i] ^= c
-    return polys.trim(out)
+    return oracle.trim(out)
 
 
 def _random_poly(rng, q, length, lead=None):
@@ -87,13 +87,13 @@ def test_poly_divmod_matches_long_division(s):
         (_random_poly(rng, f.q, 40), _random_poly(rng, f.q, 7, lead=top)),
     ]
     for a, b in pairs:
-        quot, rem = polys.divmod_(f, a, b)
+        quot, rem = (tuple(c.tolist()) for c in polys._divmod_array(
+            f, np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)))
         assert (quot, rem) == oracle.poly_divmod(f, a, b), (a, b)
         assert len(rem) < len(b)
         assert _add(polys.mul(f, quot, b), rem) == a
-    for div in (polys.divmod_, oracle.poly_divmod):
-        with pytest.raises(ZeroDivisionError):
-            div(f, (1, 1), ())
+    with pytest.raises(ZeroDivisionError):
+        oracle.poly_divmod(f, (1, 1), ())
 
 
 @pytest.mark.parametrize("s", [1, 2, 4, 8])
@@ -104,8 +104,8 @@ def test_poly_gcd(s):
         a, b, c = (_random_poly(rng, f.q, rng.randrange(1, 25)) for _ in range(3))
         g = polys.gcd(f, polys.mul(f, a, c), polys.mul(f, b, c))
         assert g[-1] == 1
-        assert polys.divmod_(f, g, c)[1] == ()
-        assert polys.divmod_(f, polys.mul(f, a, c), g)[1] == ()
+        assert oracle.poly_divmod(f, g, c)[1] == ()
+        assert oracle.poly_divmod(f, polys.mul(f, a, c), g)[1] == ()
     assert polys.gcd(f, (), ()) == ()
     top = f.q - 1
     assert polys.gcd(f, (), (1, top)) == polys.gcd(f, (1, top), ()) \
@@ -145,16 +145,15 @@ def test_product_of_minimal_polynomials_is_x_n_minus_1(s, m):
 
 def test_generator_polynomial_trivial_sets():
     f = make_field(2, 2)
-    assert generator_polynomial(f, defining_set(15, 4, (), validate=False)) == (1,)
-    g = generator_polynomial(f, defining_set(15, 4, tuple(range(15)),
-                                             validate=False))
+    assert generator_polynomial(f, oracle.raw_set(15, 4, ())) == (1,)
+    g = generator_polynomial(f, oracle.raw_set(15, 4, range(15)))
     assert g == oracle.x_pow_n_plus_1(15)
 
 
 def test_generator_polynomial_rejects_unclosed_set():
     f = make_field(2, 2)
     with pytest.raises(ValueError, match="not closed"):
-        generator_polynomial(f, defining_set(15, 4, (1,), validate=False))
+        generator_polynomial(f, oracle.raw_set(15, 4, (1,)))
 
 
 def test_reference_generator_polynomials():
@@ -172,7 +171,7 @@ def test_generator_roots_match_defining_set_exactly():
         c = code_from_T(f, build_T(f.q, f.m, 0))
         g = c.generator
         for i in range(f.n):
-            val = oracle.eval_ext(f, g, f.beta_power(i))
+            val = oracle.eval_ext(f, g, oracle.beta_power(f, i))
             assert (val == 0) == (i in c.T), i
 
 
@@ -200,7 +199,28 @@ def test_generator_roots_under_a_second_primitive_modulus(s, m):
         g = generator_polynomial(f, T)
         assert g == oracle.generator_polynomial(f, T)
         for i in leaders:
-            assert (oracle.eval_ext(f, g, f.beta_power(i)) == 0) == (i in T), i
+            assert (oracle.eval_ext(f, g, oracle.beta_power(f, i)) == 0) == (i in T), i
+
+
+def test_the_oracle_never_reads_the_library_extension_tables(monkeypatch):
+    # the reference g and root checks build their own tables (and multiply
+    # by polynomial arithmetic past 2^16), so a fault in FieldSpec._ext_tables
+    # cannot show up on both sides of a comparison
+    def reference():
+        f, big = make_field(2, 3), make_field(2, 11)
+        gs = [oracle.generator_polynomial(f, build_T(4, 3, p)) for p in (0, 1)]
+        roots = [oracle.eval_ext(f, gs[0], oracle.beta_power(f, i)) for i in range(f.n)]
+        return gs, roots, oracle.minimal_polynomial(big, 1)
+
+    want = reference()
+    assert want[1].count(0) == 31 and len(want[2]) == 12
+
+    def refuse(self):
+        raise AssertionError("the oracle read FieldSpec._ext_tables")
+
+    monkeypatch.setattr(FieldSpec, "_ext_tables", property(refuse))
+    oracle.ext_tables.cache_clear()
+    assert reference() == want
 
 
 @pytest.mark.parametrize("s,m", [(7, 3), (2, 11)])
@@ -319,7 +339,7 @@ def test_dual_code_identities():
     assert dual_code(c0).T == even_like(c1).T
     assert dual_code(c1).T == even_like(c0).T
     assert dual_code(dual_code(c0)).T == c0.T
-    whole = code_from_T(f, defining_set(15, 4, (), validate=False))
+    whole = code_from_T(f, oracle.raw_set(15, 4, ()))
     assert dual_code(whole).k == 0
 
 
@@ -356,7 +376,7 @@ def test_generator_matrix_and_encode():
     for _ in range(10):
         msg = [rng.randrange(4) for _ in range(32)]
         word = oracle.encode(c0, msg)
-        _, rem = polys.divmod_(f, polys.trim(word.tolist()), c0.generator)
+        _, rem = oracle.poly_divmod(f, oracle.trim(word.tolist()), c0.generator)
         assert rem == ()
     with pytest.raises(ValueError):
         oracle.encode(c0, [0] * 31)
@@ -379,7 +399,7 @@ def test_is_lcd():
     f = gf64()
     c0_odd_m, _ = pair(f, 4, 3)
     assert not is_lcd(c0_odd_m)
-    whole = code_from_T(f2, defining_set(15, 4, (), validate=False))
+    whole = code_from_T(f2, oracle.raw_set(15, 4, ()))
     assert is_lcd(whole)
 
 
@@ -517,7 +537,7 @@ def test_code_from_T_validates_consistency():
     with pytest.raises(ValueError, match="does not match"):
         code_from_T(f, build_T(4, 3, 0))
     with pytest.raises(ValueError, match="not closed"):
-        code_from_T(f, defining_set(15, 4, (1,), validate=False))
+        code_from_T(f, oracle.raw_set(15, 4, (1,)))
 
 
 def test_a_code_checks_its_defining_set_for_closure_once(monkeypatch):
@@ -531,7 +551,7 @@ def test_a_code_checks_its_defining_set_for_closure_once(monkeypatch):
     assert len(code_from_T(f, build_T(4, 3, 0)).generator) == 64 - 32
     assert len(calls) == 1
     # an unclosed set still fails both ways, with the same error
-    T = defining_set(63, 4, (1,), validate=False)
+    T = oracle.raw_set(63, 4, (1,))
     for build in (lambda: code_from_T(f, T), lambda: generator_polynomial(f, T)):
         with pytest.raises(ValueError, match="not closed under multiplication by q"):
             build()
@@ -544,5 +564,5 @@ def test_defining_set_of_code_equals_root_set_of_generator():
     c = code_from_T(f, T)
     assert c.k == 15 - 6
     for i in range(15):
-        val = oracle.eval_ext(f, c.generator, f.beta_power(i))
+        val = oracle.eval_ext(f, c.generator, oracle.beta_power(f, i))
         assert (val == 0) == (i in T)

@@ -4,6 +4,8 @@ import itertools
 import pytest
 from conftest import peak_traced_bytes
 
+import oracle
+
 from tdcodes import bounds, coset, cyclic
 from tdcodes.bounds import DomainError
 from tdcodes.gf import FieldError, make_field
@@ -38,7 +40,7 @@ def test_lemma1_cover_claim_fails_when_a_residue_is_lost_or_shared(monkeypatch):
         def build(q, m, parity):
             T = real(q, m, parity)
             if parity == edited_parity:
-                T = coset.defining_set(T.n, T.q, edit(set(T.elems)), validate=False)
+                T = oracle.raw_set(T.n, T.q, edit(set(T.elems)))
             return T
 
         monkeypatch.setattr(coset, "build_T", build)
