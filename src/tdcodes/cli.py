@@ -241,7 +241,8 @@ def distance_cmd(q, m, parity, variant, seed, cap, trials, field_spec_path, out)
     field = _build_field(q, m, field_spec_path)
     code = _code_for(field, parity, variant)
     k = code.k
-    cols = code.n + 1 if variant == "extended" else code.n
+    extended = variant == "extended"
+    cols = code.n + 1 if extended else code.n
     if k * cols > DISTANCE_MAX_BYTES:
         raise click.UsageError(
             f"the {k} x {cols} generator matrix needs {k * cols} bytes, "
@@ -253,10 +254,10 @@ def distance_cmd(q, m, parity, variant, seed, cap, trials, field_spec_path, out)
         lower = 1
     if field.n <= 4096 and variant == "plain":
         lower = max(lower, bounds.bch_search(code.T).delta)
-    target = cyclic.extend_code(code) if variant == "extended" else code
     if q ** k <= cap:
-        report = distance.exact_distance(target, cap=cap, lower=lower)
+        report = distance.exact_distance(code, cap=cap, lower=lower, extended=extended)
     else:
+        target = cyclic.extend_code(code) if extended else code
         report = distance.sampled_upper(target, trials=trials, seed=seed,
                                         lower=lower)
     data = {"lower": report.lower, "upper": report.upper, "exact": report.exact,

@@ -1,9 +1,17 @@
-"""Ground-truth minimum-distance machinery: exact distance by
-Brouwer-Zimmermann enumeration over disjoint information sets, randomized
-upper-bound search for codes too large to enumerate, and complete weight
-tallies for tiny codes from a Gray scan of one message per projective point
-of the message space (the (q^k - 1)/(q - 1) messages whose last nonzero
-symbol is 1, each codeword one row XOR).
+"""Ground-truth minimum-distance machinery: exact distance of a cyclic
+code, or of its extension, by Brouwer-Zimmermann enumeration of one
+information set with the cyclic stop rule, randomized upper-bound search
+for codes too large to enumerate, complete weight tallies for tiny codes
+from a Gray scan of one message per projective point of the message space
+(the (q^k - 1)/(q - 1) messages whose last nonzero symbol is 1, each
+codeword one row XOR), and the certificate that a duadic pair shares its
+distance.
+
+The cyclic stop rule (Zimmermann 1996; Grassl 2006): in a cyclic [n, k]
+code, once every message of weight <= w on positions 0..k - 1 has been
+visited, a codeword none of whose shifts was visited has more than w
+nonzeros in each of the n cyclic windows of k positions.  Each position
+lies in k windows, so k wt(c) >= n(w + 1).
 
 Codewords are bit-sliced words (:mod:`tdcodes.packed`): s bit-planes of
 ceil(n/64) uint64 values, so a row XOR touches s*ceil(n/64) machine words
@@ -16,13 +24,11 @@ unchanged.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from tdcodes import bounds, coset, cyclic, packed
+from tdcodes import bounds, coset, cyclic, packed, polys
 from tdcodes.coset import CheckResult, Parity
 from tdcodes.cyclic import CyclicCode, GeneratorMatrix
 from tdcodes.gf import make_field
@@ -155,58 +161,6 @@ def _refuse_zero(mat: GeneratorMatrix) -> None:
                          "nonzero codeword")
 
 
-def _windows(mat: GeneratorMatrix):
-    """Disjoint information sets ("windows") of a generator matrix G, taken
-    greedily: the pivot columns of [G | I_k], then the first k independent
-    columns of those left, and so on while the columns left have rank k.
-
-    Returns None when G has rank below k.  Otherwise returns the inverse E
-    of the first window's columns, so E G is systematic there and a
-    codeword's symbols on that window are its message in that basis, as
-    the packed q multiples of each row of E (a * row i at q i + a), and
-    per window its packed systematic form, whose columns are reordered, with
-    the places of the first window's columns in that order.  The later
-    windows are guessed to be runs of k consecutive columns of those left,
-    as they are for a cyclic code, and as many guesses as fit in twice
-    _STACK_WORDS words are reduced in one stack: the greedy window of each
-    reduction is right while the ones before it were, so a run the
-    reduction moves off ends the guess."""
-    field, k, n = mat.field, mat.rows, mat.cols
-    s = field.s
-    nwords = -(-n // 64)
-    both = np.concatenate([packed.pack(mat.array, s),
-                           packed.pack(np.eye(k, dtype=np.uint8), s)], axis=1)
-    reduced, (pivots,) = cyclic.row_reduce(field, both[..., None])
-    if pivots[-1] >= 64 * nwords:
-        return None
-    inverse = packed.multiples(packed.scalar_masks(field), reduced[:, nwords:, :, 0])
-    inverse = inverse.reshape(s, -1, k * field.q)
-    first = np.array(pivots)
-    forms, places = [np.ascontiguousarray(reduced[:, :nwords, :, 0])], [first]
-    taken = np.zeros(n, dtype=bool)
-    taken[first] = True
-    later = np.zeros(0, dtype=np.intp)
-    rest = np.flatnonzero(~taken)
-    fit = max(1, 2 * _STACK_WORDS // forms[0].size)  # guessed windows a stack holds
-    while rest.size >= k:
-        starts = range(0, min(rest.size - k + 1, fit * k), k)
-        orders = np.stack([np.concatenate([rest[lo:], first, rest[:lo], later])
-                           for lo in starts])
-        stack, ranked = cyclic.row_reduce(field, packed.pack(mat.array[:, orders], s))
-        for b, (lo, piv) in enumerate(zip(starts, ranked)):
-            span = rest.size - lo
-            if len(piv) < k or piv[-1] >= span:  # the columns left have rank < k
-                return inverse, forms, places
-            forms.append(np.ascontiguousarray(stack[..., b]))
-            places.append(span + np.arange(k))
-            taken[orders[b, piv]] = True
-            later = np.concatenate([later, orders[b, piv]])
-            if piv[-1] != k - 1:  # not the guessed run: the next guesses are off
-                break
-        rest = np.flatnonzero(~taken)
-    return inverse, forms, places
-
-
 def _pairs(major: np.ndarray, minor: np.ndarray, lo: np.ndarray, hi: np.ndarray, per: int):
     """The words major_i + minor_j for lo_i <= j < hi_i, in i-major order,
     lo and hi nondecreasing, one XOR per word, in pieces of up to ``per``.
@@ -289,18 +243,10 @@ class _Window:
         yield from _pairs(heads, tails, lo, np.full_like(lo, firsts.size), self.per)
 
 
-def _symbols(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The symbols at ``cols`` of each word of an (s, W, c) stack, (c, len(cols))."""
-    bits = words[:, cols >> 6] >> (cols & 63).astype(packed.WORD)[:, None]
-    bits &= 1
-    bits <<= np.arange(words.shape[0], dtype=packed.WORD)[:, None, None]
-    return np.bitwise_or.reduce(bits, axis=0).T.astype(np.uint8)
-
-
-def _earliest(field, inverse: np.ndarray, found: np.ndarray):
-    """Of the messages ``found`` in the first window's basis, (count, k),
-    the index of the one whose message in G's basis, scaled so that its
-    last nonzero symbol is 1, comes first in the full scan, and that scaled
+def _earliest(field, inverse: np.ndarray | None, found: np.ndarray):
+    """Of the messages ``found`` in the window's basis, (count, k), the
+    index of the one whose message in G's basis, scaled so that its last
+    nonzero symbol is 1, comes first in the full scan, and that scaled
     message.  ``inverse`` holds the q multiples of each packed row of E,
     the message in G's basis is the XOR of the ones the symbols pick; with
     no inverse, the messages are in G's basis already."""
@@ -316,121 +262,101 @@ def _earliest(field, inverse: np.ndarray, found: np.ndarray):
     return at, msgs[at]
 
 
-def _min_weight(mat: GeneratorMatrix):
+def _min_weight(mat: GeneratorMatrix, n: int):
     """Minimum weight of the codewords of nonzero messages, the scan's
-    witness, and the number of messages visited, by Brouwer-Zimmermann
-    enumeration over the disjoint information sets of _windows (Zimmermann
-    1996; Grassl 2006).
+    witness, and the number of messages visited, for the generator matrix
+    G of a cyclic [n, k] code (rows x^j g(x)) or of its extension by the
+    overall-sum column: Brouwer-Zimmermann enumeration of one window,
+    positions 0..k - 1, with the cyclic stop rule (Zimmermann 1996; Grassl
+    2006).  G is upper triangular there with g(0) != 0 on its diagonal, so
+    one reduction of [G | I_k] gives the window's systematic form and the
+    inverse E of its columns.
 
-    A nonzero codeword weighs at least w + 1 on a window where its message
-    in that window's basis weighs over w.  The windows take layers w = 1,
-    2, ... in turn; once every window has visited its messages of weight up
-    to done_j, a codeword not seen weighs at least sum(done_j + 1), so the
-    enumeration stops when that passes the least weight seen: every
-    codeword of minimum weight has then been seen, and the witness is the
-    one the full scan reaches first.  If the next layer would take the
-    count past the scan's (q^k - 1)/(q - 1) messages, or, from the second
-    round on, the layers that would take the bound past the least weight
-    seen would, the first window finishes alone, by the scan of its form:
-    the count so far is at most the scan's, so no call visits twice as
-    many, and a long code of low rate, whose bound grows slowly, goes to
-    the scan early.  A message space of
-    up to _ALONE_MESSAGES points is scanned whole instead, on [G | I_k],
-    whose codewords carry their messages past column n: on random codes of
+    The window takes layers w = 1, 2, ..., its messages of weight w.  After
+    layer w, a codeword none of whose shifts was visited holds more than w
+    nonzeros in each of the n cyclic windows of k positions, each an
+    information set; each position lies in k of them, so k wt(c) >=
+    n(w + 1).  The enumeration stops once ceil(n(w + 1)/k) passes the least
+    weight seen, when every codeword of that weight has a visited shift.
+    The overall-sum symbol never lowers a weight and is the same for every
+    shift, so the rule holds for the extension too.  Each hit at the least
+    weight is expanded over its n shifts, its symbols on the window's n
+    cyclic images, before the witness, the full scan's first codeword of
+    that weight, is picked.  Layers 1..k are the scan's (q^k - 1)/(q - 1)
+    messages, so no call visits more.  A message space of up to
+    _ALONE_MESSAGES points is scanned whole instead, on [G | I_k], whose
+    codewords carry their messages past column n: on random codes of
     2^17 - 1 to 2^19 - 1 points the enumeration took up to 4.5 ms longer
-    than this scan, and on those of 2^20 - 1 points and more and of rate at
-    least 1/5 it was the faster."""
-    field, k, n = mat.field, mat.rows, mat.cols
+    than this scan."""
+    field, k = mat.field, mat.rows
     q, s = field.q, field.s
-    nwords = -(-n // 64)
-    points = (q ** k - 1) // (q - 1)
-    if points <= _ALONE_MESSAGES:
-        inverse, places = None, [64 * nwords + np.arange(k)]
-        forms = [np.concatenate([packed.pack(mat.array, s),
-                                 packed.pack(np.eye(k, dtype=np.uint8), s)], axis=1)]
-    else:
-        found = _windows(mat)
-        if found is None:  # a nonzero message encodes the zero word
-            return 0, np.zeros(n, dtype=np.uint8), 0
-        inverse, forms, places = found
+    nwords = -(-mat.cols // 64)
     masks = packed.scalar_masks(field)
-    per = max(1, _PASS_WORDS // (s * forms[0].shape[1]))
-    best, hits, visited = n + 1, {}, 0
+    both = np.concatenate([packed.pack(mat.array, s),
+                           packed.pack(np.eye(k, dtype=np.uint8), s)], axis=1)
+    if (q ** k - 1) // (q - 1) <= _ALONE_MESSAGES:
+        inverse, form = None, both
+        places = 64 * nwords + np.arange(k)[None]
+    else:
+        reduced, _ = cyclic.row_reduce(field, both[..., None])
+        inverse = packed.multiples(masks, reduced[:, nwords:, :, 0]).reshape(s, -1, k * q)
+        form = np.ascontiguousarray(reduced[:, :nwords, :, 0])
+        places = (np.arange(k) - np.arange(n)[:, None]) % n  # row t: the window of x^t c
+    per = max(1, _PASS_WORDS // (s * form.shape[1]))
+    step = max(1, per // len(places))  # hits expanded at a time
+    best, found, held, visited = mat.cols + 1, [], 0, 0
 
     def chunks():
-        """The words to score and the window they come from, in turn; the
-        schedule reads best and visited as the loop below updates them."""
+        """The words to score; the stop rule reads best as the loop below
+        updates it."""
         if inverse is None:
-            yield from ((words, 0) for words in _scan(masks, forms[0]))
+            yield from _scan(masks, form)
             return
-        windows = [_Window(masks, form, per) for form in forms]
-        count = len(windows)
-        upto = list(itertools.accumulate(
-            [0] + [math.comb(k, w) * (q - 1) ** (w - 1) for w in range(1, k + 1)]))
+        window, w = _Window(masks, form, per), 0
+        while n * (w + 1) <= k * best:
+            w += 1
+            yield from window.layer(w)
 
-        def reach(total):
-            """Messages visited once the windows' layers add up to total."""
-            level, extra = divmod(total, count)
-            return extra * upto[min(level + 1, k)] + (count - extra) * upto[min(level, k)]
-
-        done = [0] * count
-        while sum(done) + count <= best:
-            j = done.index(min(done))
-            w = done[j] + 1
-            # in the first round, up to this layer; then up to the bound's passing best
-            goal = sum(done) + 1 if w == 1 else best + 1 - count
-            if reach(goal) > points:
-                yield from ((words, 0) for words in _scan(masks, forms[0]))
-                return
-            yield from ((words, j) for words in windows[j].layer(w))
-            done[j] = w
-
-    def earliest(hits):
-        """The index among the hits, window by window, of the witness."""
-        found = [_symbols(np.concatenate(words, axis=-1), places[j]) for j, words in hits.items()]
-        return _earliest(field, inverse, np.concatenate(found))
-
-    for words, j in chunks():
+    for words in chunks():
         visited += words.shape[-1]
         weights = packed.weights(words[:, :nwords])
         least = int(weights.min())
         if least > best:
             continue
         if least < best:
-            best, hits, held = least, {}, 0
-        hits.setdefault(j, []).append(words[..., weights == best])
-        held += hits[j][-1].shape[-1]
-        if held > per:  # keep only the earliest so far
-            at, _ = earliest(hits)
-            for j, words in hits.items():
-                words = np.concatenate(words, axis=-1)
-                if at < words.shape[-1]:
-                    hits, held = {j: [words[..., at:at + 1]]}, 1
-                    break
-                at -= words.shape[-1]
-    _, msg = earliest(hits)
+            best, found, held = least, [], 0
+        hits = words[..., weights == best]
+        for lo in range(0, hits.shape[-1], step):
+            symbols = packed.unpack(hits[..., lo:lo + step], 64 * hits.shape[1])
+            found.append(symbols[:, places].reshape(-1, k))
+            held += len(found[-1])
+            if held > per:  # keep only the earliest so far
+                found = np.concatenate(found)
+                at, _ = _earliest(field, inverse, found)
+                found, held = [found[at:at + 1]], 1
+    _, msg = _earliest(field, inverse, np.concatenate(found))
     witness = np.bitwise_xor.reduce(field.np_mul_table[msg[:, None], mat.array], axis=0)
     return best, witness, visited
 
 
-def exact_distance(code_or_matrix, cap: int = DEFAULT_CAP,
-                   lower: int = 1) -> DistanceReport:
-    """Exact minimum distance by Brouwer-Zimmermann enumeration, with the
-    witness the full scan of one message per projective point would return;
-    ``cap`` bounds q^k, the size of the whole message space.  A
-    rank-deficient matrix, the all-zero one with rows too, has minimum 0
-    and is refused unless lower = 0; a matrix with no rows is refused."""
-    mat = _as_matrix(code_or_matrix)
-    if not mat.rows:  # no nonzero message to take a minimum over
-        _refuse_zero(mat)
-    total = mat.field.q ** mat.rows
+def exact_distance(code: CyclicCode, cap: int = DEFAULT_CAP, lower: int = 1, *,
+                   extended: bool = False) -> DistanceReport:
+    """Exact minimum distance of a cyclic code, or with ``extended`` of its
+    extension by the overall-sum coordinate, by Brouwer-Zimmermann
+    enumeration of one window with the cyclic stop rule: after the messages
+    of weight <= w on positions 0..k - 1, a codeword with no visited shift
+    has more than w nonzeros in each of the n cyclic k-windows, so k wt(c)
+    >= n(w + 1), and the enumeration stops once ceil(n(w + 1)/k) passes
+    the least weight seen.  The witness is the one the full scan of one
+    message per projective point would return; ``cap`` bounds q^k, the
+    size of the whole message space.  A code of dimension 0 is refused."""
+    total = code.q ** code.k
     if total > cap:
         raise ValueError(f"q^k = {total} exceeds the enumeration cap {cap}; "
                          "use sampled_upper")
-    d, cw, _ = _min_weight(mat)
-    if d == 0 < lower:
-        raise ValueError(f"the {mat.rows}-row generator matrix is rank-deficient: "
-                         f"a nonzero message encodes the zero word, below lower={lower}")
+    mat = cyclic.extend_code(code) if extended else cyclic.generator_matrix(code)
+    _refuse_zero(mat)
+    d, cw, _ = _min_weight(mat, code.n)
     return DistanceReport(lower=lower, upper=d, exact=d, witness_weight=d,
                           method="exhaustive", witness=tuple(int(c) for c in cw))
 
@@ -584,24 +510,34 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def verify_duadic_distance_equality(q: int, m: int) -> CheckResult:
-    """Compare the minimum distances of the two odd-m digit-parity codes:
-    exactly when both message spaces fit under DEFAULT_CAP, otherwise by
-    sampled upper bounds of the default trials and seed (agreement is
-    evidence, not proof)."""
+    """Certify that the two odd-m digit-parity codes C_0 and C_1 have one
+    minimum distance.  T_1 = -T_0, so the multiplier mu_(-1): c_i ->
+    c_(-i mod n) maps C_0 onto C_1 and keeps every weight (Huffman and
+    Pless, 4.3).  One distance computation on C_0, exact when its message
+    space fits under DEFAULT_CAP and sampled otherwise, gives a witness;
+    its image under mu_(-1) must be a codeword of C_1, by division by g_1,
+    of the same weight."""
     if m < 3 or m % 2 == 0:
         raise bounds.DomainError(f"the duadic pair needs odd m >= 3, got m={m}")
     s = q.bit_length() - 1
     if q != 1 << s:
         raise bounds.DomainError(f"q must be a power of two, got {q}")
+    T0, T1 = (coset.build_T(q, m, p) for p in (Parity.EVEN, Parity.ODD))
+    if not coset.is_negation(T0, T1):
+        return CheckResult(False, "T_1 != -T_0, so mu_(-1) does not map C_0 onto C_1")
     field = make_field(s, m)
-    codes = [cyclic.code_from_T(field, coset.build_T(q, m, p))
-             for p in (Parity.EVEN, Parity.ODD)]
-    if all(q ** c.k <= DEFAULT_CAP for c in codes):
-        d0, d1 = (exact_distance(c).exact for c in codes)
-        return CheckResult(d0 == d1, f"exact distances {d0} and {d1}")
-    u0, u1 = (sampled_upper(c).upper for c in codes)
-    if u0 == u1:
-        return CheckResult(True, f"sampled upper bounds agree at {u0} "
-                                 "(not a proof of equality)")
-    return CheckResult(False, f"inconclusive: sampled upper bounds differ "
-                              f"({u0} vs {u1})")
+    c0, c1 = (cyclic.code_from_T(field, T) for T in (T0, T1))
+    if q ** c0.k <= DEFAULT_CAP:
+        report, kind = exact_distance(c0), "exact distance"
+    else:
+        report, kind = sampled_upper(c0), "sampled upper bound"
+    n = field.n
+    image = np.asarray(report.witness, dtype=np.uint8)[-np.arange(n) % n]
+    _, rem = polys._divmod_array(field, image, np.asarray(c1.generator, dtype=np.uint8))
+    weight = int(np.count_nonzero(image))
+    if rem.size or weight != report.upper:
+        return CheckResult(False, f"the {kind} witness of C_0 maps under mu_(-1) to a "
+                                  f"weight-{weight} word outside C_1 or of another weight")
+    return CheckResult(True, f"T_1 = -T_0, so mu_(-1) maps C_0 onto C_1; the {kind} "
+                             f"{report.upper} of C_0 has a witness that maps to a "
+                             f"weight-{weight} codeword of C_1")

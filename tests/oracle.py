@@ -9,20 +9,21 @@ sieve, builds the field tables by doubling, computes all minimal
 polynomials in one vectorized pass and folds them by a product tree on a
 bit-plane FFT multiply, divides polynomials with vectorized table rows,
 row-reduces, encodes and scores codewords on bit-sliced words, finds the
-exact distance by Brouwer-Zimmermann enumeration over disjoint information
-sets, tallies weights by a Gray scan of one message per projective point,
-counts cosets with a leader mask that
+exact distance of a cyclic code by Brouwer-Zimmermann enumeration of one
+information set with the cyclic stop rule, tallies weights by a Gray scan
+of one message per projective point, counts cosets with a leader mask that
 steps one block of residues at a time by bit rotation, runs the progression
 search as shift-AND doubling on a bitset over one unit per orbit of +-q^j,
 and reads digit sums off one table built digit by digit; these references
-test every candidate modulus by polynomial powers, build the tables one
-power or product at a time, fold one scalar minimal polynomial at a time,
-build the k x n generator matrices, run the schoolbook product and long
-division, eliminate, encode and score one byte per symbol, scan all q^k
-messages for both the minimum and the tally, walk each coset one member at a time or all residues at once
-by products, scan every unit for runs, list the members of each progression
-and sum the digits of one integer at a time instead, so the tests can
-compare two independent computations."""
+test every candidate modulus by polynomial powers on a schoolbook product
+and base table of their own, build the tables one power or product at a
+time, fold one scalar minimal polynomial at a time, build the k x n
+generator matrices, run the schoolbook product and long division,
+eliminate, encode and score one byte per symbol, scan all q^k messages for
+both the minimum and the tally, walk each coset one member at a time or
+all residues at once by products, scan every unit for runs, list the
+members of each progression and sum the digits of one integer at a time
+instead, so the tests can compare two independent computations."""
 
 import functools
 import itertools
@@ -521,15 +522,55 @@ def ext_times_x(field, v: int) -> int:
                               for a, f in zip((0,) + c[:-1], field.ext_modulus)])
 
 
+@functools.lru_cache(maxsize=16)
+def base_mul_table(s: int, base_modulus: int) -> tuple[tuple[int, ...], ...]:
+    """t[a][b] = a * b in GF(2^s): the carry-less product of the bit
+    strings, reduced by the base modulus one high bit at a time."""
+    q = 1 << s
+    table = []
+    for a in range(q):
+        row = []
+        for b in range(q):
+            r = 0
+            for i in range(s):
+                if b >> i & 1:
+                    r ^= a << i
+            for i in range(2 * s - 2, s - 1, -1):
+                if r >> i & 1:
+                    r ^= base_modulus << (i - s)
+            row.append(r)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def ext_product(field, a: int, b: int) -> int:
+    """a * b modulo the extension modulus: the schoolbook product of the
+    coefficient lists on the oracle's own base table, then each coefficient
+    of degree m and above folded down by x^m = f_0 + ... + f_(m-1) x^(m-1)."""
+    mul, m = base_mul_table(field.s, field.base_modulus), field.m
+    f = field.ext_modulus[:m]
+    out = [0] * (2 * m - 1)
+    for i, x in enumerate(ext_coeffs(field, a)):
+        if x:
+            row = mul[x]
+            for j, y in enumerate(ext_coeffs(field, b)):
+                out[i + j] ^= row[y]
+    for d in range(2 * m - 2, m - 1, -1):
+        if c := out[d]:
+            row = mul[c]
+            for j in range(m):
+                out[d - m + j] ^= row[f[j]]
+    return sum(c << (j * field.s) for j, c in enumerate(out[:m]))
+
+
 def ext_pow_poly(field, a: int, e: int) -> int:
-    """a^e modulo the extension modulus by square-and-multiply on the
-    library's polynomial products, with no reduction of e, so sound for any
-    modulus."""
+    """a^e modulo the extension modulus by square-and-multiply on
+    ext_product, with no reduction of e, so sound for any modulus."""
     r = 1
     while e:
         if e & 1:
-            r = field._ext_mul_poly(r, a)
-        a = field._ext_mul_poly(a, a)
+            r = ext_product(field, r, a)
+        a = ext_product(field, a, a)
         e >>= 1
     return r
 

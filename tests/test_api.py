@@ -12,12 +12,13 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _public_defs(tree: ast.Module):
-    """Each public module-level function and each public method of
-    FieldSpec; a decorated module-level function (a CLI command) is
-    registered by its decorator, so it has a caller."""
+def _defs(tree: ast.Module):
+    """Each module-level function and class and each method of FieldSpec;
+    a decorated module-level function (a CLI command) is registered by its
+    decorator, so it has a caller."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.decorator_list:
+        if isinstance(node, ast.ClassDef) or \
+                isinstance(node, ast.FunctionDef) and not node.decorator_list:
             yield node
         if isinstance(node, ast.ClassDef) and node.name == "FieldSpec":
             yield from (f for f in node.body if isinstance(f, ast.FunctionDef))
@@ -55,11 +56,15 @@ def _bench_reads() -> set[str]:
     return found
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
+def _orphans(private: bool) -> list[str]:
+    """The public names, or the private module-level ones, that nothing in
+    src/ outside their own body nor the benchmark harness reads."""
     paths = sorted((ROOT / "src" / "tdcodes").glob("*.py"))
     trees = [_parse(path) for path in paths]
     defs = {node: f"{path.stem}.{node.name}" for path, tree in zip(paths, trees)
-            for node in _public_defs(tree) if not node.name.startswith("_")}
+            for node in _defs(tree)
+            if node.name.startswith("_") == private and not node.name.startswith("__")
+            and (not private or node in tree.body)}
     reads = [read for tree in trees for read in _reads(tree, defs.keys())]
     bench = _bench_reads()
     # a name read only in its own body or inside another orphan is an
@@ -72,5 +77,15 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if not new:
             break
         orphans |= new
-    names = sorted(defs[node] for node in orphans)
+    return sorted(defs[node] for node in orphans)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    names = _orphans(private=False)
     assert names == [], "called only from the tests: " + ", ".join(names)
+
+
+def test_every_private_helper_has_a_caller_outside_the_tests():
+    # a leftover helper of a deleted engine is read by nothing but its tests
+    names = _orphans(private=True)
+    assert names == [], "read only by the tests, or by nothing: " + ", ".join(names)

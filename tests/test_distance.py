@@ -8,7 +8,7 @@ import pytest
 
 import oracle
 from conftest import peak_traced_bytes
-from tdcodes import distance, packed
+from tdcodes import coset, distance, packed
 from tdcodes.bounds import DomainError, bch_search, theorem_bound
 from tdcodes.coset import build_T, defining_set
 from tdcodes.cyclic import (GeneratorMatrix, code_from_T, dual_code,
@@ -86,22 +86,6 @@ def test_exact_distance_cap():
         exact_distance(c1, cap=100)
 
 
-def test_exact_distance_rejects_a_rank_deficient_matrix():
-    f = make_field(2, 2)
-    rows = np.array([[1, 1, 0, 0, 1], [1, 1, 0, 0, 1]], dtype=np.uint8)
-    with pytest.raises(ValueError, match="rank-deficient"):
-        exact_distance(GeneratorMatrix(f, rows))
-    assert exact_distance(GeneratorMatrix(f, rows), lower=0).exact == 0
-    # all-zero rows are rank-deficient too
-    zero = GeneratorMatrix(f, np.zeros((3, 5), dtype=np.uint8))
-    with pytest.raises(ValueError, match="rank-deficient"):
-        exact_distance(zero)
-    r = exact_distance(zero, lower=0)
-    assert r.exact == 0 and not any(r.witness)
-    # the tally of the same matrix stays a tally over all q^k messages
-    assert distance.weight_distribution(GeneratorMatrix(f, rows)) == {0: 4, 3: 12}
-
-
 def test_exact_distance_past_64_message_bits():
     # k s = 70 bits per message: scan positions are Python integers, equal
     # to the uint64 ones on messages with nothing past bit 64
@@ -109,12 +93,29 @@ def test_exact_distance_past_64_message_bits():
     msgs[:, 64:] = 0
     assert distance._scan_position(msgs, 1).tolist() == \
         distance._scan_position(msgs[:, :64], 1).tolist()
-    f = make_field(1, 2)
-    a = np.concatenate([np.eye(70, dtype=np.uint8), np.eye(70, dtype=np.uint8)[::-1]], axis=1)
-    a[5, 3] = 1  # every row but row 5 weighs 2, and the scan meets e_0 first
-    r = exact_distance(GeneratorMatrix(f, a), cap=2 ** 70)
-    assert r.exact == 2
-    assert np.flatnonzero(r.witness).tolist() == [0, 139]
+    # the [127, 120]_2 Hamming code, T the coset of 1, k s = 120 bits: its
+    # weight-3 codewords are the triples with beta^a + beta^b + beta^c = 0,
+    # listed on the oracle's tables, and the witness is the one whose
+    # message c(x) / g(x) comes first in the scan
+    f = make_field(1, 7)
+    code = code_from_T(f, defining_set(127, 2, oracle.cyclotomic_coset(1, 2, 127)))
+    assert code.k == 120
+    exp, log = oracle.ext_tables(f)
+    triples = [(a, b, log[exp[a] ^ exp[b]]) for a in range(127) for b in range(a + 1, 127)
+               if log[exp[a] ^ exp[b]] > b]
+    assert len(triples) == 127 * 126 // 6
+    msgs = np.zeros((len(triples), 120), dtype=np.uint8)
+    for i, support in enumerate(triples):
+        word = [0] * 127
+        for j in support:
+            word[j] = 1
+        quot, rem = oracle.poly_divmod(f, oracle.trim(word), code.generator)
+        assert rem == ()
+        msgs[i, :len(quot)] = quot
+    first = triples[int(distance._scan_position(msgs, 1).argmin())]
+    r = exact_distance(code, cap=2 ** 120)
+    assert r.exact == 3
+    assert tuple(np.flatnonzero(r.witness)) == first
 
 
 def test_witness_is_a_codeword_and_shift_invariant():
@@ -149,14 +150,19 @@ def test_the_tally_and_the_exact_distance_share_one_cap():
     mat = GeneratorMatrix(f, np.eye(13, dtype=np.uint8))
     with pytest.raises(ValueError, match="q\\^k = 67108864 exceeds the tally cap 16777216"):
         weight_distribution(mat)
-    with pytest.raises(ValueError, match="exceeds the enumeration cap 16777216"):
-        exact_distance(mat)
+    code = code_from_T(f, defining_set(15, 4, [1, 4]))  # [15, 13]_4
+    for extended in (False, True):
+        with pytest.raises(ValueError, match="q\\^k = 67108864 exceeds the enumeration cap"):
+            exact_distance(code, extended=extended)
 
 
 def test_exact_distance_refuses_a_matrix_with_no_nonzero_codeword():
-    mat = GeneratorMatrix(make_field(2, 2), np.zeros((0, 15), dtype=np.uint8))
-    with pytest.raises(ValueError, match="spans no nonzero codeword"):
-        exact_distance(mat, lower=0)
+    # T = Z_15: g = x^15 - 1, a code of dimension 0 and a 0 x 15 matrix
+    code = code_from_T(make_field(2, 2), defining_set(15, 4, range(15)))
+    assert code.k == 0
+    for extended in (False, True):
+        with pytest.raises(ValueError, match="spans no nonzero codeword"):
+            exact_distance(code, lower=0, extended=extended)
 
 
 @pytest.mark.parametrize("rows", [0, 3])
@@ -193,19 +199,17 @@ def gf16_tied_matrix():
     return GeneratorMatrix(f, a)
 
 
-def binary_t25_matrix():
-    # [31, 16]_2 of T_(2,5;0): n < 2k, so one full window
-    f = make_field(1, 5)
-    return generator_matrix(code_from_T(f, build_T(2, 5, 0)))
+def binary_t25_code():
+    # [31, 16]_2 of T_(2,5;0): n < 2k
+    return code_from_T(make_field(1, 5), build_T(2, 5, 0))
 
 
-def extended_binary_matrix():
-    # the [63, 18]_2 code with non-zeros the cosets of 1, 5 and 11, plus the
-    # overall-sum column: a [64, 18]_2 matrix that no shift maps to itself
-    f = make_field(1, 6)
+def binary_63_18_code():
+    # the [63, 18]_2 code with non-zeros the cosets of 1, 5 and 11; with the
+    # overall-sum column, a [64, 18]_2 code that no shift maps to itself
     nonzeros = {x for e in (1, 5, 11) for x in oracle.cyclotomic_coset(e, 2, 63)}
     T = defining_set(63, 2, sorted(set(range(63)) - nonzeros))
-    return extend_code(code_from_T(f, T))
+    return code_from_T(make_field(1, 6), T)
 
 
 def deficient_second_window_matrix():
@@ -217,18 +221,50 @@ def deficient_second_window_matrix():
     return GeneratorMatrix(f, a)
 
 
-def bench_exact_matrix(seed):
-    # the [63, 12]_4 code that perfbench's exact_distance job builds at this
-    # seed: the random q-cyclotomic cosets it shuffles, taken while they fit
-    cosets = [oracle.cyclotomic_coset(e, 4, 63) for e in oracle.coset_partition(4, 63).leaders]
-    random.Random(seed).shuffle(cosets)
+def coset_union_code(rng, s, m, bits):
+    """The cyclic code over GF(2^s) of length 2^(s m) - 1 whose non-zeros are
+    shuffled q-cyclotomic cosets, taken while k s stays within ``bits``."""
+    q = 1 << s
+    n = q ** m - 1
+    cosets = [oracle.cyclotomic_coset(e, q, n) for e in oracle.coset_partition(q, n).leaders]
+    rng.shuffle(cosets)
     nonzeros = []
     for c in cosets:
-        if len(nonzeros) + len(c) <= 12:
+        if (len(nonzeros) + len(c)) * s <= bits:
             nonzeros += c
-    T = defining_set(63, 4, sorted(set(range(63)) - set(nonzeros)))
-    return generator_matrix(code_from_T(make_field(2, 3), T))
+    T = defining_set(n, q, sorted(set(range(n)) - set(nonzeros)))
+    return code_from_T(make_field(s, m), T)
 
+
+def random_cyclic_codes(count, seed, families=((1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (3, 2))):
+    """``count`` seeded coset-union codes over q = 2, 4 and 8 at n = 15 to
+    63, each with 2 to 16 message bits."""
+    rng = random.Random(seed)
+    codes = []
+    while len(codes) < count:
+        code = coset_union_code(rng, *rng.choice(families), rng.randint(2, 16))
+        if code.k:
+            codes.append(code)
+    return codes
+
+
+def bench_exact_code(seed):
+    # the [63, 12]_4 code that perfbench's exact_distance job builds at this
+    # seed: the random q-cyclotomic cosets it shuffles, taken while they fit
+    return coset_union_code(random.Random(seed), 2, 3, 24)
+
+
+def cyclic_matrix(code, extended):
+    return extend_code(code) if extended else generator_matrix(code)
+
+
+# name -> (cyclic code, extended)
+CYCLIC_CASES = {
+    "t25-one-window": lambda: (binary_t25_code(), False),
+    "extended-64-18": lambda: (binary_63_18_code(), True),
+    "bench-63-12-seed0": lambda: (bench_exact_code(0), False),
+    "bench-63-12-seed7": lambda: (bench_exact_code(7), False),
+}
 
 SCAN_CASES = {
     **{f"{s}-{k}-{n}": (lambda s=s, k=k, n=n: random_matrix(s, k, n))
@@ -238,90 +274,140 @@ SCAN_CASES = {
     "short": lambda: random_matrix(3, 3, 25),  # k*s = 9 < _CHUNK_BITS
     "k1": lambda: random_matrix(4, 1, 12),
     "gf16-ties": gf16_tied_matrix,
-    "t25-one-window": binary_t25_matrix,
-    "extended-64-18": extended_binary_matrix,
     "deficient-second-window": deficient_second_window_matrix,
-    "bench-63-12-seed0": lambda: bench_exact_matrix(0),
-    "bench-63-12-seed7": lambda: bench_exact_matrix(7),
+    **{case: (lambda build=build: cyclic_matrix(*build())) for case, build in CYCLIC_CASES.items()},
 }
 
 
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
 def test_scan_matches_the_byte_gray_scan(case):
     # the same tally as one Gray scan over all q^k messages, one byte per
-    # symbol, and the same minimum and first minimum-weight codeword
+    # symbol, and for the cyclic cases the same minimum and first
+    # minimum-weight codeword
     mat = SCAN_CASES[case]()
     ref_d, ref_witness, ref_hist = oracle.gray_scan(mat)
     assert np.array_equal(_scan_codewords(mat), ref_hist)
     assert weight_distribution(mat) == \
         {w: int(c) for w, c in enumerate(ref_hist) if c}
-    r = exact_distance(mat, lower=0)
-    assert r.exact == ref_d
-    assert r.witness == tuple(int(c) for c in ref_witness)
+    if case in CYCLIC_CASES:
+        code, extended = CYCLIC_CASES[case]()
+        r = exact_distance(code, extended=extended)
+        assert r.exact == ref_d
+        assert r.witness == tuple(int(c) for c in ref_witness)
 
 
 @pytest.mark.parametrize("pass_words", [distance._PASS_WORDS, 64])
 @pytest.mark.parametrize("case", sorted(c for c in SCAN_CASES if not c.startswith("bench")))
 def test_every_window_finds_the_witness_of_the_byte_gray_scan(monkeypatch, case, pass_words):
-    # small message spaces are scanned on the first window alone; with that
-    # turned off, every matrix takes all its windows in turn, and the
-    # reductions guess one window a stack.  At 64 words a pass, every layer
-    # comes in many pieces and the lightest words seen are cut down to the
-    # earliest many times
-    monkeypatch.setattr(distance, "_ALONE_MESSAGES", 0)
-    monkeypatch.setattr(distance, "_STACK_WORDS", 1)
+    # every matrix, cyclic or not and the rank-deficient ones with d = 0,
+    # is small enough to be scanned whole on [G | I_k], whose codewords
+    # carry their messages past column n; the cyclic cases also run one
+    # window to the stop rule.  At 64 words a pass every pass and layer
+    # comes in many pieces and the hits are cut down to the earliest many
+    # times
     monkeypatch.setattr(distance, "_PASS_WORDS", pass_words)
     mat = SCAN_CASES[case]()
+    q, k = mat.field.q, mat.rows
+    assert (q ** k - 1) // (q - 1) <= distance._ALONE_MESSAGES
     ref_d, ref_witness, _ = oracle.gray_scan(mat)
-    d, witness, visited = distance._min_weight(mat)
-    assert d == ref_d
-    assert np.array_equal(witness, ref_witness)
-    assert visited <= 2 * (mat.field.q ** mat.rows - 1) // (mat.field.q - 1)
+    runs = [(mat, mat.cols)]
+    if case in CYCLIC_CASES:
+        code, extended = CYCLIC_CASES[case]()
+        runs.append((cyclic_matrix(code, extended), code.n))
+    for alone, (m, n) in zip((distance._ALONE_MESSAGES, 0), runs):
+        monkeypatch.setattr(distance, "_ALONE_MESSAGES", alone)
+        d, witness, visited = distance._min_weight(m, n)
+        assert d == ref_d
+        assert np.array_equal(witness, ref_witness)
+        assert visited <= 2 * (q ** k - 1) // (q - 1)
+        if alone:
+            assert visited == (q ** k - 1) // (q - 1)
 
 
-def test_enumeration_visits_at_most_twice_the_scan():
-    # every call stops within 2 (q^k - 1)/(q - 1) messages; the bench codes
-    # take five windows in turn: layers 1 and 2 on all five for d = 14,
-    # layers 1 to 4 on all five and layer 5 on four for d = 28
-    for case, build in SCAN_CASES.items():
-        mat = build()
-        _, _, visited = distance._min_weight(mat)
-        assert visited <= 2 * (mat.field.q ** mat.rows - 1) // (mat.field.q - 1), case
-    layer = [math.comb(12, w) * 3 ** (w - 1) for w in range(6)]
-    assert distance._min_weight(bench_exact_matrix(0))[2] == 5 * (layer[1] + layer[2]) == 1050
-    assert distance._min_weight(bench_exact_matrix(7))[2] == \
-        5 * sum(layer[1:5]) + 4 * layer[5] == 334383
+@pytest.mark.parametrize("setting", ["default", "one-window", "pass-64"])
+def test_one_window_finds_the_witness_of_the_byte_gray_scan(monkeypatch, setting):
+    # 200 seeded coset-union codes and the small cyclic cases, plain and
+    # extended: at the default settings their message spaces are scanned
+    # whole; with that turned off, one window runs to the stop rule, and at
+    # 64 words a pass every layer comes in many pieces and the expanded hits
+    # are cut down to the earliest many times
+    if setting != "default":
+        monkeypatch.setattr(distance, "_ALONE_MESSAGES", 0)
+    if setting == "pass-64":
+        monkeypatch.setattr(distance, "_PASS_WORDS", 64)
+    codes = random_cyclic_codes(200, seed=21) + [binary_t25_code(), binary_63_18_code()]
+    for code in codes:
+        for extended in (False, True):
+            ref_d, ref_witness, _ = oracle.gray_scan(cyclic_matrix(code, extended))
+            r = exact_distance(code, extended=extended)
+            assert r.exact == ref_d, (code.T.elems, extended)
+            assert r.witness == tuple(int(c) for c in ref_witness), (code.T.elems, extended)
 
 
-def test_a_long_code_of_low_rate_goes_to_the_scan_after_one_round(monkeypatch):
-    # [100, 7]_4 with d = 59 on 14 windows, [130, 4]_8 with d = 103 on 32:
-    # certifying the lightest weight of the first round would take more
-    # messages than the scan, so the first window is scanned next
+def test_enumeration_visits_at_most_twice_the_scan(monkeypatch):
+    # one window's layers 1..k are the scan's (q^k - 1)/(q - 1) messages,
+    # so no call visits more.  The bench codes stop after layer w*, the
+    # least w with ceil(63 (w + 1)/12) > d: 2 for d = 14 and 5 for d = 28
     monkeypatch.setattr(distance, "_ALONE_MESSAGES", 0)
-    for case in ("2-7-100", "3-4-130"):
-        mat = SCAN_CASES[case]()
-        q, k = mat.field.q, mat.rows
-        windows = len(distance._windows(mat)[1])
-        assert distance._min_weight(mat)[2] == windows * k + (q ** k - 1) // (q - 1), case
+    for code in random_cyclic_codes(50, seed=3) + [binary_t25_code(), binary_63_18_code()]:
+        q = code.q
+        for extended in (False, True):
+            _, _, visited = distance._min_weight(cyclic_matrix(code, extended), code.n)
+            assert visited <= (q ** code.k - 1) // (q - 1)
+    layer = [math.comb(12, w) * 3 ** (w - 1) for w in range(13)]
+    for seed, d, top, visits in ((0, 14, 2, 210), (7, 28, 5, 79707)):
+        assert min(w for w in range(1, 13) if -(-63 * (w + 1) // 12) > d) == top
+        assert sum(layer[1:top + 1]) == visits
+        got, _, visited = distance._min_weight(generator_matrix(bench_exact_code(seed)), 63)
+        assert (got, visited) == (d, visits)
+        assert visited <= 2 * sum(layer[1:])
+
+
+def test_the_cyclic_stop_rule_holds_on_every_codeword():
+    # k wt(c) >= n mu(c), where mu(c) is the fewest nonzeros of c in any k
+    # cyclically consecutive positions, over every nonzero codeword of small
+    # cyclic codes (q = 2 and 4, n <= 63, q^k <= 2^16), each encoded here
+    # from g on the oracle's base table; so after layer w, a codeword with
+    # no shift visited (mu(c) > w) weighs at least ceil(n (w + 1)/k)
+    codes = random_cyclic_codes(12, seed=5, families=((1, 4), (1, 5), (1, 6), (2, 2), (2, 3)))
+    codes += [code_from_T(make_field(s, m), build_T(1 << s, m, p))
+              for s, m, p in [(1, 4, 0), (1, 4, 1), (1, 5, 0), (1, 5, 1), (2, 2, 1)]]
+    for code in codes:
+        q, n, k = code.q, code.n, code.k
+        assert q ** k <= 2 ** 16
+        mul = np.array(oracle.base_mul_table(code.field.s, code.field.base_modulus),
+                       dtype=np.uint8)
+        g = np.array(code.generator, dtype=np.uint8)
+        words = np.zeros((1, n), dtype=np.uint8)
+        for j in range(k):  # the span of x^0 g, ..., x^j g
+            row = np.zeros(n, dtype=np.uint8)
+            row[j:j + g.size] = g
+            words = np.concatenate([words ^ mul[a, row] for a in range(q)])
+        support = (words[1:] != 0).astype(np.int64)
+        assert support.sum(axis=1).all()
+        sums = np.concatenate([np.zeros((len(support), 1), dtype=np.int64),
+                               np.cumsum(np.concatenate([support, support[:, :k]], axis=1),
+                                         axis=1)], axis=1)
+        mu = (sums[:, k:k + n] - sums[:, :n]).min(axis=1)
+        wt = support.sum(axis=1)
+        assert (k * wt >= n * mu).all(), code.T.elems
+        for w in range(k):
+            if (mu > w).any():
+                assert wt[mu > w].min() >= -(-n * (w + 1) // k)
 
 
 def test_scan_edge_cases_are_what_they_claim():
     mat = rank_deficient_matrix()
     assert _scan_codewords(mat)[0] == 4 ** 2
-    assert not any(exact_distance(mat, lower=0).witness)
     mat = gf16_tied_matrix()
     hist = _scan_codewords(mat)
     assert hist[1:5].sum() == 0 and hist[5] == 6 * 15
     for case in ("short", "k1"):
         mat = SCAN_CASES[case]()
         assert mat.rows * mat.field.s < distance._CHUNK_BITS
-    windows = {case: len(distance._windows(SCAN_CASES[case]())[1])
-               for case in ("t25-one-window", "extended-64-18", "deficient-second-window",
-                            "bench-63-12-seed0", "bench-63-12-seed7")}
-    assert windows == {"t25-one-window": 1, "extended-64-18": 3,
-                       "deficient-second-window": 1, "bench-63-12-seed0": 5,
-                       "bench-63-12-seed7": 5}
-    assert [exact_distance(bench_exact_matrix(seed)).exact for seed in (0, 7)] == [14, 28]
+    code = binary_t25_code()
+    assert code.n < 2 * code.k
+    assert [exact_distance(bench_exact_code(seed)).exact for seed in (0, 7)] == [14, 28]
 
 
 def krawtchouk(n, q, j, i):
@@ -368,8 +454,8 @@ def test_weight_distribution_does_not_depend_on_the_modulus(parity):
 
         def profile(field):
             code = code_from_T(field, build_T(q, m, parity))
-            return [(weight_distribution(c), exact_distance(c).exact)
-                    for c in (code, extend_code(code))]
+            return [(weight_distribution(c), exact_distance(code, extended=extended).exact)
+                    for c, extended in ((code, False), (extend_code(code), True))]
 
         want = profile(make_field(s, m))
         assert make_field(s, m).ext_modulus in moduli
@@ -563,15 +649,46 @@ def test_report_invariants():
 
 
 def test_duadic_distance_equality_exact_mode():
-    res = verify_duadic_distance_equality(2, 3)
-    assert res.ok
-    assert "exact" in res.reason
+    # T_1 = -T_0, and the exact witness of C_0 maps to a codeword of C_1
+    for q, m, d in ((2, 3, 3), (2, 5, 7)):
+        res = verify_duadic_distance_equality(q, m)
+        assert res.ok, res.reason
+        assert "mu_(-1) maps C_0 onto C_1" in res.reason
+        assert f"exact distance {d} of C_0" in res.reason
 
 
 def test_duadic_distance_equality_sampled_mode():
+    # [63, 32]_4, over the cap: one sampled search on C_0 serves the pair
     res = verify_duadic_distance_equality(4, 3)
-    assert res.ok
-    assert "not a proof" in res.reason
+    assert res.ok, res.reason
+    assert "mu_(-1) maps C_0 onto C_1" in res.reason
+    assert "sampled upper bound 15 of C_0" in res.reason
+
+
+def test_duadic_certificate_fails_when_t1_is_not_minus_t0(monkeypatch):
+    # parity 1 replaced by sets that are not -T_0: T_0 itself (odd m, so not
+    # LCD) and -T_0 less one residue, which is not even closed under q
+    real = coset.build_T
+    for fake in (lambda T0: T0.elems, lambda T0: [-e for e in T0.elems][1:]):
+        monkeypatch.setattr(coset, "build_T", lambda q, m, parity, fake=fake:
+                            real(q, m, 0) if parity == 0 else
+                            oracle.raw_set(q ** m - 1, q, fake(real(q, m, 0))))
+        res = verify_duadic_distance_equality(2, 3)
+        assert not res.ok
+        assert "T_1 != -T_0" in res.reason
+
+
+def test_duadic_certificate_rechecks_the_mapped_witness(monkeypatch):
+    # a witness that is no codeword of C_0, 1 + x in the [7, 4]_2 code,
+    # maps under i -> -i to 1 + x^6, outside C_1
+    def bogus(code, *args, **kwargs):
+        return DistanceReport(lower=1, upper=2, exact=2, witness_weight=2,
+                              method="exhaustive", witness=(1, 1, 0, 0, 0, 0, 0))
+
+    monkeypatch.setattr(distance, "exact_distance", bogus)
+    res = verify_duadic_distance_equality(2, 3)
+    assert not res.ok
+    assert "outside C_1" in res.reason
 
 
 def test_duadic_distance_equality_domain():

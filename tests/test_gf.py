@@ -181,6 +181,34 @@ def test_default_ext_modulus_matches_the_pow_search():
         assert make_field(s, m).ext_modulus == want, (s, m)
 
 
+def test_the_oracle_product_matches_the_library_product():
+    # the oracle's schoolbook product on its own base table against the
+    # library's times-x and scalar maps, on 1,000 random pairs over 5 fields
+    rng = random.Random(5)
+    for s, m in [(1, 7), (2, 3), (3, 4), (4, 2), (2, 11)]:
+        f = make_field(s, m)
+        for _ in range(200):
+            a, b = rng.randrange(f.n + 1), rng.randrange(f.n + 1)
+            assert oracle.ext_product(f, a, b) == f._ext_mul_poly(a, b), (s, m, a, b)
+
+
+def test_the_pow_test_never_multiplies_through_the_library(monkeypatch):
+    # the power test behind oracle.default_ext_modulus multiplies on its own
+    # product, so it shares no arithmetic with the order test it checks
+    want = [oracle.ext_x_order_is_full(FieldSpec(2, 3, 0b111, cand))
+            for cand in monic_polys(4, 3)]
+
+    def refuse(*args):
+        raise AssertionError("the oracle multiplied through FieldSpec")
+
+    monkeypatch.setattr(FieldSpec, "_ext_mul_poly", refuse)
+    monkeypatch.setattr(FieldSpec, "base_mul", refuse)
+    oracle.base_mul_table.cache_clear()
+    assert [oracle.ext_x_order_is_full(FieldSpec(2, 3, 0b111, cand))
+            for cand in monic_polys(4, 3)] == want
+    assert sum(want) == 12  # phi(63)/3 primitive moduli
+
+
 @pytest.mark.parametrize("s,m", [(2, 3), (3, 7), (7, 3), (2, 11)])
 def test_times_x_and_square_match_the_coefficient_loop(s, m):
     # on random monic moduli, primitive or not, up to q^m = 2^22
