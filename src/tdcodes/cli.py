@@ -270,7 +270,7 @@ def distance_cmd(q, m, parity, variant, seed, cap, trials, field_spec_path, out)
 @click.option("--section", type=click.Choice(sorted(TABLE_SECTIONS)), required=True,
               help="16 = odd-m families (pair, extension, even-like); "
                    "18 = even-m LCD families.")
-@click.option("--s", "s_values", type=int, multiple=True,
+@click.option("--s", "s_values", type=click.IntRange(max=8), multiple=True,
               help="Restrict to these base degrees (default 2..4).")
 @click.option("--max-n", type=int, default=None,
               help="Cap on code length (default TD_MAX_N).")

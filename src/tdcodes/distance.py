@@ -16,10 +16,8 @@ lies in k windows, so k wt(c) >= n(w + 1).
 Codewords are bit-sliced words (:mod:`tdcodes.packed`): s bit-planes of
 ceil(n/64) uint64 values, so a row XOR touches s*ceil(n/64) machine words
 and a weight is the popcount of the OR of the planes.  The random draws and
-every argmin tie-break are those of the byte-per-symbol engine, and the
-exact distance returns the witness of the full Gray scan, the first
-minimum-weight codeword in its order, so each result and witness is
-unchanged.
+every argmin tie-break of the upper-bound search are those of the
+byte-per-symbol engine, so each of its results and witnesses is unchanged.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ _CHUNK_BITS = 10
 _PASS_WORDS = 1 << 14
 _PAIR_SCAN_MAX_K = 64
 _STACK_WORDS = 1 << 15
-_ALONE_MESSAGES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -132,29 +129,6 @@ def _scan_codewords(mat: GeneratorMatrix) -> np.ndarray:
     return hist
 
 
-def _scan_position(msgs: np.ndarray, s: int) -> np.ndarray:
-    """Position of each message, a (count, k) array of symbols, in the
-    order of a full Gray scan: the message is the bit string with bit t of
-    symbol j at j*s + t, its low min(_CHUNK_BITS, k*s) bits go in binary
-    order and the bits above are Gray coded, so the position is
-    invgray(x >> low) << low | x mod 2^low.  Of a message's q - 1 nonzero
-    multiples, the one whose last nonzero symbol is 1 comes first (its
-    highest set bit is the lowest, and the position keeps the highest set
-    bit), so the full scan's first codeword of a weight is that of the
-    least position among such messages.  Python integers hold the bit
-    strings past 64 bits."""
-    k = msgs.shape[-1]
-    low = min(_CHUNK_BITS, k * s)
-    dtype = packed.WORD if k * s <= 64 else object
-    x = np.bitwise_or.reduce(msgs.astype(dtype) << (s * np.arange(k)).astype(dtype), axis=-1)
-    high = x >> low
-    b = 1
-    while b < k * s - low:  # invgray: the XOR of all right shifts
-        high ^= high >> b
-        b <<= 1
-    return high << low | x & ((1 << low) - 1)
-
-
 def _refuse_zero(mat: GeneratorMatrix) -> None:
     if not mat.array.any():
         raise ValueError(f"the {mat.rows} x {mat.cols} generator matrix spans no "
@@ -243,34 +217,15 @@ class _Window:
         yield from _pairs(heads, tails, lo, np.full_like(lo, firsts.size), self.per)
 
 
-def _earliest(field, inverse: np.ndarray | None, found: np.ndarray):
-    """Of the messages ``found`` in the window's basis, (count, k), the
-    index of the one whose message in G's basis, scaled so that its last
-    nonzero symbol is 1, comes first in the full scan, and that scaled
-    message.  ``inverse`` holds the q multiples of each packed row of E,
-    the message in G's basis is the XOR of the ones the symbols pick; with
-    no inverse, the messages are in G's basis already."""
-    q, k = field.q, found.shape[1]
-    msgs = found
-    if inverse is not None:
-        picked = inverse.take(found + q * np.arange(k), axis=-1)
-        msgs = packed.unpack(np.bitwise_xor.reduce(picked, axis=-1), k)
-    last = k - 1 - (msgs[:, ::-1] != 0).argmax(axis=1)
-    scale = field.np_inv_table[msgs[np.arange(len(msgs)), last]]
-    msgs = field.np_mul_table[scale[:, None], msgs]
-    at = int(_scan_position(msgs, field.s).argmin())
-    return at, msgs[at]
-
-
 def _min_weight(mat: GeneratorMatrix, n: int):
-    """Minimum weight of the codewords of nonzero messages, the scan's
-    witness, and the number of messages visited, for the generator matrix
-    G of a cyclic [n, k] code (rows x^j g(x)) or of its extension by the
-    overall-sum column: Brouwer-Zimmermann enumeration of one window,
-    positions 0..k - 1, with the cyclic stop rule (Zimmermann 1996; Grassl
-    2006).  G is upper triangular there with g(0) != 0 on its diagonal, so
-    one reduction of [G | I_k] gives the window's systematic form and the
-    inverse E of its columns.
+    """Minimum weight of the codewords of nonzero messages, the first
+    codeword of that weight the enumeration meets, and the number of
+    messages visited, for the generator matrix G of a cyclic [n, k] code
+    (rows x^j g(x)) or of its extension by the overall-sum column:
+    Brouwer-Zimmermann enumeration of one window, positions 0..k - 1, with
+    the cyclic stop rule (Zimmermann 1996; Grassl 2006).  G is upper
+    triangular there with g(0) != 0 on its diagonal, so its reduced row
+    echelon form is the window's systematic form.
 
     The window takes layers w = 1, 2, ..., its messages of weight w.  After
     layer w, a codeword none of whose shifts was visited holds more than w
@@ -279,64 +234,25 @@ def _min_weight(mat: GeneratorMatrix, n: int):
     n(w + 1).  The enumeration stops once ceil(n(w + 1)/k) passes the least
     weight seen, when every codeword of that weight has a visited shift.
     The overall-sum symbol never lowers a weight and is the same for every
-    shift, so the rule holds for the extension too.  Each hit at the least
-    weight is expanded over its n shifts, its symbols on the window's n
-    cyclic images, before the witness, the full scan's first codeword of
-    that weight, is picked.  Layers 1..k are the scan's (q^k - 1)/(q - 1)
-    messages, so no call visits more.  A message space of up to
-    _ALONE_MESSAGES points is scanned whole instead, on [G | I_k], whose
-    codewords carry their messages past column n: on random codes of
-    2^17 - 1 to 2^19 - 1 points the enumeration took up to 4.5 ms longer
-    than this scan."""
+    shift, so the rule holds for the extension too.  The pieces of a layer
+    keep its order whatever their size, so the witness does not depend on
+    _PASS_WORDS.  Layers 1..k are the scan's (q^k - 1)/(q - 1) messages, so
+    no call visits more."""
     field, k = mat.field, mat.rows
-    q, s = field.q, field.s
-    nwords = -(-mat.cols // 64)
-    masks = packed.scalar_masks(field)
-    both = np.concatenate([packed.pack(mat.array, s),
-                           packed.pack(np.eye(k, dtype=np.uint8), s)], axis=1)
-    if (q ** k - 1) // (q - 1) <= _ALONE_MESSAGES:
-        inverse, form = None, both
-        places = 64 * nwords + np.arange(k)[None]
-    else:
-        reduced, _ = cyclic.row_reduce(field, both[..., None])
-        inverse = packed.multiples(masks, reduced[:, nwords:, :, 0]).reshape(s, -1, k * q)
-        form = np.ascontiguousarray(reduced[:, :nwords, :, 0])
-        places = (np.arange(k) - np.arange(n)[:, None]) % n  # row t: the window of x^t c
-    per = max(1, _PASS_WORDS // (s * form.shape[1]))
-    step = max(1, per // len(places))  # hits expanded at a time
-    best, found, held, visited = mat.cols + 1, [], 0, 0
-
-    def chunks():
-        """The words to score; the stop rule reads best as the loop below
-        updates it."""
-        if inverse is None:
-            yield from _scan(masks, form)
-            return
-        window, w = _Window(masks, form, per), 0
-        while n * (w + 1) <= k * best:
-            w += 1
-            yield from window.layer(w)
-
-    for words in chunks():
-        visited += words.shape[-1]
-        weights = packed.weights(words[:, :nwords])
-        least = int(weights.min())
-        if least > best:
-            continue
-        if least < best:
-            best, found, held = least, [], 0
-        hits = words[..., weights == best]
-        for lo in range(0, hits.shape[-1], step):
-            symbols = packed.unpack(hits[..., lo:lo + step], 64 * hits.shape[1])
-            found.append(symbols[:, places].reshape(-1, k))
-            held += len(found[-1])
-            if held > per:  # keep only the earliest so far
-                found = np.concatenate(found)
-                at, _ = _earliest(field, inverse, found)
-                found, held = [found[at:at + 1]], 1
-    _, msg = _earliest(field, inverse, np.concatenate(found))
-    witness = np.bitwise_xor.reduce(field.np_mul_table[msg[:, None], mat.array], axis=0)
-    return best, witness, visited
+    reduced, _ = cyclic.row_reduce(field, packed.pack(mat.array, field.s)[..., None])
+    form = np.ascontiguousarray(reduced[..., 0])
+    window = _Window(packed.scalar_masks(field), form,
+                     max(1, _PASS_WORDS // (field.s * form.shape[1])))
+    best, witness, visited, w = mat.cols + 1, None, 0, 0
+    while n * (w + 1) <= k * best:
+        w += 1
+        for words in window.layer(w):
+            visited += words.shape[-1]
+            weights = packed.weights(words)
+            at = int(weights.argmin())
+            if weights[at] < best:
+                best, witness = int(weights[at]), words[..., at].copy()
+    return best, packed.unpack(witness, mat.cols), visited
 
 
 def exact_distance(code: CyclicCode, cap: int = DEFAULT_CAP, lower: int = 1, *,
@@ -347,9 +263,10 @@ def exact_distance(code: CyclicCode, cap: int = DEFAULT_CAP, lower: int = 1, *,
     of weight <= w on positions 0..k - 1, a codeword with no visited shift
     has more than w nonzeros in each of the n cyclic k-windows, so k wt(c)
     >= n(w + 1), and the enumeration stops once ceil(n(w + 1)/k) passes
-    the least weight seen.  The witness is the one the full scan of one
-    message per projective point would return; ``cap`` bounds q^k, the
-    size of the whole message space.  A code of dimension 0 is refused."""
+    the least weight seen.  The witness is the first codeword of the least
+    weight that the enumeration meets, layer by layer; ``cap`` bounds q^k,
+    the size of the whole message space.  A code of dimension 0 is
+    refused."""
     total = code.q ** code.k
     if total > cap:
         raise ValueError(f"q^k = {total} exceeds the enumeration cap {cap}; "

@@ -13,15 +13,21 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _defs(tree: ast.Module):
-    """Each module-level function and class and each method of FieldSpec;
-    a decorated module-level function (a CLI command) is registered by its
-    decorator, so it has a caller."""
+    """Each module-level function, class and constant (one name assigned)
+    and each method of FieldSpec; a decorated module-level function (a CLI
+    command) is registered by its decorator, so it has a caller."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) or \
-                isinstance(node, ast.FunctionDef) and not node.decorator_list:
+                isinstance(node, ast.FunctionDef) and not node.decorator_list or \
+                isinstance(node, ast.Assign) and len(node.targets) == 1 and \
+                isinstance(node.targets[0], ast.Name):
             yield node
         if isinstance(node, ast.ClassDef) and node.name == "FieldSpec":
             yield from (f for f in node.body if isinstance(f, ast.FunctionDef))
+
+
+def _name(node: ast.AST) -> str:
+    return node.targets[0].id if isinstance(node, ast.Assign) else node.name
 
 
 def _reads(tree: ast.Module, owners: set) -> list[tuple[str, ast.AST | None]]:
@@ -32,7 +38,7 @@ def _reads(tree: ast.Module, owners: set) -> list[tuple[str, ast.AST | None]]:
     while stack:
         node, owner = stack.pop()
         owner = node if node in owners else owner
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found.append((node.id, owner))
         elif isinstance(node, ast.Attribute):
             found.append((node.attr, owner))
@@ -61,9 +67,9 @@ def _orphans(private: bool) -> list[str]:
     src/ outside their own body nor the benchmark harness reads."""
     paths = sorted((ROOT / "src" / "tdcodes").glob("*.py"))
     trees = [_parse(path) for path in paths]
-    defs = {node: f"{path.stem}.{node.name}" for path, tree in zip(paths, trees)
+    defs = {node: f"{path.stem}.{_name(node)}" for path, tree in zip(paths, trees)
             for node in _defs(tree)
-            if node.name.startswith("_") == private and not node.name.startswith("__")
+            if _name(node).startswith("_") == private and not _name(node).startswith("__")
             and (not private or node in tree.body)}
     reads = [read for tree in trees for read in _reads(tree, defs.keys())]
     bench = _bench_reads()
@@ -72,8 +78,8 @@ def _orphans(private: bool) -> list[str]:
     orphans: set[ast.AST] = set()
     while True:
         used = bench | {name for name, owner in reads
-                        if owner not in orphans and (owner is None or owner.name != name)}
-        new = {node for node in defs.keys() - orphans if node.name not in used}
+                        if owner not in orphans and (owner is None or _name(owner) != name)}
+        new = {node for node in defs.keys() - orphans if _name(node) not in used}
         if not new:
             break
         orphans |= new

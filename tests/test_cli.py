@@ -317,7 +317,9 @@ def test_table_section_18(runner):
 @pytest.mark.parametrize("s,reason", [
     ("1", "the binary family is out of scope"),
     ("0", "q must be a power of two >= 4, got 1"),
-    ("-1", "--s must be a base degree >= 2, got -1")])
+    ("-1", "--s must be a base degree >= 2, got -1"),
+    ("9", "9 is not in the range x<=8"),
+    ("100", "100 is not in the range x<=8")])
 def test_table_outside_the_bound_domain_is_a_usage_error(runner, s, reason):
     res = runner.invoke(main, ["table", "--section", "16", "--s", s])
     assert res.exit_code == 2

@@ -87,16 +87,9 @@ def test_exact_distance_cap():
 
 
 def test_exact_distance_past_64_message_bits():
-    # k s = 70 bits per message: scan positions are Python integers, equal
-    # to the uint64 ones on messages with nothing past bit 64
-    msgs = np.random.default_rng(1).integers(0, 2, size=(50, 70), dtype=np.uint8)
-    msgs[:, 64:] = 0
-    assert distance._scan_position(msgs, 1).tolist() == \
-        distance._scan_position(msgs[:, :64], 1).tolist()
     # the [127, 120]_2 Hamming code, T the coset of 1, k s = 120 bits: its
     # weight-3 codewords are the triples with beta^a + beta^b + beta^c = 0,
-    # listed on the oracle's tables, and the witness is the one whose
-    # message c(x) / g(x) comes first in the scan
+    # listed on the oracle's tables, and the witness is one of them
     f = make_field(1, 7)
     code = code_from_T(f, defining_set(127, 2, oracle.cyclotomic_coset(1, 2, 127)))
     assert code.k == 120
@@ -104,18 +97,14 @@ def test_exact_distance_past_64_message_bits():
     triples = [(a, b, log[exp[a] ^ exp[b]]) for a in range(127) for b in range(a + 1, 127)
                if log[exp[a] ^ exp[b]] > b]
     assert len(triples) == 127 * 126 // 6
-    msgs = np.zeros((len(triples), 120), dtype=np.uint8)
-    for i, support in enumerate(triples):
+    for support in triples:
         word = [0] * 127
         for j in support:
             word[j] = 1
-        quot, rem = oracle.poly_divmod(f, oracle.trim(word), code.generator)
-        assert rem == ()
-        msgs[i, :len(quot)] = quot
-    first = triples[int(distance._scan_position(msgs, 1).argmin())]
+        assert oracle.poly_divmod(f, oracle.trim(word), code.generator)[1] == ()
     r = exact_distance(code, cap=2 ** 120)
     assert r.exact == 3
-    assert tuple(np.flatnonzero(r.witness)) == first
+    assert tuple(np.flatnonzero(r.witness).tolist()) in set(triples)
 
 
 def test_witness_is_a_codeword_and_shift_invariant():
@@ -258,6 +247,17 @@ def cyclic_matrix(code, extended):
     return extend_code(code) if extended else generator_matrix(code)
 
 
+def assert_codeword_of_weight(code, extended, witness, d):
+    # on the oracle's arithmetic: g divides the first n symbols, the
+    # extension symbol is their XOR, and d symbols are nonzero
+    body = list(witness[:code.n])
+    assert len(witness) == code.n + extended
+    if extended:
+        assert witness[-1] == np.bitwise_xor.reduce(body)
+    assert oracle.poly_divmod(code.field, oracle.trim(body), code.generator)[1] == ()
+    assert sum(1 for c in witness if c) == d
+
+
 # name -> (cyclic code, extended)
 CYCLIC_CASES = {
     "t25-one-window": lambda: (binary_t25_code(), False),
@@ -282,10 +282,10 @@ SCAN_CASES = {
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
 def test_scan_matches_the_byte_gray_scan(case):
     # the same tally as one Gray scan over all q^k messages, one byte per
-    # symbol, and for the cyclic cases the same minimum and first
-    # minimum-weight codeword
+    # symbol, and for the cyclic cases the same minimum and a codeword of
+    # that weight as witness
     mat = SCAN_CASES[case]()
-    ref_d, ref_witness, ref_hist = oracle.gray_scan(mat)
+    ref_d, _, ref_hist = oracle.gray_scan(mat)
     assert np.array_equal(_scan_codewords(mat), ref_hist)
     assert weight_distribution(mat) == \
         {w: int(c) for w, c in enumerate(ref_hist) if c}
@@ -293,62 +293,61 @@ def test_scan_matches_the_byte_gray_scan(case):
         code, extended = CYCLIC_CASES[case]()
         r = exact_distance(code, extended=extended)
         assert r.exact == ref_d
-        assert r.witness == tuple(int(c) for c in ref_witness)
+        assert_codeword_of_weight(code, extended, r.witness, ref_d)
 
 
 @pytest.mark.parametrize("pass_words", [distance._PASS_WORDS, 64])
 @pytest.mark.parametrize("case", sorted(c for c in SCAN_CASES if not c.startswith("bench")))
-def test_every_window_finds_the_witness_of_the_byte_gray_scan(monkeypatch, case, pass_words):
-    # every matrix, cyclic or not and the rank-deficient ones with d = 0,
-    # is small enough to be scanned whole on [G | I_k], whose codewords
-    # carry their messages past column n; the cyclic cases also run one
-    # window to the stop rule.  At 64 words a pass every pass and layer
-    # comes in many pieces and the hits are cut down to the earliest many
-    # times
-    monkeypatch.setattr(distance, "_PASS_WORDS", pass_words)
+def test_every_window_finds_the_witness_of_the_byte_gray_scan(case, pass_words):
+    # on G itself, cyclic or not and the rank-deficient ones with d = 0, a
+    # window's layers 1..k, all of them and no stop rule, meet each of the
+    # (q^k - 1)/(q - 1) messages whose last nonzero symbol is 1 once: their
+    # weights are the Gray scan's tally less the zero message, over q - 1,
+    # and the scan's first lightest codeword, whose message is of that
+    # kind, is among them.  At 64 words a pass every layer comes in many
+    # pieces
     mat = SCAN_CASES[case]()
-    q, k = mat.field.q, mat.rows
-    assert (q ** k - 1) // (q - 1) <= distance._ALONE_MESSAGES
-    ref_d, ref_witness, _ = oracle.gray_scan(mat)
-    runs = [(mat, mat.cols)]
-    if case in CYCLIC_CASES:
-        code, extended = CYCLIC_CASES[case]()
-        runs.append((cyclic_matrix(code, extended), code.n))
-    for alone, (m, n) in zip((distance._ALONE_MESSAGES, 0), runs):
-        monkeypatch.setattr(distance, "_ALONE_MESSAGES", alone)
-        d, witness, visited = distance._min_weight(m, n)
-        assert d == ref_d
-        assert np.array_equal(witness, ref_witness)
-        assert visited <= 2 * (q ** k - 1) // (q - 1)
-        if alone:
-            assert visited == (q ** k - 1) // (q - 1)
+    q, k, n = mat.field.q, mat.rows, mat.cols
+    ref_d, ref_witness, ref_hist = oracle.gray_scan(mat)
+    window = distance._Window(packed.scalar_masks(mat.field),
+                              packed.pack(mat.array, mat.field.s), pass_words)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    lightest = []
+    for w in range(1, k + 1):
+        for words in window.layer(w):
+            weights = packed.weights(words)
+            hist += np.bincount(weights, minlength=n + 1)
+            lightest += packed.unpack(words[..., weights == ref_d], n).tolist()
+    hist *= q - 1
+    hist[0] += 1
+    assert np.array_equal(hist, ref_hist)
+    assert ref_witness.tolist() in lightest
 
 
-@pytest.mark.parametrize("setting", ["default", "one-window", "pass-64"])
+@pytest.mark.parametrize("setting", ["default", "pass-64"])
 def test_one_window_finds_the_witness_of_the_byte_gray_scan(monkeypatch, setting):
-    # 200 seeded coset-union codes and the small cyclic cases, plain and
-    # extended: at the default settings their message spaces are scanned
-    # whole; with that turned off, one window runs to the stop rule, and at
-    # 64 words a pass every layer comes in many pieces and the expanded hits
-    # are cut down to the earliest many times
-    if setting != "default":
-        monkeypatch.setattr(distance, "_ALONE_MESSAGES", 0)
-    if setting == "pass-64":
-        monkeypatch.setattr(distance, "_PASS_WORDS", 64)
+    # 200 seeded coset-union codes and two small cyclic codes, plain and
+    # extended, each run to the stop rule: the Gray scan's d, and a
+    # codeword of that weight as witness.  At 64 words a pass every layer
+    # comes in many pieces, which keep its order, so the witness is the
+    # first lightest codeword of the default pieces too
     codes = random_cyclic_codes(200, seed=21) + [binary_t25_code(), binary_63_18_code()]
     for code in codes:
         for extended in (False, True):
-            ref_d, ref_witness, _ = oracle.gray_scan(cyclic_matrix(code, extended))
+            ref_d = oracle.gray_scan(cyclic_matrix(code, extended))[0]
             r = exact_distance(code, extended=extended)
             assert r.exact == ref_d, (code.T.elems, extended)
-            assert r.witness == tuple(int(c) for c in ref_witness), (code.T.elems, extended)
+            assert_codeword_of_weight(code, extended, r.witness, ref_d)
+            if setting == "pass-64":
+                with monkeypatch.context() as patch:
+                    patch.setattr(distance, "_PASS_WORDS", 64)
+                    assert exact_distance(code, extended=extended).witness == r.witness
 
 
-def test_enumeration_visits_at_most_twice_the_scan(monkeypatch):
+def test_enumeration_visits_at_most_twice_the_scan():
     # one window's layers 1..k are the scan's (q^k - 1)/(q - 1) messages,
     # so no call visits more.  The bench codes stop after layer w*, the
     # least w with ceil(63 (w + 1)/12) > d: 2 for d = 14 and 5 for d = 28
-    monkeypatch.setattr(distance, "_ALONE_MESSAGES", 0)
     for code in random_cyclic_codes(50, seed=3) + [binary_t25_code(), binary_63_18_code()]:
         q = code.q
         for extended in (False, True):
@@ -504,10 +503,13 @@ def test_sampled_upper_results_are_pinned_at_n63(parity, extended, seed):
 
 
 def test_exact_distance_results_are_pinned_gf16():
+    # the first lightest codeword of the window's layers, x^4 + x^9 + x^14
+    # and x + x^4 + ... + x^13, since the whole Gray scan no longer picks
+    # the witness: 1 + x^5 + x^10 and 1 + x^3 + ... + x^12 before
     _, c0, c1 = gf16_codes()
     r0, r1 = exact_distance(c0), exact_distance(c1)
-    assert (r0.exact, digest(r0.witness)) == (3, "5995d8c41382f767")
-    assert (r1.exact, digest(r1.witness)) == (5, "50788dbf45c73992")
+    assert (r0.exact, digest(r0.witness)) == (3, "b756caba4112143d")
+    assert (r1.exact, digest(r1.witness)) == (5, "1f519e12ac9f723c")
 
 
 def test_sampled_upper_results_are_pinned_at_n1023():
