@@ -38,7 +38,7 @@ def _max_n() -> int:
 def _checked_s(q: int, m: int) -> int:
     """s for q = 2^s, once q is valid and n = q^m - 1 is within TD_MAX_N."""
     s = q.bit_length() - 1
-    if q != 1 << s or not 1 <= s <= 8:
+    if not 1 <= s <= 8 or q != 1 << s:
         raise click.UsageError(f"--q must be a power of two in 2..256, got {q}")
     n = q ** m - 1
     if n > _max_n():

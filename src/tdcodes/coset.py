@@ -205,7 +205,7 @@ def build_T(q: int, m: int, parity: Parity | int) -> DefiningSet:
     under the cyclic digit shift i -> qi mod n.
     """
     s = q.bit_length() - 1
-    if q != 1 << s or s < 1:
+    if s < 1 or q != 1 << s:
         raise ValueError(f"q must be a power of two >= 2, got {q}")
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")

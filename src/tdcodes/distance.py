@@ -4,8 +4,9 @@ information set with the cyclic stop rule, randomized upper-bound search
 for codes too large to enumerate, complete weight tallies for tiny codes
 from a Gray scan of one message per projective point of the message space
 (the (q^k - 1)/(q - 1) messages whose last nonzero symbol is 1, each
-codeword one row XOR), and the certificate that a duadic pair shares its
-distance.
+codeword one row XOR), and the certificate that mu_(-1): i -> -i maps one
+code of a duadic pair onto the other, from one division of the image of
+one generator polynomial by the other, with no distance search.
 
 The cyclic stop rule (Zimmermann 1996; Grassl 2006): in a cyclic [n, k]
 code, once every message of weight <= w on positions 0..k - 1 has been
@@ -18,6 +19,9 @@ ceil(n/64) uint64 values, so a row XOR touches s*ceil(n/64) machine words
 and a weight is the popcount of the OR of the planes.  The random draws and
 every argmin tie-break of the upper-bound search are those of the
 byte-per-symbol engine, so each of its results and witnesses is unchanged.
+Its row-pair scan scores each pair of inverse scalars once, at the
+smaller: wt(r_i + lam r_j) = wt(r_j + lam^(-1) r_i), so the weights of lam
+are the transpose of those of lam^(-1) and the later can only tie.
 """
 
 from __future__ import annotations
@@ -293,13 +297,20 @@ def weight_distribution(code_or_matrix) -> dict[int, int]:
 # Randomized upper bound
 # ---------------------------------------------------------------------------
 
-def _lightest(masks: np.ndarray, stack: np.ndarray, n: int, pair_scan: bool):
+def _lightest(masks: np.ndarray, inverse: np.ndarray, stack: np.ndarray, n: int,
+              pair_scan: bool):
     """The lightest row of each matrix of a packed (s, W, r, B) stack, or
     with ``pair_scan`` the lightest nonzero word among that row and, for
     each lam != 0, the first lightest nonzero r_i + lam * r_j (i != j) in
     (i, j) order.  Returns the B weights, n + 1 where no word qualifies,
     and the (s, W, B) words.  The pairs are scanned for a few matrices at a
-    time, so their (s, W, r, r) words stay within _STACK_WORDS."""
+    time, so their (s, W, r, r) words stay within _STACK_WORDS.
+
+    r_i + lam r_j = lam (r_j + lam^(-1) r_i), so the weights of lam are the
+    transpose of those of lam^(-1) (``inverse`` is the field's inverse
+    table), with the same least weight.  A lam past its inverse comes after
+    it and can only tie it, never replace its word, so each pair of inverse
+    scalars is scored once, at the smaller; 1 is its own inverse."""
     s, nwords, r, nmat = stack.shape
     weights = packed.weights(stack)
     lanes = np.arange(nmat)
@@ -310,10 +321,11 @@ def _lightest(masks: np.ndarray, stack: np.ndarray, n: int, pair_scan: bool):
     best_w[best_w == 0] = n + 1
     diag = np.arange(r)
     step = max(1, _STACK_WORDS // (s * nwords * r * r))
+    scalars = [lam for lam in range(1, masks.shape[-1]) if lam <= inverse[lam]]
     for lo in range(0, nmat, step):
         part = stack[..., lo:lo + step]
         part_lanes = np.arange(part.shape[-1])
-        for lam in range(1, masks.shape[-1]):
+        for lam in scalars:
             combos = part[:, :, :, None] ^ packed.times(masks, lam, part)[:, :, None]
             w = packed.weights(combos)
             w[w == 0] = n + 1
@@ -386,7 +398,7 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     k = mat.rows
     gen = packed.pack(mat.array, field.s)
     pair_scan = k <= _PAIR_SCAN_MAX_K
-    weights, words = _lightest(masks, gen[..., None], n, pair_scan)
+    weights, words = _lightest(masks, field.np_inv_table, gen[..., None], n, pair_scan)
     best_w, best_cw = int(weights[0]), packed.unpack(words[..., 0], n)
 
     w, word = _lightest_message(masks, gen, n, trials, np.random.default_rng(seed))
@@ -410,7 +422,8 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
             stack[..., lo:lo + group] = packed.pack(
                 mat.array.take(np.stack(perms[lo:lo + group]), axis=1), field.s)
         reduced, pivots = cyclic.row_reduce(field, stack)
-        weights, words = _lightest(masks, reduced[:, :, :len(pivots[0])], n, pair_scan)
+        weights, words = _lightest(masks, field.np_inv_table, reduced[:, :, :len(pivots[0])],
+                                   n, pair_scan)
         for j, perm in enumerate(perms):  # in draw order, so ties go to the first
             if weights[j] < best_w:
                 best_w = int(weights[j])
@@ -428,33 +441,35 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
 
 def verify_duadic_distance_equality(q: int, m: int) -> CheckResult:
     """Certify that the two odd-m digit-parity codes C_0 and C_1 have one
-    minimum distance.  T_1 = -T_0, so the multiplier mu_(-1): c_i ->
-    c_(-i mod n) maps C_0 onto C_1 and keeps every weight (Huffman and
-    Pless, 4.3).  One distance computation on C_0, exact when its message
-    space fits under DEFAULT_CAP and sampled otherwise, gives a witness;
-    its image under mu_(-1) must be a codeword of C_1, by division by g_1,
-    of the same weight."""
+    weight distribution, so one minimum distance, from their generators
+    alone, with no distance search.
+
+    The multiplier mu_(-1): c_i -> c_(-i mod n) keeps every weight, and on
+    GF(q)[x]/(x^n - 1) it is a ring automorphism, x^i -> x^(-i) (Huffman
+    and Pless, 4.3).  So mu_(-1)(a(x) g_0(x)) = a(x^(-1)) mu_(-1)(g_0), and
+    once g_1 divides mu_(-1)(g_0), whose n coefficients are those of g_0
+    at -i mod n, the image of every codeword of C_0 is a codeword of C_1.
+    The map is one to one and k_0 = k_1 (|T_1| = |T_0|), so it maps the
+    whole of C_0 onto C_1.  T_1 = -T_0, checked first, is why the division
+    leaves no remainder (the roots of mu_(-1)(g_0) are the beta^(-t), t in
+    T_0); the division checks that on the generators the library builds."""
+    s = q.bit_length() - 1
+    if not 1 <= s <= 8 or q != 1 << s:
+        raise bounds.DomainError(f"q must be a power of two in 2..256, got {q}")
     if m < 3 or m % 2 == 0:
         raise bounds.DomainError(f"the duadic pair needs odd m >= 3, got m={m}")
-    s = q.bit_length() - 1
-    if q != 1 << s:
-        raise bounds.DomainError(f"q must be a power of two, got {q}")
     T0, T1 = (coset.build_T(q, m, p) for p in (Parity.EVEN, Parity.ODD))
     if not coset.is_negation(T0, T1):
         return CheckResult(False, "T_1 != -T_0, so mu_(-1) does not map C_0 onto C_1")
     field = make_field(s, m)
     c0, c1 = (cyclic.code_from_T(field, T) for T in (T0, T1))
-    if q ** c0.k <= DEFAULT_CAP:
-        report, kind = exact_distance(c0), "exact distance"
-    else:
-        report, kind = sampled_upper(c0), "sampled upper bound"
-    n = field.n
-    image = np.asarray(report.witness, dtype=np.uint8)[-np.arange(n) % n]
+    n, g0 = field.n, np.asarray(c0.generator, dtype=np.uint8)
+    image = np.zeros(n, dtype=np.uint8)
+    image[-np.arange(g0.size) % n] = g0
     _, rem = polys._divmod_array(field, image, np.asarray(c1.generator, dtype=np.uint8))
-    weight = int(np.count_nonzero(image))
-    if rem.size or weight != report.upper:
-        return CheckResult(False, f"the {kind} witness of C_0 maps under mu_(-1) to a "
-                                  f"weight-{weight} word outside C_1 or of another weight")
-    return CheckResult(True, f"T_1 = -T_0, so mu_(-1) maps C_0 onto C_1; the {kind} "
-                             f"{report.upper} of C_0 has a witness that maps to a "
-                             f"weight-{weight} codeword of C_1")
+    if rem.size:
+        return CheckResult(False, "g_1 does not divide mu_(-1)(g_0), so mu_(-1) does "
+                                  "not map C_0 into C_1")
+    return CheckResult(True, f"T_1 = -T_0 and g_1 divides mu_(-1)(g_0), so mu_(-1) maps "
+                             f"C_0 onto C_1, both [{n},{c0.k}]: one weight distribution, "
+                             "one minimum distance")

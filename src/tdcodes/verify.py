@@ -45,7 +45,7 @@ def _require(cond: bool, msg: str):
 
 def _s_of(q: int) -> int:
     s = q.bit_length() - 1
-    _require(q == 1 << s and s >= 1, f"q must be a power of two >= 2, got {q}")
+    _require(s >= 1 and q == 1 << s, f"q must be a power of two >= 2, got {q}")
     return s
 
 

@@ -143,6 +143,14 @@ def test_construct_warns_for_binary_alphabet(runner):
 def test_construct_usage_error(runner):
     res = runner.invoke(main, ["construct", "--q", "5", "--m", "2"])
     assert res.exit_code == 2
+    # q = 0 has s = -1: the range is checked before 1 << s is formed
+    for cmd in ("construct", "inspect", "bound", "verify", "distance"):
+        args = [cmd, "--q", "0", "--m", "3"] + (["--id", "thm2"] if cmd == "verify" else [])
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, cmd
+        assert res.stdout == "", cmd
+        assert "--q must be a power of two in 2..256, got 0" in res.stderr, cmd
+        assert "Traceback" not in res.output, cmd
     # m below 2: inspect refuses it as bound and verify do, with no traceback
     for m in ("1", "0"):
         res = runner.invoke(main, ["inspect", "--q", "4", "--m", m])

@@ -158,6 +158,12 @@ def test_gcd_lemma5_sweep():
                     assert gcd_lemma5_check(q, ell, m), (q, ell, m)
 
 
+@pytest.mark.parametrize("q", [0, 1, 3])
+def test_build_T_refuses_q_outside_the_powers_of_two(q):
+    with pytest.raises(ValueError, match=f"power of two >= 2, got {q}"):
+        build_T(q, 3, 0)
+
+
 def test_lemma6():
     assert lemma6_check(4, 3, 2, 0)
     assert lemma6_check(4, 3, 3, 2)

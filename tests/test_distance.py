@@ -2,13 +2,14 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 import oracle
 from conftest import peak_traced_bytes
-from tdcodes import coset, distance, packed
+from tdcodes import coset, cyclic, distance, packed
 from tdcodes.bounds import DomainError, bch_search, theorem_bound
 from tdcodes.coset import build_T, defining_set
 from tdcodes.cyclic import (GeneratorMatrix, code_from_T, dual_code,
@@ -555,13 +556,24 @@ def test_stacked_scoring_matches_the_byte_oracle(monkeypatch, s, pair_scan):
         a[4] = f.np_mul_table[f.q - 1, a[1]]
         forms.append(a)
     forms[2][:] = 0
+    # r_0 + lam r_1 = e_3, with lam the largest scalar past its inverse (1 in
+    # GF(2)), among rows of weight 9: the lightest pair of the form is a word
+    # of lam, which the scan meets as r_1 + lam^(-1) r_0 = lam^(-1) e_3
+    lam = max((x for x in range(1, f.q) if f.np_inv_table[x] < x), default=1)
+    a = rng.integers(1, f.q, size=(6, 9), dtype=np.uint8)
+    a[0] = f.np_mul_table[lam, a[1]]
+    a[0, 3] ^= 1
+    forms.append(a)
     stack = np.stack([packed.pack(a, s) for a in forms], axis=-1)
-    weights, words = distance._lightest(packed.scalar_masks(f), stack, 9, pair_scan)
+    weights, words = distance._lightest(packed.scalar_masks(f), f.np_inv_table, stack, 9,
+                                        pair_scan)
     for j, a in enumerate(forms):
         w, word = oracle.lightest(f, a, pair_scan)
         assert weights[j] == w
         if word is not None:
             assert np.array_equal(packed.unpack(words[..., j], 9), word)
+    if pair_scan:
+        assert weights[-1] == 1
 
 
 def test_pair_scan_skips_pairs_that_cancel():
@@ -579,7 +591,7 @@ def test_pair_scan_skips_pairs_that_cancel():
     assert oracle.lightest(f, a, True)[0] == 1
     assert np.array_equal(oracle.lightest(f, a, True)[1], expect)
     stack = packed.pack(a, 2)[..., None]
-    weights, words = distance._lightest(packed.scalar_masks(f), stack, 9, True)
+    weights, words = distance._lightest(packed.scalar_masks(f), f.np_inv_table, stack, 9, True)
     assert weights[0] == 1
     assert np.array_equal(packed.unpack(words[..., 0], 9), expect)
     assert sampled_upper(GeneratorMatrix(f, a), trials=1).upper == 1
@@ -650,21 +662,48 @@ def test_report_invariants():
                        method="sampled", witness=(1, 0, 0))
 
 
+# every odd-m family with n <= 4095, and the (n, k) of its pair
+DUADIC_FAMILIES = [(2, 3, 7, 4), (2, 5, 31, 16), (2, 7, 127, 64), (2, 9, 511, 256),
+                   (2, 11, 2047, 1024), (4, 3, 63, 32), (4, 5, 1023, 512),
+                   (8, 3, 511, 256), (16, 3, 4095, 2048)]
+
+
+def duadic_reason(n, k):
+    return (f"T_1 = -T_0 and g_1 divides mu_(-1)(g_0), so mu_(-1) maps C_0 onto "
+            f"C_1, both [{n},{k}]: one weight distribution, one minimum distance")
+
+
 def test_duadic_distance_equality_exact_mode():
-    # T_1 = -T_0, and the exact witness of C_0 maps to a codeword of C_1
-    for q, m, d in ((2, 3, 3), (2, 5, 7)):
-        res = verify_duadic_distance_equality(q, m)
-        assert res.ok, res.reason
-        assert "mu_(-1) maps C_0 onto C_1" in res.reason
-        assert f"exact distance {d} of C_0" in res.reason
+    # the binary families, whose pairs test_duadic_pair_weight_distributions_agree
+    # also tallies at m = 3 and 5: the certificate is the generator division
+    for q, m, n, k in DUADIC_FAMILIES:
+        if q == 2:
+            res = verify_duadic_distance_equality(q, m)
+            assert res.ok, res.reason
+            assert res.reason == duadic_reason(n, k)
 
 
 def test_duadic_distance_equality_sampled_mode():
-    # [63, 32]_4, over the cap: one sampled search on C_0 serves the pair
-    res = verify_duadic_distance_equality(4, 3)
-    assert res.ok, res.reason
-    assert "mu_(-1) maps C_0 onto C_1" in res.reason
-    assert "sampled upper bound 15 of C_0" in res.reason
+    # the families past the tally cap, [63, 32]_4 to [4095, 2048]_16, which a
+    # distance search could only bound: each certified in well under 1 s
+    for q, m, n, k in DUADIC_FAMILIES:
+        if q > 2:
+            start = time.perf_counter()
+            res = verify_duadic_distance_equality(q, m)
+            assert time.perf_counter() - start < 1.0, (q, m)
+            assert res.ok, res.reason
+            assert res.reason == duadic_reason(n, k)
+
+
+def test_duadic_certificate_runs_no_distance_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate ran a distance search")
+
+    for name in ("exact_distance", "sampled_upper"):
+        monkeypatch.setattr(distance, name, refuse)
+    monkeypatch.setattr(cyclic, "row_reduce", refuse)
+    for q, m, n, k in DUADIC_FAMILIES:
+        assert verify_duadic_distance_equality(q, m).reason == duadic_reason(n, k)
 
 
 def test_duadic_certificate_fails_when_t1_is_not_minus_t0(monkeypatch):
@@ -681,21 +720,24 @@ def test_duadic_certificate_fails_when_t1_is_not_minus_t0(monkeypatch):
 
 
 def test_duadic_certificate_rechecks_the_mapped_witness(monkeypatch):
-    # a witness that is no codeword of C_0, 1 + x in the [7, 4]_2 code,
-    # maps under i -> -i to 1 + x^6, outside C_1
-    def bogus(code, *args, **kwargs):
-        return DistanceReport(lower=1, upper=2, exact=2, witness_weight=2,
-                              method="exhaustive", witness=(1, 1, 0, 0, 0, 0, 0))
-
-    monkeypatch.setattr(distance, "exact_distance", bogus)
-    res = verify_duadic_distance_equality(2, 3)
-    assert not res.ok
-    assert "outside C_1" in res.reason
+    # g_0 in place of g_1: mu_(-1)(g_0) has the roots beta^(-t), t in T_0,
+    # and T_0 != -T_0, so the division by g_0 leaves a remainder
+    real = cyclic.generator_polynomial
+    for q, m in ((2, 3), (4, 3)):
+        T0 = build_T(q, m, 0)
+        monkeypatch.setattr(cyclic, "generator_polynomial",
+                            lambda field, T, T0=T0: real(field, T0))
+        res = verify_duadic_distance_equality(q, m)
+        assert not res.ok
+        assert res.reason == ("g_1 does not divide mu_(-1)(g_0), so mu_(-1) does not "
+                              "map C_0 into C_1")
 
 
 def test_duadic_distance_equality_domain():
-    with pytest.raises(DomainError):
-        verify_duadic_distance_equality(4, 2)
+    # q = 0 has s = -1: refused before 1 << s is formed
+    for q, m in ((4, 2), (0, 3), (1, 3), (3, 3), (512, 3)):
+        with pytest.raises(DomainError):
+            verify_duadic_distance_equality(q, m)
 
 
 def rank(field, array):

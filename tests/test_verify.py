@@ -72,6 +72,9 @@ def test_thm2_suite(q, m):
 def test_thm2_domain():
     with pytest.raises(DomainError):
         run_suite("thm2", 4, 2)
+    # q = 0 has s = -1: refused before 1 << s is formed
+    with pytest.raises(DomainError, match="power of two >= 2, got 0"):
+        run_suite("thm2", 0, 3)
 
 
 @pytest.mark.parametrize("q,m", [(4, 2), (4, 4), (8, 2)])
