@@ -226,7 +226,8 @@ def bound(q, m, parity, search, budget, out):
 @click.option("--variant", type=click.Choice(VARIANTS), default="plain",
               show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--cap", type=int, default=distance.DEFAULT_CAP, show_default=True,
+@click.option("--cap", type=click.IntRange(max=distance.DEFAULT_CAP),
+              default=distance.DEFAULT_CAP, show_default=True,
               help="Largest message space q^k for an exact distance; above it the "
                    "distance is sampled.")
 @click.option("--trials", type=click.IntRange(min=1), default=2048,

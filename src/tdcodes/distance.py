@@ -1,12 +1,17 @@
 """Ground-truth minimum-distance machinery: exact distance of a cyclic
 code, or of its extension, by Brouwer-Zimmermann enumeration of one
 information set with the cyclic stop rule, randomized upper-bound search
-for codes too large to enumerate, complete weight tallies for tiny codes
-from a Gray scan of one message per projective point of the message space
-(the (q^k - 1)/(q - 1) messages whose last nonzero symbol is 1, each
-codeword one row XOR), and the certificate that mu_(-1): i -> -i maps one
-code of a duadic pair onto the other, from one division of the image of
-one generator polynomial by the other, with no distance search.
+for codes too large to enumerate, complete weight tallies for small codes
+from the same enumeration run through every layer, and the certificate
+that mu_(-1): i -> -i maps one code of a duadic pair onto the other, from
+one division of the image of one generator polynomial by the other, with
+no distance search.
+
+One engine enumerates: the window of positions 0..k - 1, whose systematic
+form comes from g (row j is x^j + x^k (x^(n-k+j) mod g)) with no generator
+matrix and no row reduction.  It meets each message whose last nonzero
+symbol is 1, one per projective point of the message space, layer by
+layer, each codeword one row XOR.
 
 The cyclic stop rule (Zimmermann 1996; Grassl 2006): in a cyclic [n, k]
 code, once every message of weight <= w on positions 0..k - 1 has been
@@ -36,7 +41,6 @@ from tdcodes.cyclic import CyclicCode, GeneratorMatrix
 from tdcodes.gf import make_field
 
 DEFAULT_CAP = 1 << 24
-_CHUNK_BITS = 10
 _PASS_WORDS = 1 << 14
 _PAIR_SCAN_MAX_K = 64
 _STACK_WORDS = 1 << 15
@@ -68,75 +72,6 @@ def _as_matrix(obj) -> GeneratorMatrix:
     if isinstance(obj, CyclicCode):
         return cyclic.generator_matrix(obj)
     raise TypeError(f"expected a cyclic code or generator matrix, got {type(obj)!r}")
-
-
-def _bit_rows(masks: np.ndarray, gen: np.ndarray) -> np.ndarray:
-    """One packed word per message bit of a packed (s, W, k) generator,
-    2^t times row j in lane j*s + t: the message space of GF(2^s)^k is an
-    XOR-span of k*s words, so Gray enumeration flips one at a time."""
-    s = gen.shape[0]
-    rows = [packed.times(masks, 1 << t, gen) for t in range(s)]
-    return np.stack(rows, axis=-1).reshape(gen.shape[:2] + (-1,))
-
-
-def _scan(masks: np.ndarray, gen: np.ndarray):
-    """The codewords of the (q^k - 1)/(q - 1) messages whose last nonzero
-    symbol is 1, one per projective point of the message space, from a
-    packed (s, W, k) generator: a nonzero message and its q - 1 nonzero
-    multiples give codewords of one weight.  Yields one pass of words at a
-    time, each the same array, changed in place for the next pass.
-
-    For each leading symbol j, the words 1*row_j plus the span of the bit
-    rows below j*s are Gray enumerated with a vectorized low-bit chunk.  The
-    chunk holds the 2^low words of the low message bits in binary order;
-    one pass of numpy calls covers 2^steps Gray steps of the bits above, as
-    many as fit in _PASS_WORDS uint64 words.  Lane u*2^low + i of a pass is
-    chunk word i plus the bit rows low + b for the bits b of gray(u).  As
-    gray(t + u) = gray(t) ^ gray(u) for t a multiple of 2^steps, pass p
-    holds the words of Gray steps p*2^steps, ..., (p+1)*2^steps - 1 in
-    order.  From pass p-1 to pass p, gray(p*2^steps) changes in bit
-    steps + ctz(p) and, if steps > 0, in bit steps - 1."""
-    rows = _bit_rows(masks, gen)
-    s = gen.shape[0]
-    kbits = rows.shape[-1]
-    top = min(_CHUNK_BITS, kbits)
-    chunk = np.zeros(rows.shape[:2] + (1,), dtype=packed.WORD)
-    for b in range(top):
-        chunk = np.concatenate([chunk, chunk ^ rows[..., b, None]], axis=-1)
-    spare = max(0, (_PASS_WORDS // chunk.size).bit_length() - 1)
-    offsets = [np.zeros(rows.shape[:2] + (1,), dtype=packed.WORD)]
-    for u in range(1, 1 << min(kbits - top, spare)):
-        offsets.append(offsets[-1] ^ rows[..., top + (u & -u).bit_length() - 1, None])
-    offsets = np.concatenate(offsets, axis=-1)
-    for lead in range(0, kbits, s):
-        low = min(_CHUNK_BITS, lead)
-        steps = min(lead - low, spare)
-        words = (offsets[..., :1 << steps, None] ^ chunk[..., None, :1 << low]
-                 ^ rows[..., lead, None, None]).reshape(rows.shape[:2] + (-1,))
-        for t in range(1 << (lead - low - steps)):
-            if t:  # the pass's words in place: XOR in the bit rows gray flips
-                words ^= rows[..., low + steps + (t & -t).bit_length() - 1, None]
-                if steps:
-                    words ^= rows[..., low + steps - 1, None]
-            yield words
-
-
-def _scan_codewords(mat: GeneratorMatrix) -> np.ndarray:
-    """The weight tally of all q^k codewords: q - 1 times that of the
-    scanned messages, one per projective point, plus the zero codeword."""
-    field = mat.field
-    hist = np.zeros(mat.cols + 1, dtype=np.int64)
-    for words in _scan(packed.scalar_masks(field), packed.pack(mat.array, field.s)):
-        hist += np.bincount(packed.weights(words), minlength=mat.cols + 1)
-    hist *= field.q - 1
-    hist[0] += 1
-    return hist
-
-
-def _refuse_zero(mat: GeneratorMatrix) -> None:
-    if not mat.array.any():
-        raise ValueError(f"the {mat.rows} x {mat.cols} generator matrix spans no "
-                         "nonzero codeword")
 
 
 def _pairs(major: np.ndarray, minor: np.ndarray, lo: np.ndarray, hi: np.ndarray, per: int):
@@ -221,15 +156,48 @@ class _Window:
         yield from _pairs(heads, tails, lo, np.full_like(lo, firsts.size), self.per)
 
 
-def _min_weight(mat: GeneratorMatrix, n: int):
+def _systematic(code: CyclicCode, extended: bool) -> np.ndarray:
+    """The packed (s, W, k) systematic form of a cyclic [n, k] code, or of
+    its extension by the overall-sum symbol, the identity on positions
+    0..k - 1, from g with no row reduction: row j is x^j + x^k r_j(x), r_j
+    = x^(n-k+j) mod g, and with ``extended`` it gains the XOR of its
+    symbols.  r_0 is g less its leading x^(n-k) (g is monic, and -1 = 1),
+    r_(j+1) is x r_j mod g.
+
+    Row j is the shift by k of x^(n-k+j) + r_j, a multiple of g, so it is a
+    codeword; r_j has degree < n - k, so on positions 0..k - 1 the row is
+    e_j.  A code has one basis that is the identity on a given information
+    set, so this is the reduced row echelon form of its generator matrix,
+    extended or not."""
+    field, n, k = code.field, code.n, code.k
+    g = np.asarray(code.generator, dtype=np.uint8)
+    low = g[:-1]
+    rows = np.zeros((k, n + extended), dtype=np.uint8)
+    rows[np.arange(k), np.arange(k)] = 1
+    rem = low
+    for j in range(k):
+        rows[j, k:n] = rem
+        if low.size:
+            rem = np.insert(rem[:-1], 0, 0) ^ field.np_mul_table[rem[-1], low]
+    if extended:
+        rows[:, n] = np.bitwise_xor.reduce(rows[:, :n], axis=1)
+    return packed.pack(rows, field.s)
+
+
+def _window(code: CyclicCode, extended: bool) -> _Window:
+    """The window of positions 0..k - 1, over its systematic form."""
+    form = _systematic(code, extended)
+    return _Window(packed.scalar_masks(code.field), form,
+                   max(1, _PASS_WORDS // (code.field.s * form.shape[1])))
+
+
+def _min_weight(code: CyclicCode, extended: bool):
     """Minimum weight of the codewords of nonzero messages, the first
     codeword of that weight the enumeration meets, and the number of
-    messages visited, for the generator matrix G of a cyclic [n, k] code
-    (rows x^j g(x)) or of its extension by the overall-sum column:
-    Brouwer-Zimmermann enumeration of one window, positions 0..k - 1, with
-    the cyclic stop rule (Zimmermann 1996; Grassl 2006).  G is upper
-    triangular there with g(0) != 0 on its diagonal, so its reduced row
-    echelon form is the window's systematic form.
+    messages visited, for a cyclic [n, k] code or its extension by the
+    overall-sum symbol: Brouwer-Zimmermann enumeration of one window,
+    positions 0..k - 1, with the cyclic stop rule (Zimmermann 1996; Grassl
+    2006), over the window's systematic form built from g.
 
     The window takes layers w = 1, 2, ..., its messages of weight w.  After
     layer w, a codeword none of whose shifts was visited holds more than w
@@ -240,14 +208,11 @@ def _min_weight(mat: GeneratorMatrix, n: int):
     The overall-sum symbol never lowers a weight and is the same for every
     shift, so the rule holds for the extension too.  The pieces of a layer
     keep its order whatever their size, so the witness does not depend on
-    _PASS_WORDS.  Layers 1..k are the scan's (q^k - 1)/(q - 1) messages, so
-    no call visits more."""
-    field, k = mat.field, mat.rows
-    reduced, _ = cyclic.row_reduce(field, packed.pack(mat.array, field.s)[..., None])
-    form = np.ascontiguousarray(reduced[..., 0])
-    window = _Window(packed.scalar_masks(field), form,
-                     max(1, _PASS_WORDS // (field.s * form.shape[1])))
-    best, witness, visited, w = mat.cols + 1, None, 0, 0
+    _PASS_WORDS.  Layers 1..k are the (q^k - 1)/(q - 1) messages whose
+    last nonzero symbol is 1, so no call visits more."""
+    n, k, cols = code.n, code.k, code.n + extended
+    window = _window(code, extended)
+    best, witness, visited, w = cols + 1, None, 0, 0
     while n * (w + 1) <= k * best:
         w += 1
         for words in window.layer(w):
@@ -256,7 +221,7 @@ def _min_weight(mat: GeneratorMatrix, n: int):
             at = int(weights.argmin())
             if weights[at] < best:
                 best, witness = int(weights[at]), words[..., at].copy()
-    return best, packed.unpack(witness, mat.cols), visited
+    return best, packed.unpack(witness, cols), visited
 
 
 def exact_distance(code: CyclicCode, cap: int = DEFAULT_CAP, lower: int = 1, *,
@@ -275,21 +240,30 @@ def exact_distance(code: CyclicCode, cap: int = DEFAULT_CAP, lower: int = 1, *,
     if total > cap:
         raise ValueError(f"q^k = {total} exceeds the enumeration cap {cap}; "
                          "use sampled_upper")
-    mat = cyclic.extend_code(code) if extended else cyclic.generator_matrix(code)
-    _refuse_zero(mat)
-    d, cw, _ = _min_weight(mat, code.n)
+    if not code.k:
+        raise ValueError(f"the 0 x {code.n + extended} generator matrix spans no "
+                         "nonzero codeword")
+    d, cw, _ = _min_weight(code, extended)
     return DistanceReport(lower=lower, upper=d, exact=d, witness_weight=d,
                           method="exhaustive", witness=tuple(int(c) for c in cw))
 
 
-def weight_distribution(code_or_matrix) -> dict[int, int]:
-    """Complete tally weight -> count over all q^k codewords, q^k up to
-    DEFAULT_CAP, the cap of exact_distance."""
-    mat = _as_matrix(code_or_matrix)
-    total = mat.field.q ** mat.rows
+def weight_distribution(code: CyclicCode) -> dict[int, int]:
+    """Complete tally weight -> count over all q^k codewords of a cyclic
+    code, q^k up to DEFAULT_CAP, the cap of exact_distance: the window of
+    exact_distance run through all its layers 1..k, which meet each of the
+    (q^k - 1)/(q - 1) messages whose last nonzero symbol is 1 once.  Their
+    q - 1 nonzero multiples weigh the same, and the zero word is added."""
+    total = code.q ** code.k
     if total > DEFAULT_CAP:
         raise ValueError(f"q^k = {total} exceeds the tally cap {DEFAULT_CAP}")
-    hist = _scan_codewords(mat)
+    hist = np.zeros(code.n + 1, dtype=np.int64)
+    window = _window(code, False)
+    for w in range(1, code.k + 1):
+        for words in window.layer(w):
+            hist += np.bincount(packed.weights(words), minlength=code.n + 1)
+    hist *= code.q - 1
+    hist[0] += 1
     return {w: int(c) for w, c in enumerate(hist) if c}
 
 
@@ -391,7 +365,9 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     mat = _as_matrix(code_or_matrix)
-    _refuse_zero(mat)
+    if not mat.array.any():
+        raise ValueError(f"the {mat.rows} x {mat.cols} generator matrix spans no "
+                         "nonzero codeword")
     field = mat.field
     masks = packed.scalar_masks(field)
     n = mat.cols

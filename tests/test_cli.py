@@ -241,6 +241,22 @@ def test_distance_rejects_trials_below_one(runner):
     assert "Traceback" not in res.output
 
 
+def test_distance_refuses_a_cap_past_the_enumeration_cap(runner):
+    # 4^129 messages at (4,4) would be enumerated for hours: the cap stops
+    # at 2^24 = 4^12, which (4,2) still reaches exactly
+    res = runner.invoke(main, ["distance", "--q", "4", "--m", "4",
+                               "--cap", "16777217"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "Invalid value for '--cap'" in res.stderr
+    assert "Traceback" not in res.output
+    res = runner.invoke(main, ["distance", "--q", "4", "--m", "2",
+                               "--cap", "16777216"])
+    assert res.exit_code == 0
+    data = json.loads(res.stdout)
+    assert data["method"] == "exhaustive" and data["exact"] == 3
+
+
 def test_verify_pass_and_exit_codes(runner):
     res = runner.invoke(main, ["verify", "--id", "thm2", "--q", "4", "--m", "3"])
     assert res.exit_code == 0

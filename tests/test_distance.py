@@ -14,8 +14,8 @@ from tdcodes.bounds import DomainError, bch_search, theorem_bound
 from tdcodes.coset import build_T, defining_set
 from tdcodes.cyclic import (GeneratorMatrix, code_from_T, dual_code,
                             extend_code, generator_matrix, row_reduce)
-from tdcodes.distance import (DistanceReport, _scan_codewords, exact_distance,
-                              sampled_upper, verify_duadic_distance_equality,
+from tdcodes.distance import (DistanceReport, exact_distance, sampled_upper,
+                              verify_duadic_distance_equality,
                               weight_distribution)
 from tdcodes.gf import default_base_modulus, make_field
 
@@ -120,16 +120,19 @@ def test_witness_is_a_codeword_and_shift_invariant():
 
 
 def test_weight_distribution_whole_space():
-    f = make_field(2, 2)
-    eye = np.eye(3, dtype=np.uint8)
-    mat = GeneratorMatrix(f, eye)
-    assert weight_distribution(mat) == {0: 1, 1: 9, 2: 27, 3: 27}
+    # T = {}: g = 1, the whole space GF(2)^n, with C(n, w) words of weight w
+    for m in (2, 3, 4):
+        code = code_from_T(make_field(1, m), defining_set(2 ** m - 1, 2, []))
+        assert code.generator == (1,) and code.k == code.n
+        assert weight_distribution(code) == {w: math.comb(code.n, w)
+                                             for w in range(code.n + 1)}
 
 
 def test_weight_distribution_zero_code():
-    f = make_field(2, 2)
-    mat = GeneratorMatrix(f, np.zeros((0, 15), dtype=np.uint8))
-    assert weight_distribution(mat) == {0: 1}
+    # T = Z_15: g = x^15 - 1, the code of dimension 0
+    code = code_from_T(make_field(2, 2), defining_set(15, 4, range(15)))
+    assert code.k == 0
+    assert weight_distribution(code) == {0: 1}
 
 
 def test_the_tally_and_the_exact_distance_share_one_cap():
@@ -137,10 +140,9 @@ def test_the_tally_and_the_exact_distance_share_one_cap():
     # before any scan
     f = make_field(2, 2)
     assert distance.DEFAULT_CAP == 4 ** 12
-    mat = GeneratorMatrix(f, np.eye(13, dtype=np.uint8))
-    with pytest.raises(ValueError, match="q\\^k = 67108864 exceeds the tally cap 16777216"):
-        weight_distribution(mat)
     code = code_from_T(f, defining_set(15, 4, [1, 4]))  # [15, 13]_4
+    with pytest.raises(ValueError, match="q\\^k = 67108864 exceeds the tally cap 16777216"):
+        weight_distribution(code)
     for extended in (False, True):
         with pytest.raises(ValueError, match="q\\^k = 67108864 exceeds the enumeration cap"):
             exact_distance(code, extended=extended)
@@ -272,7 +274,7 @@ SCAN_CASES = {
        for s, k, n in [(2, 9, 15), (2, 7, 100), (1, 16, 64), (3, 4, 130),
                        (1, 11, 70), (4, 3, 20)]},
     "rank-deficient": rank_deficient_matrix,
-    "short": lambda: random_matrix(3, 3, 25),  # k*s = 9 < _CHUNK_BITS
+    "short": lambda: random_matrix(3, 3, 25),  # 9 message bits, one oracle chunk
     "k1": lambda: random_matrix(4, 1, 12),
     "gf16-ties": gf16_tied_matrix,
     "deficient-second-window": deficient_second_window_matrix,
@@ -280,21 +282,19 @@ SCAN_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+@pytest.mark.parametrize("case", sorted(CYCLIC_CASES))
 def test_scan_matches_the_byte_gray_scan(case):
-    # the same tally as one Gray scan over all q^k messages, one byte per
-    # symbol, and for the cyclic cases the same minimum and a codeword of
-    # that weight as witness
-    mat = SCAN_CASES[case]()
-    ref_d, _, ref_hist = oracle.gray_scan(mat)
-    assert np.array_equal(_scan_codewords(mat), ref_hist)
-    assert weight_distribution(mat) == \
-        {w: int(c) for w, c in enumerate(ref_hist) if c}
-    if case in CYCLIC_CASES:
-        code, extended = CYCLIC_CASES[case]()
-        r = exact_distance(code, extended=extended)
-        assert r.exact == ref_d
-        assert_codeword_of_weight(code, extended, r.witness, ref_d)
+    # the code's tally is that of one Gray scan over all q^k messages, one
+    # byte per symbol, and the exact d of the case, plain or extended, is
+    # the scan's, with a codeword of that weight as witness
+    code, extended = CYCLIC_CASES[case]()
+    ref_d, _, ref_hist = oracle.gray_scan(generator_matrix(code))
+    assert weight_distribution(code) == {w: int(c) for w, c in enumerate(ref_hist) if c}
+    if extended:
+        ref_d = oracle.gray_scan(extend_code(code))[0]
+    r = exact_distance(code, extended=extended)
+    assert r.exact == ref_d
+    assert_codeword_of_weight(code, extended, r.witness, ref_d)
 
 
 @pytest.mark.parametrize("pass_words", [distance._PASS_WORDS, 64])
@@ -352,15 +352,64 @@ def test_enumeration_visits_at_most_twice_the_scan():
     for code in random_cyclic_codes(50, seed=3) + [binary_t25_code(), binary_63_18_code()]:
         q = code.q
         for extended in (False, True):
-            _, _, visited = distance._min_weight(cyclic_matrix(code, extended), code.n)
+            _, _, visited = distance._min_weight(code, extended)
             assert visited <= (q ** code.k - 1) // (q - 1)
     layer = [math.comb(12, w) * 3 ** (w - 1) for w in range(13)]
     for seed, d, top, visits in ((0, 14, 2, 210), (7, 28, 5, 79707)):
         assert min(w for w in range(1, 13) if -(-63 * (w + 1) // 12) > d) == top
         assert sum(layer[1:top + 1]) == visits
-        got, _, visited = distance._min_weight(generator_matrix(bench_exact_code(seed)), 63)
+        got, _, visited = distance._min_weight(bench_exact_code(seed), False)
         assert (got, visited) == (d, visits)
         assert visited <= 2 * sum(layer[1:])
+
+
+def one_engine_codes():
+    """Every T_(q,m;p) code with q^k <= DEFAULT_CAP (T_(2,2;0) is empty, so
+    g = 1 and k = n), the binary codes of T = {} at n = 7 and 15, and the
+    202 codes of test_one_window_finds_the_witness_of_the_byte_gray_scan."""
+    families = [code_from_T(make_field(s, m), build_T(1 << s, m, p))
+                for s, m in [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2)] for p in (0, 1)]
+    assert all(c.q ** c.k <= distance.DEFAULT_CAP for c in families)
+    assert all(q ** (q ** m - 1 - len(build_T(q, m, p))) > distance.DEFAULT_CAP
+               for q, m in [(2, 6), (4, 3), (8, 2)] for p in (0, 1))
+    whole = [code_from_T(make_field(1, m), defining_set(2 ** m - 1, 2, [])) for m in (3, 4)]
+    return (families + whole + random_cyclic_codes(200, seed=21)
+            + [binary_t25_code(), binary_63_18_code()])
+
+
+def test_systematic_form_is_the_rref_of_the_generator():
+    # row j = x^j + x^k (x^(n-k+j) mod g) is row j of the byte oracle's
+    # reduced row echelon form of (x^j g(x)), plain and with the overall-sum
+    # column: the identity on positions 0..k - 1, its pivots
+    for code in one_engine_codes():
+        for extended in (False, True):
+            ref, pivots = oracle.row_reduce(code.field, cyclic_matrix(code, extended).array)
+            assert pivots == list(range(code.k))
+            got = packed.unpack(distance._systematic(code, extended), code.n + extended)
+            assert np.array_equal(got, ref), (code.T.elems, extended)
+
+
+def test_weight_distribution_matches_the_byte_gray_scan():
+    for code in one_engine_codes():
+        ref = oracle.gray_scan(generator_matrix(code))[2]
+        assert weight_distribution(code) == {w: int(c) for w, c in enumerate(ref) if c}, \
+            code.T.elems
+
+
+def test_exact_distance_and_the_tally_build_no_matrix(monkeypatch):
+    # the window's systematic form comes from g: no generator matrix, plain
+    # or extended, and no row reduction
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator matrix was built or row-reduced")
+
+    monkeypatch.setattr(cyclic, "row_reduce", refuse)
+    monkeypatch.setattr(cyclic, "generator_matrix", refuse)
+    _, c0, c1 = gf16_codes()
+    assert [exact_distance(c, extended=extended).exact
+            for extended in (False, True) for c in (c0, c1)] == [3, 5, 4, 6]
+    assert exact_distance(bench_exact_code(0)).exact == 14
+    tally = weight_distribution(c1)
+    assert sum(tally.values()) == 4 ** 7 and min(w for w in tally if w) == 5
 
 
 def test_the_cyclic_stop_rule_holds_on_every_codeword():
@@ -397,14 +446,10 @@ def test_the_cyclic_stop_rule_holds_on_every_codeword():
 
 
 def test_scan_edge_cases_are_what_they_claim():
-    mat = rank_deficient_matrix()
-    assert _scan_codewords(mat)[0] == 4 ** 2
-    mat = gf16_tied_matrix()
-    hist = _scan_codewords(mat)
+    assert oracle.gray_scan(rank_deficient_matrix())[2][0] == 4 ** 2
+    hist = oracle.gray_scan(gf16_tied_matrix())[2]
     assert hist[1:5].sum() == 0 and hist[5] == 6 * 15
-    for case in ("short", "k1"):
-        mat = SCAN_CASES[case]()
-        assert mat.rows * mat.field.s < distance._CHUNK_BITS
+    assert SCAN_CASES["k1"]().rows == 1
     code = binary_t25_code()
     assert code.n < 2 * code.k
     assert [exact_distance(bench_exact_code(seed)).exact for seed in (0, 7)] == [14, 28]
@@ -444,8 +489,8 @@ def test_duadic_pair_weight_distributions_agree(m):
 def test_weight_distribution_does_not_depend_on_the_modulus(parity):
     # every family whose codes fit the cap, under each of its primitive
     # extension moduli as the power test finds them (2, 2, 6 and 4): the
-    # tally and the exact d of the code and of its extension are those
-    # under the default moduli
+    # tally of the code, the oracle's tally of its extension and the exact
+    # d of both are those under the default moduli
     for q, m in [(2, 3), (2, 4), (2, 5), (4, 2)]:
         s = q.bit_length() - 1
         moduli = list(oracle.primitive_moduli(s, m, default_base_modulus(s)))
@@ -454,8 +499,9 @@ def test_weight_distribution_does_not_depend_on_the_modulus(parity):
 
         def profile(field):
             code = code_from_T(field, build_T(q, m, parity))
-            return [(weight_distribution(c), exact_distance(code, extended=extended).exact)
-                    for c, extended in ((code, False), (extend_code(code), True))]
+            extended_hist = oracle.gray_scan(extend_code(code))[2]
+            return [weight_distribution(code), extended_hist.tolist(),
+                    exact_distance(code).exact, exact_distance(code, extended=True).exact]
 
         want = profile(make_field(s, m))
         assert make_field(s, m).ext_modulus in moduli

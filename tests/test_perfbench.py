@@ -35,7 +35,8 @@ def test_traced_quick_structure_run_yields_every_layer_metric():
 
 def test_traced_quick_distance_run_times_the_row_reduction():
     # the tracer finds the kernel by name inside sampled_upper, and
-    # exact_distance, which now row-reduces too, is still a span of its own
+    # exact_distance, which builds its systematic form from g and reduces
+    # no rows, is still a span of its own
     layers = traced_quick_run("distance")["layers"]
     assert layers["cyclic.row_reduce.ms"]["value"] is not None
     assert layers["distance.sampled_upper.row_reduce_share"]["value"] is not None
