@@ -231,7 +231,8 @@ def bound(q, m, parity, search, budget, out):
               help="Largest message space q^k for an exact distance; above it the "
                    "distance is sampled.")
 @click.option("--trials", type=click.IntRange(min=1), default=2048,
-              show_default=True)
+              show_default=True,
+              help="random information-set forms: max(1, trials // 16)")
 @click.option("--field-spec", "field_spec_path",
               type=click.Path(exists=True, dir_okay=False),
               default=None)

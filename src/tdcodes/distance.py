@@ -21,9 +21,10 @@ lies in k windows, so k wt(c) >= n(w + 1).
 
 Codewords are bit-sliced words (:mod:`tdcodes.packed`): s bit-planes of
 ceil(n/64) uint64 values, so a row XOR touches s*ceil(n/64) machine words
-and a weight is the popcount of the OR of the planes.  The random draws and
-every argmin tie-break of the upper-bound search are those of the
-byte-per-symbol engine, so each of its results and witnesses is unchanged.
+and a weight is the popcount of the OR of the planes.  The upper-bound
+search draws its only random candidates, information-set forms, from one
+seeded stream, and every argmin tie goes to the first candidate in a fixed
+order, so a result depends on the seed and on max(1, trials // 16) alone.
 Its row-pair scan scores each pair of inverse scalars once, at the
 smaller: wt(r_i + lam r_j) = wt(r_j + lam^(-1) r_i), so the weights of lam
 are the transpose of those of lam^(-1) and the later can only tie.
@@ -314,51 +315,17 @@ def _lightest(masks: np.ndarray, inverse: np.ndarray, stack: np.ndarray, n: int,
     return best_w, best
 
 
-def _lightest_message(masks: np.ndarray, gen: np.ndarray, n: int, trials: int,
-                      rng: np.random.Generator):
-    """The lightest nonzero word among ``trials`` random messages times the
-    packed (s, W, k) generator, drawn in batches of 512, and its weight:
-    the first in draw order, or n + 1 and None if every word is zero.
-
-    A span of generator rows at a time gives its q multiples, a * row j at
-    j q + a, from which each chunk of messages gathers what its symbols
-    pick and XORs it together.  Table and gathers stay within _STACK_WORDS
-    words, so the working memory is batch x n, whatever k is."""
-    s, nwords, k = gen.shape
-    q = masks.shape[-1]
-    span = min(k, max(1, _STACK_WORDS // (s * nwords * q)))
-    chunk = max(1, _STACK_WORDS // (s * nwords * span))
-    offsets = q * np.arange(span)
-    best_w, best = n + 1, None
-    done = 0
-    while done < trials:
-        batch = min(512, trials - done)
-        msgs = rng.integers(0, q, size=(batch, k), dtype=np.uint8)
-        words = np.zeros((s, nwords, batch), dtype=packed.WORD)
-        for row in range(0, k, span):
-            multiples = packed.multiples(masks, gen[..., row:row + span]).reshape(s, nwords, -1)
-            for lo in range(0, batch, chunk):
-                pick = msgs[lo:lo + chunk, row:row + span] + offsets[:min(span, k - row)]
-                words[..., lo:lo + chunk] ^= np.bitwise_xor.reduce(
-                    multiples.take(pick, axis=-1), axis=-1)
-        weights = packed.weights(words)
-        weights[weights == 0] = n + 1
-        j = int(weights.argmin())
-        if weights[j] < best_w:
-            best_w, best = int(weights[j]), words[..., j].copy()
-        done += batch
-    return best_w, best
-
-
 def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
                   lower: int = 1) -> DistanceReport:
     """Reproducible upper bound on the minimum distance.
 
     Candidates, in a fixed order so the result is monotone in ``trials``:
-    the generator rows (all cyclic shifts of g for a cyclic code), scaled
-    row pairs, ``trials`` random messages, and trials/16 random systematic
-    forms (each contributing its rows and scaled row pairs, the standard
-    information-set heuristic).
+    the generator rows (all cyclic shifts of g for a cyclic code) and
+    scaled row pairs, then max(1, trials // 16) random systematic forms,
+    each contributing its rows and scaled row pairs (the information-set
+    heuristic of Leon 1988 and Stern 1989).  ``exact`` is the witness's
+    weight when it meets the certified ``lower``, and None otherwise; a
+    witness lighter than ``lower`` contradicts the bound and raises.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -376,10 +343,6 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     pair_scan = k <= _PAIR_SCAN_MAX_K
     weights, words = _lightest(masks, field.np_inv_table, gen[..., None], n, pair_scan)
     best_w, best_cw = int(weights[0]), packed.unpack(words[..., 0], n)
-
-    w, word = _lightest_message(masks, gen, n, trials, np.random.default_rng(seed))
-    if w < best_w:
-        best_w, best_cw = w, packed.unpack(word, n)
 
     rng_sys = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + 1) & (2**63 - 1))
     forms = max(1, trials // 16)
@@ -406,7 +369,8 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
                 best_cw = np.zeros(n, dtype=np.uint8)
                 best_cw[perm] = packed.unpack(words[..., j], n)
 
-    return DistanceReport(lower=lower, upper=best_w, exact=None,
+    return DistanceReport(lower=lower, upper=best_w,
+                          exact=best_w if best_w <= lower else None,
                           witness_weight=best_w, method="sampled", seed=seed,
                           witness=tuple(int(c) for c in best_cw))
 

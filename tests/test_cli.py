@@ -316,6 +316,15 @@ def test_distance_sampled_certificate(runner):
     assert data["lower"] == 11 and data["upper"] <= 15
 
 
+def test_distance_sampled_witness_meeting_the_lower_bound_is_exact(runner):
+    # [63,31]_8: q^k is past the cap, and a weight-9 witness meets the bound 9
+    res = runner.invoke(main, ["distance", "--q", "8", "--m", "2", "--parity", "1"])
+    data = json.loads(res.stdout)
+    assert data["method"] == "sampled"
+    assert data["lower"] == data["upper"] == data["exact"] == 9
+    assert sum(1 for c in data["witness"] if c) == 9
+
+
 def test_table_section_16(runner):
     # a repeated --s lists its rows once
     res = runner.invoke(main, ["table", "--section", "16", "--s", "2", "--s", "2",

@@ -659,20 +659,6 @@ def test_sampled_upper_working_memory_does_not_grow_with_k():
     assert peak_traced_bytes(sampled_upper, c, trials=1024, seed=0) < 4 * 2 ** 20
 
 
-def test_random_messages_working_memory_does_not_grow_with_k():
-    # the [4095, 2047]_4 generator packs to 2 MB; a table of the q
-    # multiples of all its rows would take 8.4 MB, 25 MB while built
-    f = make_field(2, 6)
-    gen = packed.pack(generator_matrix(code_from_T(f, build_T(4, 6, 1))).array, 2)
-
-    def lightest():
-        return distance._lightest_message(packed.scalar_masks(f), gen, 4095, 512,
-                                          np.random.default_rng(0))
-    w, word = lightest()
-    assert w == int(packed.weights(word[..., None])[0]) < 4095
-    assert peak_traced_bytes(lightest) < 4 * 2 ** 20
-
-
 def test_sampled_upper_witness_is_a_codeword():
     f, c0, _ = gf64_codes()
     r = sampled_upper(c0, trials=256, seed=0)
@@ -690,13 +676,22 @@ def test_sampled_upper_reproducible_and_monotone():
               for t in (64, 256, 1024)]
     assert uppers == sorted(uppers, reverse=True) or \
         all(a >= b for a, b in zip(uppers, uppers[1:]))
+    # trials counts only through its max(1, trials // 16) random forms
+    c = code_from_T(make_field(1, 5), build_T(2, 5, 0))
+    assert sampled_upper(c, trials=16, seed=0) == sampled_upper(c, trials=31, seed=0)
 
 
 def test_sampled_upper_never_below_exact():
     _, c0, c1 = gf16_codes()
     for c in (c0, c1):
         exact = exact_distance(c).exact
-        assert sampled_upper(c, trials=512, seed=0).upper >= exact
+        r = sampled_upper(c, trials=512, seed=0)
+        assert r.upper >= exact and r.exact is None
+        # a witness that meets the lower bound makes the distance exact,
+        # and one lighter than it contradicts the bound
+        assert sampled_upper(c, trials=512, seed=0, lower=r.upper).exact == r.upper
+        with pytest.raises(ValueError, match="inconsistent report"):
+            sampled_upper(c, trials=512, seed=0, lower=r.upper + 1)
 
 
 def test_report_invariants():
