@@ -15,11 +15,15 @@ product tree folds them on the batched multiply of :mod:`tdcodes.polys`,
 an exact bit-plane FFT for long operands.
 
 ``row_reduce`` brings a whole stack of matrices to reduced echelon form in
-one sweep, one 64-column strip at a time.  Where it pays, the words right
-of a strip take all of its steps at once from Four-Russians tables, as in
-M4RI (Albrecht, Bard and Hart, the Method of Four Russians over GF(2)) and
-its GF(2^e) extension M4RIE (Albrecht), whose bit-sliced layout
-:mod:`tdcodes.packed` uses.
+one sweep, one 64-column strip at a time.  Given a unit map, where each
+row's unit column lies in each matrix of a stack of permuted systematic
+forms, a unit column of a row not yet used is a free pivot, with no row
+operation, and the matrices step through their other columns, their
+slots, in lockstep.  Where it pays, the words right of a strip take all
+of its steps at once from Four-Russians tables, as in M4RI (Albrecht,
+Bard and Hart, the Method of Four Russians over GF(2)) and its GF(2^e)
+extension M4RIE (Albrecht), whose bit-sliced layout :mod:`tdcodes.packed`
+uses.
 """
 
 from __future__ import annotations
@@ -173,22 +177,46 @@ def extend_code(code: CyclicCode) -> GeneratorMatrix:
 _BLOCK_WORDS = 1 << 15  # words a row update or a table holds per numpy call, to stay in cache
 
 
-def row_reduce(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+def row_reduce(field: FieldSpec, stack: np.ndarray,
+               units: np.ndarray | None = None) -> tuple[np.ndarray, list[list[int]]]:
     """Reduced row echelon forms over GF(q) of a stack of B matrices with k
     rows each, all in one column sweep; returns (rrefs, pivot columns of
     each matrix).
 
     The stack is bit-sliced (:mod:`tdcodes.packed`), (s, W, k, B), and so
-    are the rrefs; a lone matrix is a stack with B = 1.  The sweep takes one
-    64-column word, a strip, at a time.  At each column every matrix reads
-    its column off one byte per plane and row, and takes as pivot the first
-    row not yet used that is nonzero there.  Each matrix then XORs into
-    every row the multiple of its pivot row that the row's entry / lead
-    selects, by one `take` from the pivot row's q multiples; the pivot
-    row's entry, set to lead + 1, selects 1 + 1/lead, which normalises it.
-    The rows not yet used are zero left of the column, so the earlier words
-    stay as they are.  A matrix with no pivot in the column picks a spare
-    zero row k instead, which changes nothing.
+    are the rrefs; a lone matrix is a stack with B = 1.  ``units``, (k, B),
+    is the unit map of a stack of permuted systematic forms: column
+    units[j, b] of matrix b is the unit vector of its row j, 1 in row j and
+    0 in every other row (the caller's promise; it is not checked).
+    Without it every column is a slot (below).
+
+    The sweep takes one 64-column word, a strip, at a time.  The columns
+    that are no row's unit column are the slots, and the matrices step
+    through their own slots in lockstep, each to its next one in the strip:
+    at each slot every matrix reads its column, one bit per plane and row,
+    and takes as pivot, of the rows not yet used that are nonzero there,
+    the one whose unit column comes last (without a unit map, the first
+    such row).  To make that the first candidate, each matrix's rows are put
+    in order of their unit columns, last first, at the start.  Each matrix
+    then XORs into every row the multiple of its pivot row that the row's
+    entry / lead selects, by one `take` from the pivot rows' q multiples;
+    the pivot row's entry, set to lead + 1, selects 1 + 1/lead, which
+    normalises it.  The rows not yet used are zero left of the column, so
+    the earlier words stay as they are.  A matrix with no pivot in its
+    slot, or no slot left in the strip, picks a spare zero row k instead,
+    which changes nothing.
+
+    A unit column takes no step.  While its row is not yet used it is
+    still that row's unit vector, as each pivot row until then is zero
+    there: it is a free pivot, which the row takes with no row operation.
+    Once a slot has taken its row it is no pivot at all: a row not yet used
+    is nonzero there only through the steps since, and each step's pivot
+    row has the last unit column of its candidates, so every such row has
+    its unit column before it and is used by the time the sweep gets
+    there.  A matrix is done once every row is used, past the last unit
+    column of a row no slot has taken; its slots after that take no pivot
+    and cost nothing while another matrix takes one, and the first slot
+    where none does drops them.
 
     A step touches the strip's word and every word to its right, unless the
     strip is tracked, as in M4RI.  Then each row carries a tracker word
@@ -204,31 +232,53 @@ def row_reduce(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, list[li
     tracked when that, with the tracker's own word, is the cheaper and its
     words to the right hold a block of _BLOCK_WORDS (below that a
     step's numpy calls cost more than its words): the large forms, such as
-    the [1023, 512]_4 and [4095, 2047]_4 ones of ``sampled_upper``.  The
-    rref is unique, so the rows need no swaps: they are put in pivot order
-    once, at the end, with the unused rows, which are zero, last."""
+    the [1023, 512]_4 and [4095, 2047]_4 ones of ``sampled_upper``.  A
+    strip takes at most 64 slots, so its steps fit the tracker's 64
+    symbols.  The rref of a matrix is unique, whichever rows take its
+    pivots, so the rows need no swaps: they are put in pivot order once,
+    at the end, with the unused rows, which are zero, last."""
     s, nwords, k, nmat = stack.shape
+    width = 64 * nwords
+    lanes = np.arange(nmat)
+    # each row's unit column, from the strip's first column: without a unit
+    # map, columns past the last, later for earlier rows, so none is free
+    unit_col = np.empty((k + 1, nmat), dtype=np.intp)
+    unit_col[:k] = (width + k - 1 - np.arange(k))[:, None] if units is None else units
+    unit_col[k] = -1 - width           # the spare's: never past a slot
+    # each matrix's rows go by their unit columns, last first, so the first
+    # candidate row is the one whose unit column comes last (without a unit
+    # map, the rows keep their order)
+    rank = (-unit_col[:k]).argsort(axis=0)
+    unit_col[:k] = np.take_along_axis(unit_col[:k], rank, axis=0)
+    key = unit_col[:k].copy()          # becomes each row's pivot column
     rows = np.zeros((s, nwords, k + 1, nmat), dtype=packed.WORD)
-    rows[:, :, :k] = stack
+    rows[:, :, :k] = np.take_along_axis(stack, rank[None, None], axis=2)
     work = np.empty((s, 2, k + 1, nmat), dtype=packed.WORD)  # the strip's word, the tracker
     places = (1 << np.arange(s, dtype=np.uint8))[:, None, None]   # of the planes' bits
     masks = packed.scalar_masks(field)
-    divided = field.np_mul_table[field.np_inv_table].ravel()   # a / c at q c + a
-    by_lead = field.q * np.arange(field.q)
-    lanes = np.arange(nmat)
-    offsets = field.q * lanes          # lane b's multiples in the flat table
+    # a / c at [c, a], as the place of that multiple in the flat table
+    divided = field.np_mul_table[field.np_inv_table].astype(np.intp) * nmat
+    by_lane = np.tile(field.q * lanes, (k + 1, 1))
     span = max(1, _BLOCK_WORDS // (s * (k + 1) * nmat))
     gathered = np.empty(max(_BLOCK_WORDS, 2 * s * (k + 1) * nmat), dtype=packed.WORD)
     g = 8 // s
     # word updates a step costs a row per word right of a tracked strip
     share = ((1 << s * g) + k + 1) / (g * (k + 1))
-    free = np.ones((k + 1, nmat), dtype=bool)  # row k: the spare
+    bits = np.left_shift(1, np.arange(64, dtype=packed.WORD), dtype=packed.WORD)
+    below = np.append(bits - 1, ~packed.WORD.type(0))   # the columns left of c at [c]
+    bit_of = np.zeros(66, dtype=packed.WORD)              # column c's bit at [c + 1]
+    bit_of[1:65] = bits
+    free = np.ones((k + 1, nmat), dtype=bool)  # not yet a slot's pivot; row k: the spare
     cand = np.ones((k + 1, nmat), dtype=bool)  # the spare stays a candidate
-    cols: list[int] = []               # per step: the column and each
-    used: list[np.ndarray] = []        # matrix's pivot row (k for none)
-    left = k * nmat
+    cols: list[np.ndarray] = []        # per step: each matrix's column
+    used: list[np.ndarray] = []        # and pivot row (k for none)
     for w in range(nwords):
-        if not left:
+        base = 64 * w
+        if w:
+            unit_col -= 64             # from the strip's first column
+        # a lane has slots left of its last unit column of a row not yet used
+        last = unit_col[free.argmax(axis=0), lanes]
+        if last.max() < 0:
             break
         right = nwords - w - 1
         tracked = 1 + right * share < right and s * (k + 1) * nmat * right >= _BLOCK_WORDS
@@ -238,53 +288,60 @@ def row_reduce(field: FieldSpec, stack: np.ndarray) -> tuple[np.ndarray, list[li
             strip[:, 1] = 0
         else:
             strip = rows[:, w:]
-        octets = strip.view(np.uint8)  # byte j of lane b's word at [..., 8b + j]
+        words = strip[:, 0]
         blocks = [(lo, strip[:, lo:lo + span]) for lo in range(0, strip.shape[1], span)]
         blocks = [(lo, block, _front(gathered, block.shape)) for lo, block in blocks]
         first = len(cols)
-        for b in range(64):
-            if not left:
-                break
-            col = octets[:, 0, :, b // 8::8] >> b % 8
-            col &= 1
+        lit = bit_of.take(unit_col + 1, mode="clip")
+        todo = ~np.bitwise_or.reduce(lit, axis=0) & below.take(last, mode="clip")
+        while todo.any():              # each lane's slots, as bits
+            low = todo & np.negative(todo)
+            todo ^= low
+            slot = np.bitwise_count(low - 1)   # 64, and a zero column, for a lane with none left
+            col = np.bitwise_count(words & low)
             col *= places
             col = col.sum(axis=0, dtype=np.uint8)
             np.logical_and(col[:k], free[:k], out=cand[:k])
             p = cand.argmax(axis=0)
-            lead = col[p, lanes]       # zero for a matrix that takes the spare
-            found = np.count_nonzero(lead)
-            if not found:
+            # the first candidate, unless its unit column is passed: then
+            # it is a free pivot already, and so is every candidate
+            hit = unit_col[p, lanes] > slot
+            if not hit.any():
+                # a lane past its last unit column of a row not yet used is
+                # done: until no lane takes a pivot, its slots cost nothing
+                todo &= below.take(unit_col[free.argmax(axis=0), lanes], mode="clip")
                 continue
+            p = np.where(hit, p, k)
+            lead = col[p, lanes]       # zero for a matrix that takes the spare
             free[p, lanes] = False
-            left -= found
+            free[k] = True             # so a lane with every row used finds the spare's column
             pivot = strip[:, :, p, lanes]
             if tracked:
-                pivot[0, 1] |= packed.WORD.type(1 << (len(cols) - first))
+                pivot[0, 1] |= bits[len(cols) - first]
             # a row picks the multiple entry / lead of the pivot row, and the
-            # pivot row's entry, set to lead + 1, gives 1 + 1/lead
-            table = packed.multiples(masks, pivot).reshape(s, strip.shape[1], -1)
+            # pivot row's entry, set to lead + 1, gives 1 + 1/lead; a times
+            # lane b's pivot row is at a B + b
+            table = packed.lane_multiples(masks, pivot).reshape(s, strip.shape[1], -1)
             col[p, lanes] = lead ^ 1
-            pick = divided.take(col + by_lead[lead]) + offsets
+            pick = (divided[lead] + lanes[:, None]).ravel().take(col + by_lane)
             for lo, block, into in blocks:
                 np.take(table[:, lo:lo + span], pick, axis=-1, out=into, mode="clip")
                 block ^= into
-            cols.append(64 * w + b)
+            cols.append(base + slot.astype(np.intp))
             used.append(p)
         if tracked:
             rows[:, w] = work[:, 0]
             if len(cols) > first:
                 _add_combinations(masks, g, rows[:, w + 1:], work[:, 1], used[first:], gathered)
-    # sort key of each row: the step that made it a pivot, or past the last
-    # step for an unused row
-    nsteps = len(cols)
-    used_at = np.array(used, dtype=np.intp).reshape(nsteps, nmat)
-    key = nsteps + np.arange(k)[:, None].repeat(nmat, axis=1)
-    mat, step = np.nonzero((used_at < k).T)   # by matrix, then by step
-    key[used_at[step, mat], mat] = step
-    cols = np.array(cols, dtype=np.intp)
-    ranks = np.bincount(mat, minlength=nmat)
-    pivots = [cols[at].tolist() for at in np.split(step, np.cumsum(ranks)[:-1])]
-    order = key.argsort(axis=0) * nmat + lanes    # one flat take, so the rrefs are C-ordered
+    # a row's key is its pivot column: a slot's column, its unit column if
+    # free, or past the last column if unused
+    used_at = np.array(used, dtype=np.intp).reshape(-1, nmat)
+    step, mat = np.nonzero(used_at < k)
+    key[used_at[step, mat], mat] = np.array(cols, dtype=np.intp).reshape(-1, nmat)[step, mat]
+    order = key.argsort(axis=0)
+    ranked = np.take_along_axis(key, order, axis=0)
+    pivots = [ranked[:r, b].tolist() for b, r in enumerate((key < width).sum(axis=0))]
+    order = order * nmat + lanes       # one flat take, so the rrefs are C-ordered
     return rows.reshape(s, nwords, -1).take(order, axis=-1), pivots
 
 

@@ -25,6 +25,10 @@ and a weight is the popcount of the OR of the planes.  The upper-bound
 search draws its only random candidates, information-set forms, from one
 seeded stream, and every argmin tie goes to the first candidate in a fixed
 order, so a result depends on the seed and on max(1, trials // 16) alone.
+For a cyclic code a form is the systematic form S = [I | R] of the window
+with its columns permuted by a random Pi: S spans the rows of the
+generator matrix G, so S Pi has the rref of G Pi, and the row reduction
+pivots each row's unit column, where Pi takes it, with no row operation.
 Its row-pair scan scores each pair of inverse scalars once, at the
 smaller: wt(r_i + lam r_j) = wt(r_j + lam^(-1) r_i), so the weights of lam
 are the transpose of those of lam^(-1) and the later can only tie.
@@ -158,12 +162,14 @@ class _Window:
 
 
 def _systematic(code: CyclicCode, extended: bool) -> np.ndarray:
-    """The packed (s, W, k) systematic form of a cyclic [n, k] code, or of
-    its extension by the overall-sum symbol, the identity on positions
-    0..k - 1, from g with no row reduction: row j is x^j + x^k r_j(x), r_j
-    = x^(n-k+j) mod g, and with ``extended`` it gains the XOR of its
-    symbols.  r_0 is g less its leading x^(n-k) (g is monic, and -1 = 1),
-    r_(j+1) is x r_j mod g.
+    """The (k, n) systematic form of a cyclic [n, k] code, one byte per
+    symbol, or (k, n + 1) of its extension by the overall-sum symbol, the
+    identity on positions 0..k - 1, from g with no row reduction: row j is
+    x^j + x^k r_j(x), r_j = x^(n-k+j) mod g, and with ``extended`` it gains
+    the XOR of its symbols.  r_0 is g less its leading x^(n-k) (g is monic,
+    and -1 = 1), and r_(j+1) = x r_j mod g is r_j shifted up one place, its
+    top symbol times that low part added: each row is written from the one
+    above it in place.
 
     Row j is the shift by k of x^(n-k+j) + r_j, a multiple of g, so it is a
     codeword; r_j has degree < n - k, so on positions 0..k - 1 the row is
@@ -171,23 +177,23 @@ def _systematic(code: CyclicCode, extended: bool) -> np.ndarray:
     set, so this is the reduced row echelon form of its generator matrix,
     extended or not."""
     field, n, k = code.field, code.n, code.k
-    g = np.asarray(code.generator, dtype=np.uint8)
-    low = g[:-1]
+    low = np.asarray(code.generator[:-1], dtype=np.uint8)
     rows = np.zeros((k, n + extended), dtype=np.uint8)
     rows[np.arange(k), np.arange(k)] = 1
-    rem = low
-    for j in range(k):
-        rows[j, k:n] = rem
-        if low.size:
-            rem = np.insert(rem[:-1], 0, 0) ^ field.np_mul_table[rem[-1], low]
+    if k and low.size:
+        mul = field.np_mul_table[:, low]   # t times the low part at [t]
+        rows[0, k:n] = low
+        for j in range(k - 1):
+            rows[j + 1, k + 1:n] = rows[j, k:n - 1]
+            rows[j + 1, k:n] ^= mul[rows[j, n - 1]]
     if extended:
         rows[:, n] = np.bitwise_xor.reduce(rows[:, :n], axis=1)
-    return packed.pack(rows, field.s)
+    return rows
 
 
 def _window(code: CyclicCode, extended: bool) -> _Window:
     """The window of positions 0..k - 1, over its systematic form."""
-    form = _systematic(code, extended)
+    form = packed.pack(_systematic(code, extended), code.field.s)
     return _Window(packed.scalar_masks(code.field), form,
                    max(1, _PASS_WORDS // (code.field.s * form.shape[1])))
 
@@ -326,6 +332,14 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     heuristic of Leon 1988 and Stern 1989).  ``exact`` is the witness's
     weight when it meets the certified ``lower``, and None otherwise; a
     witness lighter than ``lower`` contradicts the bound and raises.
+
+    A form is the rref of G Pi, the generator matrix with its columns
+    permuted by a random Pi.  For a cyclic code it is reduced from S Pi,
+    S = [I | R] the systematic form built from g, which has the same rref,
+    and row_reduce is told where Pi took each row's unit column, so it
+    pivots there with no row operation; a bare generator matrix (such as
+    an extended code's) is reduced from G Pi.  A stack's permutations are
+    drawn in one call, which numpy makes the same as one call per form.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -337,12 +351,19 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
                          "nonzero codeword")
     field = mat.field
     masks = packed.scalar_masks(field)
-    n = mat.cols
-    k = mat.rows
+    k, n = mat.array.shape
     gen = packed.pack(mat.array, field.s)
+    # a cyclic code's forms permute its systematic form S = [I | R], which
+    # spans the rows of G, so row_reduce can pivot on each row's unit
+    # column for free; S is built once G's bytes are packed and dropped
+    systematic = isinstance(code_or_matrix, CyclicCode)
+    rows = None if systematic else mat.array
+    del mat
     pair_scan = k <= _PAIR_SCAN_MAX_K
     weights, words = _lightest(masks, field.np_inv_table, gen[..., None], n, pair_scan)
     best_w, best_cw = int(weights[0]), packed.unpack(words[..., 0], n)
+    if systematic:
+        rows = _systematic(code_or_matrix, False)
 
     rng_sys = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + 1) & (2**63 - 1))
     forms = max(1, trials // 16)
@@ -353,14 +374,18 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
     per_stack = -(-forms // -(-forms // fit))
     # forms are packed a group at a time, whose byte gather fits in the same
     # budget: the [1023, 512]_4 forms, 0.5 MB each, go one by one
-    group = max(1, 2 * _STACK_WORDS * packed.WORD.itemsize // mat.array.size)
+    group = max(1, 2 * _STACK_WORDS * packed.WORD.itemsize // rows.size)
     for start in range(0, forms, per_stack):
-        perms = [rng_sys.permutation(n) for _ in range(min(per_stack, forms - start))]
-        stack = np.empty(gen.shape + (len(perms),), dtype=packed.WORD)
-        for lo in range(0, len(perms), group):
-            stack[..., lo:lo + group] = packed.pack(
-                mat.array.take(np.stack(perms[lo:lo + group]), axis=1), field.s)
-        reduced, pivots = cyclic.row_reduce(field, stack)
+        # one draw for the stack's permutations, the same as one draw each
+        count = min(per_stack, forms - start)
+        perms = rng_sys.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+        stack = np.empty(gen.shape + (count,), dtype=packed.WORD)
+        for lo in range(0, count, group):
+            stack[..., lo:lo + group] = packed.pack(rows.take(perms[lo:lo + group], axis=1),
+                                                    field.s)
+        # row j's unit column in a form: where its permutation took column j
+        units = perms.argsort(axis=1)[:, :k].T if systematic else None
+        reduced, pivots = cyclic.row_reduce(field, stack, units)
         weights, words = _lightest(masks, field.np_inv_table, reduced[:, :, :len(pivots[0])],
                                    n, pair_scan)
         for j, perm in enumerate(perms):  # in draw order, so ties go to the first

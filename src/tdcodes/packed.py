@@ -65,6 +65,14 @@ def multiples(masks: np.ndarray, words: np.ndarray) -> np.ndarray:
     return _apply(masks.reshape((s, s) + (1,) * (words.ndim - 2) + (q,)), words[..., None])
 
 
+def lane_multiples(masks: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """All q multiples of each word of an (s, W, ..., B) stack, by lane:
+    (s, W, ..., q, B), a * word b at [..., a, b], so the lanes stay the
+    innermost axis of the products."""
+    s, q = masks.shape[0], masks.shape[-1]
+    return _apply(masks.reshape((s, s) + (1,) * (words.ndim - 3) + (q, 1)), words[..., None, :])
+
+
 def times(masks: np.ndarray, a: int, words: np.ndarray) -> np.ndarray:
     """a * words for an (s, W, ...) stack."""
     s = masks.shape[0]

@@ -385,7 +385,7 @@ def test_systematic_form_is_the_rref_of_the_generator():
         for extended in (False, True):
             ref, pivots = oracle.row_reduce(code.field, cyclic_matrix(code, extended).array)
             assert pivots == list(range(code.k))
-            got = packed.unpack(distance._systematic(code, extended), code.n + extended)
+            got = distance._systematic(code, extended)
             assert np.array_equal(got, ref), (code.T.elems, extended)
 
 
@@ -641,6 +641,20 @@ def test_pair_scan_skips_pairs_that_cancel():
     assert weights[0] == 1
     assert np.array_equal(packed.unpack(words[..., 0], 9), expect)
     assert sampled_upper(GeneratorMatrix(f, a), trials=1).upper == 1
+
+
+@pytest.mark.parametrize("n", [7, 15, 63, 64, 255, 1023, 4095])
+def test_one_draw_of_a_stack_of_permutations_is_one_draw_each(n):
+    # sampled_upper draws a stack's column permutations in one call; numpy's
+    # permuted along rows must give the permutations, and leave the stream
+    # where, one call per form, permutation would, or every pinned witness
+    # moves
+    for forms in (1, 2, 4, 10, 128):
+        for seed in (0, 1, 2, 7):
+            one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = one.permuted(np.tile(np.arange(n), (forms, 1)), axis=1)
+            assert np.array_equal(got, np.stack([each.permutation(n) for _ in range(forms)]))
+            assert one.integers(1 << 62) == each.integers(1 << 62)
 
 
 def test_sampled_upper_rejects_a_negative_seed():

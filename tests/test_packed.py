@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
-from tdcodes import cyclic, packed
+from tdcodes import cyclic, distance, packed
 from tdcodes.coset import build_T
 from tdcodes.cyclic import GeneratorMatrix, code_from_T, generator_matrix
 from tdcodes.gf import make_field
@@ -53,6 +53,9 @@ def test_packed_words_round_trip_against_the_byte_encoder(s):
     row = mat.array[1]
     assert np.array_equal(packed.unpack(packed.multiples(masks, gen[..., 1]), n),
                           f.np_mul_table[:, row])
+    by_lane = packed.lane_multiples(masks, gen)
+    assert by_lane.shape == gen.shape[:2] + (f.q, mat.rows)
+    assert np.array_equal(packed.unpack(by_lane, n), f.np_mul_table[:, mat.array])
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 200])
@@ -265,3 +268,116 @@ def test_stack_members_finish_in_different_strips(monkeypatch, budget):
         assert np.array_equal(rref, ref)
     assert [len(p) for _, p in got] == [100, 100, 70, 0, 100]
     assert [p[-1] for _, p in got if p] == [99, 227, 69, 99]
+
+
+# (s, m) of every T_(q,m;p) with n <= 1023
+UNIT_FAMILIES = [(1, m) for m in range(2, 11)] + [(2, m) for m in range(2, 6)] + \
+    [(3, 2), (3, 3), (4, 2)]
+
+
+def systematic_stack(code, perms):
+    """The forms S.P of a cyclic code, S its systematic form and P the
+    column permutations, as a packed stack, with their unit map (row j's
+    unit column in form b, where perms[b] takes column j), and the forms
+    G.P of its generator matrix, one byte per symbol."""
+    forms = distance._systematic(code, False).take(perms, axis=1)
+    units = perms.argsort(axis=1)[:, :code.k].T
+    plain = generator_matrix(code).array.take(perms, axis=1)
+    return packed.pack(forms, code.field.s), units, plain
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("s,m", UNIT_FAMILIES)
+def test_unit_map_sweep_matches_the_byte_oracle_on_every_family(s, m, parity):
+    # S.P spans the rows of G.P, so both have one rref: the unit map's sweep
+    # of S.P against the byte oracle's of G.P and the sweep of G.P without
+    # a map, form by form.  Stacks of 1, 4 and 128 forms; the oracle takes
+    # a form or two of each stack up to n = 511 (one n = 1023 form takes
+    # it a second)
+    f = make_field(s, m)
+    code = code_from_T(f, build_T(f.q, m, parity))
+    n = code.n
+    rng = np.random.default_rng(100 * s + 10 * m + parity)
+    for nmat in (1, 4, 128) if n <= 255 else (1, 4):
+        perms = rng.permuted(np.tile(np.arange(n), (nmat, 1)), axis=1)
+        stack, units, plain = systematic_stack(code, perms)
+        rrefs, pivots = cyclic.row_reduce(f, stack, units)
+        ref_rrefs, ref_pivots = cyclic.row_reduce(f, packed.pack(plain, s))
+        assert pivots == ref_pivots
+        assert np.array_equal(rrefs, ref_rrefs)
+        assert all(len(p) == code.k for p in pivots)
+        for b in sorted({0, nmat - 1}) if n <= 511 else ():
+            ref, ref_pivots = oracle.row_reduce(f, plain[:, b])
+            assert pivots[b] == ref_pivots
+            assert np.array_equal(packed.unpack(rrefs[..., b], n), ref)
+
+
+@pytest.mark.parametrize("budget", [1 << 8, 1 << 12])
+@pytest.mark.parametrize("s,n,k", [(1, 448, 250), (2, 320, 200), (3, 320, 130), (4, 448, 400)])
+def test_unit_map_sweep_through_the_strip_tables(monkeypatch, budget, s, n, k):
+    # a small block budget tracks the strips, so the words right of a strip
+    # take its slots' steps through the Four-Russians tables; the forms are
+    # [I | P] for a random P, column-permuted
+    monkeypatch.setattr(cyclic, "_BLOCK_WORDS", budget)
+    tables = []
+    real = cyclic._add_combinations
+
+    def spy(masks, g, right, tracker, steps, buffer):
+        tables.append(len(steps))
+        return real(masks, g, right, tracker, steps, buffer)
+
+    monkeypatch.setattr(cyclic, "_add_combinations", spy)
+    f = make_field(s, 2)
+    rng = np.random.default_rng(n * k + s)
+    a = np.concatenate([np.eye(k, dtype=np.uint8),
+                        rng.integers(0, f.q, size=(k, n - k), dtype=np.uint8)], axis=1)
+    perms = rng.permuted(np.tile(np.arange(n), (3, 1)), axis=1)
+    forms = a.take(perms, axis=1)
+    rrefs, pivots = cyclic.row_reduce(f, packed.pack(forms, s), perms.argsort(axis=1)[:, :k].T)
+    assert tables and max(tables) <= 64
+    for b in range(3):
+        ref, ref_pivots = oracle.row_reduce(f, forms[:, b])
+        assert pivots[b] == ref_pivots
+        assert np.array_equal(packed.unpack(rrefs[..., b], n), ref)
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 8])
+@pytest.mark.parametrize("s,m", [(2, 3), (2, 4)])
+def test_unit_map_lanes_finish_at_different_slots(monkeypatch, budget, s, m):
+    # S itself is its own rref: every pivot free, no slot.  With the unit
+    # columns last, the first k other columns take real pivots first; the
+    # reversal and a random order fall in between
+    if budget:
+        monkeypatch.setattr(cyclic, "_BLOCK_WORDS", budget)
+    f = make_field(s, m)
+    code = code_from_T(f, build_T(f.q, m, 0))
+    n, k = code.n, code.k
+    rng = np.random.default_rng(n)
+    perms = np.stack([np.arange(n), np.r_[k:n, :k], np.arange(n)[::-1], rng.permutation(n),
+                      np.r_[rng.permutation(np.arange(k, n)), np.arange(k)]])
+    stack, units, plain = systematic_stack(code, perms)
+    rrefs, pivots = cyclic.row_reduce(f, stack, units)
+    assert pivots[0] == list(range(k))
+    assert np.array_equal(rrefs[..., 0], stack[..., 0])
+    for b in range(len(perms)):
+        ref, ref_pivots = oracle.row_reduce(f, plain[:, b])
+        assert pivots[b] == ref_pivots
+        assert np.array_equal(packed.unpack(rrefs[..., b], n), ref)
+
+
+def test_unit_map_halves_the_steps_of_the_n1023_forms(monkeypatch):
+    # sampled_upper's one stack of the [1023, 512]_4 code at 64 trials and
+    # seed 0: four forms of 512 pivots, which take 514 steps without the
+    # unit map, as every pivot costs one
+    calls = []
+    real = packed.lane_multiples
+
+    def spy(masks, words):
+        calls.append(words.shape[-1])
+        return real(masks, words)
+
+    monkeypatch.setattr(packed, "lane_multiples", spy)
+    code = code_from_T(make_field(2, 5), build_T(4, 5, 0))
+    distance.sampled_upper(code, trials=64, seed=0)
+    assert calls and set(calls) == {4}
+    assert len(calls) <= 300
