@@ -240,19 +240,22 @@ def row_reduce(field: FieldSpec, stack: np.ndarray,
     s, nwords, k, nmat = stack.shape
     width = 64 * nwords
     lanes = np.arange(nmat)
-    # each row's unit column, from the strip's first column: without a unit
-    # map, columns past the last, later for earlier rows, so none is free
+    # each row's unit column, from the strip's first column; each matrix's
+    # rows go by their unit columns, last first, so the first candidate row
+    # is the one whose unit column comes last
     unit_col = np.empty((k + 1, nmat), dtype=np.intp)
-    unit_col[:k] = (width + k - 1 - np.arange(k))[:, None] if units is None else units
-    unit_col[k] = -1 - width           # the spare's: never past a slot
-    # each matrix's rows go by their unit columns, last first, so the first
-    # candidate row is the one whose unit column comes last (without a unit
-    # map, the rows keep their order)
-    rank = (-unit_col[:k]).argsort(axis=0)
-    unit_col[:k] = np.take_along_axis(unit_col[:k], rank, axis=0)
-    key = unit_col[:k].copy()          # becomes each row's pivot column
     rows = np.zeros((s, nwords, k + 1, nmat), dtype=packed.WORD)
-    rows[:, :, :k] = np.take_along_axis(stack, rank[None, None], axis=2)
+    if units is None:
+        # columns past the last, later for earlier rows, so none is free
+        # and the rows keep their order
+        unit_col[:k] = (width + k - 1 - np.arange(k))[:, None]
+        rows[:, :, :k] = stack
+    else:
+        rank = (-units).argsort(axis=0)
+        unit_col[:k] = np.take_along_axis(units, rank, axis=0)
+        rows[:, :, :k] = np.take_along_axis(stack, rank[None, None], axis=2)
+    unit_col[k] = -1 - width           # the spare's: never past a slot
+    key = unit_col[:k].copy()          # becomes each row's pivot column
     work = np.empty((s, 2, k + 1, nmat), dtype=packed.WORD)  # the strip's word, the tracker
     places = (1 << np.arange(s, dtype=np.uint8))[:, None, None]   # of the planes' bits
     masks = packed.scalar_masks(field)
@@ -321,7 +324,7 @@ def row_reduce(field: FieldSpec, stack: np.ndarray,
             # a row picks the multiple entry / lead of the pivot row, and the
             # pivot row's entry, set to lead + 1, gives 1 + 1/lead; a times
             # lane b's pivot row is at a B + b
-            table = packed.lane_multiples(masks, pivot).reshape(s, strip.shape[1], -1)
+            table = packed.multiples(masks, pivot).reshape(s, strip.shape[1], -1)
             col[p, lanes] = lead ^ 1
             pick = (divided[lead] + lanes[:, None]).ravel().take(col + by_lane)
             for lo, block, into in blocks:

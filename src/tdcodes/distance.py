@@ -130,7 +130,8 @@ class _Window:
         s, nwords, k = form.shape
         self.k, self.per = k, per
         # a * row p at (q - 1) p + a - 1
-        self.multiples = packed.multiples(masks, form)[..., 1:].reshape(s, nwords, -1)
+        table = packed.multiples(masks, form)[:, :, 1:]
+        self.multiples = table.swapaxes(-1, -2).reshape(s, nwords, -1)
         self.row_of = np.repeat(np.arange(k), masks.shape[-1] - 1)
         self.head = (0, np.zeros((s, nwords, 1), dtype=packed.WORD), np.zeros(1, dtype=np.intp))
         self.tail = (1, form, np.arange(k))

@@ -59,13 +59,6 @@ def scalar_masks(field) -> np.ndarray:
 
 
 def multiples(masks: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """All q multiples of each word of an (s, W, ...) stack: (s, W, ..., q),
-    a * word at [..., a]."""
-    s, q = masks.shape[0], masks.shape[-1]
-    return _apply(masks.reshape((s, s) + (1,) * (words.ndim - 2) + (q,)), words[..., None])
-
-
-def lane_multiples(masks: np.ndarray, words: np.ndarray) -> np.ndarray:
     """All q multiples of each word of an (s, W, ..., B) stack, by lane:
     (s, W, ..., q, B), a * word b at [..., a, b], so the lanes stay the
     innermost axis of the products."""

@@ -50,10 +50,7 @@ def test_packed_words_round_trip_against_the_byte_encoder(s):
         expected = oracle.encode(mat, msg)
         assert np.array_equal(packed.unpack(word, n), expected)
         assert packed.weights(word) == np.count_nonzero(expected)
-    row = mat.array[1]
-    assert np.array_equal(packed.unpack(packed.multiples(masks, gen[..., 1]), n),
-                          f.np_mul_table[:, row])
-    by_lane = packed.lane_multiples(masks, gen)
+    by_lane = packed.multiples(masks, gen)
     assert by_lane.shape == gen.shape[:2] + (f.q, mat.rows)
     assert np.array_equal(packed.unpack(by_lane, n), f.np_mul_table[:, mat.array])
 
@@ -370,13 +367,13 @@ def test_unit_map_halves_the_steps_of_the_n1023_forms(monkeypatch):
     # seed 0: four forms of 512 pivots, which take 514 steps without the
     # unit map, as every pivot costs one
     calls = []
-    real = packed.lane_multiples
+    real = packed.multiples
 
     def spy(masks, words):
         calls.append(words.shape[-1])
         return real(masks, words)
 
-    monkeypatch.setattr(packed, "lane_multiples", spy)
+    monkeypatch.setattr(packed, "multiples", spy)
     code = code_from_T(make_field(2, 5), build_T(4, 5, 0))
     distance.sampled_upper(code, trials=64, seed=0)
     assert calls and set(calls) == {4}
