@@ -256,10 +256,10 @@ def distance_cmd(q, m, parity, variant, seed, cap, trials, field_spec_path, out)
         lower = 1
     if field.n <= 4096 and variant == "plain":
         lower = max(lower, bounds.bch_search(code.T).delta)
+    target = cyclic.extend_code(code) if extended else code
     if q ** k <= cap:
-        report = distance.exact_distance(code, cap=cap, lower=lower, extended=extended)
+        report = distance.exact_distance(target, cap=cap, lower=lower)
     else:
-        target = cyclic.extend_code(code) if extended else code
         report = distance.sampled_upper(target, trials=trials, seed=seed,
                                         lower=lower)
     data = {"lower": report.lower, "upper": report.upper, "exact": report.exact,

@@ -1,10 +1,10 @@
 """Cyclic codes over GF(q) from defining sets: minimal and generator
 polynomials, dimensions, derived codes (dual, complement, even-like,
-extended), generator matrices and their row reduction on bit-sliced words
-for the distance engine, and the structure checks (LCD, self-orthogonal,
-self-dual extension, hull dimension).  These read g(x) alone, never a
-matrix: the Gram matrix of the rows x^j g(x) off the autocorrelation of g,
-and the hull off gcd(g, g*) with the reciprocal g*.
+extended), the row reduction of permuted systematic forms on bit-sliced
+words for the distance engine, and the structure checks (LCD,
+self-orthogonal, self-dual extension, hull dimension).  These read g(x)
+alone, never a matrix: the Gram matrix of the rows x^j g(x) off the
+autocorrelation of g, and the hull off gcd(g, g*) with the reciprocal g*.
 
 Code equality is equality of (field, defining set), and derived codes
 (dual, complement, even-like) transform the defining set's mask.  The
@@ -14,16 +14,15 @@ polynomials step together on the field's log/exp tables, and a balanced
 product tree folds them on the batched multiply of :mod:`tdcodes.polys`,
 an exact bit-plane FFT for long operands.
 
-``row_reduce`` brings a whole stack of matrices to reduced echelon form in
-one sweep, one 64-column strip at a time.  Given a unit map, where each
-row's unit column lies in each matrix of a stack of permuted systematic
-forms, a unit column of a row not yet used is a free pivot, with no row
-operation, and the matrices step through their other columns, their
-slots, in lockstep.  Where it pays, the words right of a strip take all
-of its steps at once from Four-Russians tables, as in M4RI (Albrecht,
-Bard and Hart, the Method of Four Russians over GF(2)) and its GF(2^e)
-extension M4RIE (Albrecht), whose bit-sliced layout :mod:`tdcodes.packed`
-uses.
+``row_reduce`` brings a whole stack of permuted systematic forms to reduced
+echelon form in one sweep, one 64-column strip at a time.  Its unit map
+says where each row's unit column lies in each form: there a row not yet
+used has a free pivot, with no row operation, and the forms step through
+their other columns, their slots, in lockstep.  Where it pays, the words
+right of a strip take all of its steps at once from Four-Russians tables,
+as in M4RI (Albrecht, Bard and Hart, the Method of Four Russians over
+GF(2)) and its GF(2^e) extension M4RIE (Albrecht), whose bit-sliced layout
+:mod:`tdcodes.packed` uses.
 """
 
 from __future__ import annotations
@@ -137,74 +136,50 @@ def is_lcd(code: CyclicCode) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Generator matrices over GF(q), stored as uint8 arrays of base reprs
+# The extension, and the row reduction of permuted systematic forms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GeneratorMatrix:
-    field: FieldSpec
-    array: np.ndarray
+class ExtendedCode:
+    """The [n + 1, k] extension of a cyclic code by the overall-sum
+    coordinate (characteristic 2: the XOR of a codeword's symbols)."""
 
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
+    code: CyclicCode
 
 
-def generator_matrix(code: CyclicCode) -> GeneratorMatrix:
-    """Rows are the coefficient vectors of x^j g(x), j = 0..k-1."""
-    g = np.asarray(code.generator, dtype=np.uint8)
-    k, n = code.k, code.n
-    arr = np.zeros((k, n), dtype=np.uint8)
-    for j in range(k):
-        arr[j, j:j + g.size] = g
-    arr.flags.writeable = False
-    return GeneratorMatrix(code.field, arr)
-
-
-def extend_code(code: CyclicCode) -> GeneratorMatrix:
-    """Append the overall-sum coordinate (characteristic 2: the XOR of a row)."""
-    mat = generator_matrix(code)
-    tail = np.bitwise_xor.reduce(mat.array, axis=1)[:, None]
-    arr = np.concatenate([mat.array, tail], axis=1)
-    arr.flags.writeable = False
-    return GeneratorMatrix(code.field, arr)
+def extend_code(code: CyclicCode) -> ExtendedCode:
+    return ExtendedCode(code)
 
 
 _BLOCK_WORDS = 1 << 15  # words a row update or a table holds per numpy call, to stay in cache
 
 
 def row_reduce(field: FieldSpec, stack: np.ndarray,
-               units: np.ndarray | None = None) -> tuple[np.ndarray, list[list[int]]]:
-    """Reduced row echelon forms over GF(q) of a stack of B matrices with k
-    rows each, all in one column sweep; returns (rrefs, pivot columns of
-    each matrix).
+               units: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """Reduced row echelon forms over GF(q) of a stack of B permuted
+    systematic forms with k rows each, all in one column sweep; returns
+    (rrefs, pivot columns of each matrix).
 
     The stack is bit-sliced (:mod:`tdcodes.packed`), (s, W, k, B), and so
     are the rrefs; a lone matrix is a stack with B = 1.  ``units``, (k, B),
-    is the unit map of a stack of permuted systematic forms: column
-    units[j, b] of matrix b is the unit vector of its row j, 1 in row j and
-    0 in every other row (the caller's promise; it is not checked).
-    Without it every column is a slot (below).
+    is the stack's unit map: column units[j, b] of matrix b is the unit
+    vector of its row j, 1 in row j and 0 in every other row (the caller's
+    promise; it is not checked), so every matrix has rank k.
 
     The sweep takes one 64-column word, a strip, at a time.  The columns
     that are no row's unit column are the slots, and the matrices step
     through their own slots in lockstep, each to its next one in the strip:
     at each slot every matrix reads its column, one bit per plane and row,
     and takes as pivot, of the rows not yet used that are nonzero there,
-    the one whose unit column comes last (without a unit map, the first
-    such row).  To make that the first candidate, each matrix's rows are put
-    in order of their unit columns, last first, at the start.  Each matrix
-    then XORs into every row the multiple of its pivot row that the row's
-    entry / lead selects, by one `take` from the pivot rows' q multiples;
-    the pivot row's entry, set to lead + 1, selects 1 + 1/lead, which
-    normalises it.  The rows not yet used are zero left of the column, so
-    the earlier words stay as they are.  A matrix with no pivot in its
-    slot, or no slot left in the strip, picks a spare zero row k instead,
-    which changes nothing.
+    the one whose unit column comes last.  To make that the first
+    candidate, each matrix's rows are put in order of their unit columns,
+    last first, at the start.  Each matrix then XORs into every row the
+    multiple of its pivot row that the row's entry / lead selects, by one
+    `take` from the pivot rows' q multiples; the pivot row's entry, set to
+    lead + 1, selects 1 + 1/lead, which normalises it.  The rows not yet
+    used are zero left of the column, so the earlier words stay as they
+    are.  A matrix with no pivot in its slot, or no slot left in the strip,
+    picks a spare zero row k instead, which changes nothing.
 
     A unit column takes no step.  While its row is not yet used it is
     still that row's unit vector, as each pivot row until then is zero
@@ -213,10 +188,11 @@ def row_reduce(field: FieldSpec, stack: np.ndarray,
     is nonzero there only through the steps since, and each step's pivot
     row has the last unit column of its candidates, so every such row has
     its unit column before it and is used by the time the sweep gets
-    there.  A matrix is done once every row is used, past the last unit
-    column of a row no slot has taken; its slots after that take no pivot
-    and cost nothing while another matrix takes one, and the first slot
-    where none does drops them.
+    there.  So each row takes one pivot, at a slot or its unit column.  A
+    matrix is done once every row is used, past the last unit column of a
+    row no slot has taken; its slots after that take no pivot and cost
+    nothing while another matrix takes one, and the first slot where none
+    does drops them.
 
     A step touches the strip's word and every word to its right, unless the
     strip is tracked, as in M4RI.  Then each row carries a tracker word
@@ -236,7 +212,7 @@ def row_reduce(field: FieldSpec, stack: np.ndarray,
     strip takes at most 64 slots, so its steps fit the tracker's 64
     symbols.  The rref of a matrix is unique, whichever rows take its
     pivots, so the rows need no swaps: they are put in pivot order once,
-    at the end, with the unused rows, which are zero, last."""
+    at the end."""
     s, nwords, k, nmat = stack.shape
     width = 64 * nwords
     lanes = np.arange(nmat)
@@ -245,15 +221,9 @@ def row_reduce(field: FieldSpec, stack: np.ndarray,
     # is the one whose unit column comes last
     unit_col = np.empty((k + 1, nmat), dtype=np.intp)
     rows = np.zeros((s, nwords, k + 1, nmat), dtype=packed.WORD)
-    if units is None:
-        # columns past the last, later for earlier rows, so none is free
-        # and the rows keep their order
-        unit_col[:k] = (width + k - 1 - np.arange(k))[:, None]
-        rows[:, :, :k] = stack
-    else:
-        rank = (-units).argsort(axis=0)
-        unit_col[:k] = np.take_along_axis(units, rank, axis=0)
-        rows[:, :, :k] = np.take_along_axis(stack, rank[None, None], axis=2)
+    rank = (-units).argsort(axis=0)
+    unit_col[:k] = np.take_along_axis(units, rank, axis=0)
+    rows[:, :, :k] = np.take_along_axis(stack, rank[None, None], axis=2)
     unit_col[k] = -1 - width           # the spare's: never past a slot
     key = unit_col[:k].copy()          # becomes each row's pivot column
     work = np.empty((s, 2, k + 1, nmat), dtype=packed.WORD)  # the strip's word, the tracker
@@ -336,14 +306,13 @@ def row_reduce(field: FieldSpec, stack: np.ndarray,
             rows[:, w] = work[:, 0]
             if len(cols) > first:
                 _add_combinations(masks, g, rows[:, w + 1:], work[:, 1], used[first:], gathered)
-    # a row's key is its pivot column: a slot's column, its unit column if
-    # free, or past the last column if unused
+    # a row's key is its pivot column: a slot's column, or its unit column
+    # if no slot took the row
     used_at = np.array(used, dtype=np.intp).reshape(-1, nmat)
     step, mat = np.nonzero(used_at < k)
     key[used_at[step, mat], mat] = np.array(cols, dtype=np.intp).reshape(-1, nmat)[step, mat]
     order = key.argsort(axis=0)
-    ranked = np.take_along_axis(key, order, axis=0)
-    pivots = [ranked[:r, b].tolist() for b, r in enumerate((key < width).sum(axis=0))]
+    pivots = np.take_along_axis(key, order, axis=0).T.tolist()
     order = order * nmat + lanes       # one flat take, so the rrefs are C-ordered
     return rows.reshape(s, nwords, -1).take(order, axis=-1), pivots
 

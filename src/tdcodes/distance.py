@@ -25,10 +25,11 @@ and a weight is the popcount of the OR of the planes.  The upper-bound
 search draws its only random candidates, information-set forms, from one
 seeded stream, and every argmin tie goes to the first candidate in a fixed
 order, so a result depends on the seed and on max(1, trials // 16) alone.
-For a cyclic code a form is the systematic form S = [I | R] of the window
-with its columns permuted by a random Pi: S spans the rows of the
-generator matrix G, so S Pi has the rref of G Pi, and the row reduction
-pivots each row's unit column, where Pi takes it, with no row operation.
+A form is the systematic form S = [I | R] of the window, with the
+overall-sum column for an extended code, its columns permuted by a random
+Pi: S spans the rows of the generator matrix G, so S Pi has the rref of
+G Pi, and the row reduction pivots each row's unit column, where Pi takes
+it, with no row operation.
 Its row-pair scan scores each pair of inverse scalars once, at the
 smaller: wt(r_i + lam r_j) = wt(r_j + lam^(-1) r_i), so the weights of lam
 are the transpose of those of lam^(-1) and the later can only tie.
@@ -42,7 +43,7 @@ import numpy as np
 
 from tdcodes import bounds, coset, cyclic, packed, polys
 from tdcodes.coset import CheckResult, Parity
-from tdcodes.cyclic import CyclicCode, GeneratorMatrix
+from tdcodes.cyclic import CyclicCode, ExtendedCode
 from tdcodes.gf import make_field
 
 DEFAULT_CAP = 1 << 24
@@ -69,14 +70,6 @@ class DistanceReport:
             w = sum(1 for c in self.witness if c)
             if w != self.witness_weight:
                 raise ValueError("witness weight mismatch")
-
-
-def _as_matrix(obj) -> GeneratorMatrix:
-    if isinstance(obj, GeneratorMatrix):
-        return obj
-    if isinstance(obj, CyclicCode):
-        return cyclic.generator_matrix(obj)
-    raise TypeError(f"expected a cyclic code or generator matrix, got {type(obj)!r}")
 
 
 def _pairs(major: np.ndarray, minor: np.ndarray, lo: np.ndarray, hi: np.ndarray, per: int):
@@ -232,10 +225,10 @@ def _min_weight(code: CyclicCode, extended: bool):
     return best, packed.unpack(witness, cols), visited
 
 
-def exact_distance(code: CyclicCode, cap: int = DEFAULT_CAP, lower: int = 1, *,
-                   extended: bool = False) -> DistanceReport:
-    """Exact minimum distance of a cyclic code, or with ``extended`` of its
-    extension by the overall-sum coordinate, by Brouwer-Zimmermann
+def exact_distance(target: CyclicCode | ExtendedCode, cap: int = DEFAULT_CAP,
+                   lower: int = 1) -> DistanceReport:
+    """Exact minimum distance of a cyclic code, or of its extension by the
+    overall-sum coordinate (an ``ExtendedCode``), by Brouwer-Zimmermann
     enumeration of one window with the cyclic stop rule: after the messages
     of weight <= w on positions 0..k - 1, a codeword with no visited shift
     has more than w nonzeros in each of the n cyclic k-windows, so k wt(c)
@@ -244,6 +237,7 @@ def exact_distance(code: CyclicCode, cap: int = DEFAULT_CAP, lower: int = 1, *,
     weight that the enumeration meets, layer by layer; ``cap`` bounds q^k,
     the size of the whole message space.  A code of dimension 0 is
     refused."""
+    code, extended = (target.code, True) if isinstance(target, ExtendedCode) else (target, False)
     total = code.q ** code.k
     if total > cap:
         raise ValueError(f"q^k = {total} exceeds the enumeration cap {cap}; "
@@ -322,49 +316,50 @@ def _lightest(masks: np.ndarray, inverse: np.ndarray, stack: np.ndarray, n: int,
     return best_w, best
 
 
-def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
+def sampled_upper(target: CyclicCode | ExtendedCode, trials: int = 2048, seed: int = 0,
                   lower: int = 1) -> DistanceReport:
-    """Reproducible upper bound on the minimum distance.
+    """Reproducible upper bound on the minimum distance of a cyclic code or
+    of its extension (an ``ExtendedCode``).
 
     Candidates, in a fixed order so the result is monotone in ``trials``:
-    the generator rows (all cyclic shifts of g for a cyclic code) and
-    scaled row pairs, then max(1, trials // 16) random systematic forms,
+    the generator rows x^j g (with the overall-sum symbol when extended)
+    and scaled row pairs, then max(1, trials // 16) random systematic forms,
     each contributing its rows and scaled row pairs (the information-set
     heuristic of Leon 1988 and Stern 1989).  ``exact`` is the witness's
     weight when it meets the certified ``lower``, and None otherwise; a
     witness lighter than ``lower`` contradicts the bound and raises.
 
     A form is the rref of G Pi, the generator matrix with its columns
-    permuted by a random Pi.  For a cyclic code it is reduced from S Pi,
-    S = [I | R] the systematic form built from g, which has the same rref,
-    and row_reduce is told where Pi took each row's unit column, so it
-    pivots there with no row operation; a bare generator matrix (such as
-    an extended code's) is reduced from G Pi.  A stack's permutations are
+    permuted by a random Pi.  It is reduced from S Pi, S = [I | R] the
+    systematic form built from g (extended like G), which has the same
+    rref, and row_reduce is told where Pi took each row's unit column, so
+    it pivots there with no row operation.  A stack's permutations are
     drawn in one call, which numpy makes the same as one call per form.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    mat = _as_matrix(code_or_matrix)
-    if not mat.array.any():
-        raise ValueError(f"the {mat.rows} x {mat.cols} generator matrix spans no "
-                         "nonzero codeword")
-    field = mat.field
+    code, extended = (target.code, True) if isinstance(target, ExtendedCode) else (target, False)
+    field, k, n = code.field, code.k, code.n + extended
+    if not k:
+        raise ValueError(f"the 0 x {n} generator matrix spans no nonzero codeword")
     masks = packed.scalar_masks(field)
-    k, n = mat.array.shape
-    gen = packed.pack(mat.array, field.s)
-    # a cyclic code's forms permute its systematic form S = [I | R], which
-    # spans the rows of G, so row_reduce can pivot on each row's unit
-    # column for free; S is built once G's bytes are packed and dropped
-    systematic = isinstance(code_or_matrix, CyclicCode)
-    rows = None if systematic else mat.array
-    del mat
+    g = np.asarray(code.generator, dtype=np.uint8)
+    rows = np.zeros((k, n), dtype=np.uint8)
+    for j in range(k):
+        rows[j, j:j + g.size] = g
+    if extended:
+        rows[:, -1] = np.bitwise_xor.reduce(g)
+    gen = packed.pack(rows, field.s)
     pair_scan = k <= _PAIR_SCAN_MAX_K
     weights, words = _lightest(masks, field.np_inv_table, gen[..., None], n, pair_scan)
     best_w, best_cw = int(weights[0]), packed.unpack(words[..., 0], n)
-    if systematic:
-        rows = _systematic(code_or_matrix, False)
+    # the forms permute the systematic form S = [I | R], which spans the
+    # generator rows, so row_reduce pivots on each row's unit column for
+    # free; S is built once the rows' bytes are packed and dropped
+    del rows
+    rows = _systematic(code, extended)
 
     rng_sys = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + 1) & (2**63 - 1))
     forms = max(1, trials // 16)
@@ -385,10 +380,8 @@ def sampled_upper(code_or_matrix, trials: int = 2048, seed: int = 0,
             stack[..., lo:lo + group] = packed.pack(rows.take(perms[lo:lo + group], axis=1),
                                                     field.s)
         # row j's unit column in a form: where its permutation took column j
-        units = perms.argsort(axis=1)[:, :k].T if systematic else None
-        reduced, pivots = cyclic.row_reduce(field, stack, units)
-        weights, words = _lightest(masks, field.np_inv_table, reduced[:, :, :len(pivots[0])],
-                                   n, pair_scan)
+        reduced, _ = cyclic.row_reduce(field, stack, perms.argsort(axis=1)[:, :k].T)
+        weights, words = _lightest(masks, field.np_inv_table, reduced, n, pair_scan)
         for j, perm in enumerate(perms):  # in draw order, so ties go to the first
             if weights[j] < best_w:
                 best_w = int(weights[j])

@@ -34,7 +34,7 @@ import numpy as np
 
 from tdcodes.bounds import APWitness, BoundReport
 from tdcodes import coset
-from tdcodes.cyclic import GeneratorMatrix, dual_code, generator_matrix
+from tdcodes.cyclic import dual_code
 from tdcodes.gf import FieldError, FieldSpec, _prime_factors, default_base_modulus, make_field
 from tdcodes.polys import _mul_array
 
@@ -180,6 +180,38 @@ def bch_search(T, budget=None) -> BoundReport:
         return BoundReport(1, None, "exhaustive search", partial)
     witness = APWitness(best_b, best_a, 0, best_len - 1)
     return BoundReport(best_len + 1, witness, "exhaustive search", partial)
+
+
+@dataclass(frozen=True)
+class GeneratorMatrix:
+    """A k x n matrix over GF(q), one byte per symbol."""
+    field: FieldSpec
+    array: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
+
+
+def generator_matrix(code) -> GeneratorMatrix:
+    """Rows are the coefficient vectors of x^j g(x), j = 0..k-1."""
+    g = np.asarray(code.generator, dtype=np.uint8)
+    arr = np.zeros((code.k, code.n), dtype=np.uint8)
+    for j in range(code.k):
+        arr[j, j:j + g.size] = g
+    return GeneratorMatrix(code.field, arr)
+
+
+def extended_matrix(code) -> GeneratorMatrix:
+    """The generator matrix with the overall-sum column appended, each
+    row's XOR (characteristic 2)."""
+    arr = generator_matrix(code).array
+    tail = np.bitwise_xor.reduce(arr, axis=1)[:, None]
+    return GeneratorMatrix(code.field, np.concatenate([arr, tail], axis=1))
 
 
 def row_reduce(field, array) -> tuple[np.ndarray, list[int]]:

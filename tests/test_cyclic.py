@@ -8,9 +8,9 @@ from tdcodes import polys
 from tdcodes.coset import build_T, defining_set, leader_mask, negate_set
 from tdcodes.cyclic import (_gram_band, code_from_T, complement_code,
                             dual_code, even_like, extend_code,
-                            extension_is_self_dual, generator_matrix,
-                            generator_polynomial, hull_dimension, is_lcd,
-                            is_self_orthogonal, poly_pretty, code_to_json)
+                            extension_is_self_dual, generator_polynomial,
+                            hull_dimension, is_lcd, is_self_orthogonal,
+                            poly_pretty, code_to_json)
 from tdcodes.gf import MAX_TABLE_ORDER, FieldSpec, make_field
 
 # generator polynomials of the two quaternary length-63 codes, little-endian
@@ -347,7 +347,7 @@ def test_dual_code_agrees_with_matrix_orthogonality():
     for f in (make_field(2, 2), gf64()):
         c = code_from_T(f, build_T(f.q, f.m, 0))
         d = dual_code(c)
-        G, D = generator_matrix(c), generator_matrix(d)
+        G, D = oracle.generator_matrix(c), oracle.generator_matrix(d)
         assert oracle.products_are_zero(G, D)
         assert oracle.matrix_rank(D) == c.n - c.k
 
@@ -364,7 +364,7 @@ def test_complement_code():
 def test_generator_matrix_and_encode():
     f = gf64()
     c0, _ = pair(f, 4, 3)
-    mat = generator_matrix(c0)
+    mat = oracle.generator_matrix(c0)
     assert (mat.rows, mat.cols) == (32, 63)
     assert oracle.matrix_rank(mat) == 32
     assert not oracle.encode(c0, [0] * 32).any()
@@ -385,10 +385,13 @@ def test_generator_matrix_and_encode():
 def test_extend_code():
     f = gf64()
     c0, _ = pair(f, 4, 3)
-    ext = extend_code(c0)
+    # the extension names its code and builds no matrix; the oracle's
+    # extended matrix has full rank, and every row, hence every codeword,
+    # sums to zero
+    assert vars(extend_code(c0)) == {"code": c0}
+    ext = oracle.extended_matrix(c0)
     assert (ext.rows, ext.cols) == (32, 64)
     assert oracle.matrix_rank(ext) == 32
-    # every row, hence every codeword, sums to zero
     assert not np.bitwise_xor.reduce(ext.array, axis=1).any()
 
 
@@ -441,7 +444,7 @@ def test_self_dual_and_self_orthogonal():
 def test_gram_matrix_detects_non_orthogonality():
     f = make_field(2, 2)
     c0, _ = pair(f, 4, 2)
-    assert oracle.gram_matrix(generator_matrix(c0)).any()  # LCD code: hull is 0
+    assert oracle.gram_matrix(oracle.generator_matrix(c0)).any()  # LCD code: hull is 0
     assert not is_self_orthogonal(c0)
 
 
@@ -452,12 +455,12 @@ def _toeplitz(band):
 
 def _assert_matches_oracle(code):
     """The band checks against the dense k x n computations."""
-    gram = oracle.gram_matrix(generator_matrix(code))
+    gram = oracle.gram_matrix(oracle.generator_matrix(code))
     assert np.array_equal(_toeplitz(_gram_band(code)), gram)
     assert is_self_orthogonal(code) == (not gram.any())
     if 2 * code.k == code.n + 1:
         assert extension_is_self_dual(code) == (
-            not oracle.gram_matrix(extend_code(code)).any())
+            not oracle.gram_matrix(oracle.extended_matrix(code)).any())
     else:
         assert not extension_is_self_dual(code)
     assert hull_dimension(code) == oracle.hull_dimension(code)

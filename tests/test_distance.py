@@ -12,8 +12,7 @@ from conftest import peak_traced_bytes
 from tdcodes import coset, cyclic, distance, packed
 from tdcodes.bounds import DomainError, bch_search, theorem_bound
 from tdcodes.coset import build_T, defining_set
-from tdcodes.cyclic import (GeneratorMatrix, code_from_T, dual_code,
-                            extend_code, generator_matrix, row_reduce)
+from tdcodes.cyclic import code_from_T, dual_code, extend_code
 from tdcodes.distance import (DistanceReport, exact_distance, sampled_upper,
                               verify_duadic_distance_equality,
                               weight_distribution)
@@ -48,7 +47,7 @@ def test_exact_distance_matches_brute_force_on_tiny_codes():
     for elems in [tuple(range(1, 15)), (1, 4, 2, 8, 3, 12, 5, 10, 7, 13, 11, 14),
                   (1, 4, 2, 8, 6, 9)]:
         c = code_from_T(f, oracle.raw_set(15, 4, elems))
-        mat = generator_matrix(c)
+        mat = oracle.generator_matrix(c)
         assert exact_distance(c).exact == brute_force_distance(f, mat)
 
 
@@ -145,7 +144,7 @@ def test_the_tally_and_the_exact_distance_share_one_cap():
         weight_distribution(code)
     for extended in (False, True):
         with pytest.raises(ValueError, match="q\\^k = 67108864 exceeds the enumeration cap"):
-            exact_distance(code, extended=extended)
+            exact_distance(target(code, extended))
 
 
 def test_exact_distance_refuses_a_matrix_with_no_nonzero_codeword():
@@ -154,20 +153,22 @@ def test_exact_distance_refuses_a_matrix_with_no_nonzero_codeword():
     assert code.k == 0
     for extended in (False, True):
         with pytest.raises(ValueError, match="spans no nonzero codeword"):
-            exact_distance(code, lower=0, extended=extended)
+            exact_distance(target(code, extended), lower=0)
 
 
-@pytest.mark.parametrize("rows", [0, 3])
-def test_sampled_upper_refuses_a_matrix_with_no_nonzero_codeword(rows):
-    mat = GeneratorMatrix(make_field(2, 2), np.zeros((rows, 15), dtype=np.uint8))
-    with pytest.raises(ValueError, match="spans no nonzero codeword"):
-        sampled_upper(mat, trials=16)
+def test_sampled_upper_refuses_a_code_with_no_nonzero_codeword():
+    # the same code, plain and extended: its 0 x 15 and 0 x 16 matrices
+    code = code_from_T(make_field(2, 2), defining_set(15, 4, range(15)))
+    for extended, cols in ((False, 15), (True, 16)):
+        with pytest.raises(ValueError, match=f"the 0 x {cols} generator matrix spans no "
+                                             "nonzero codeword"):
+            sampled_upper(target(code, extended), trials=16)
 
 
 def random_matrix(s, k, n):
     f = make_field(s, 2)
     rng = np.random.default_rng(7 * k + n)
-    return GeneratorMatrix(f, rng.integers(0, f.q, size=(k, n), dtype=np.uint8))
+    return oracle.GeneratorMatrix(f, rng.integers(0, f.q, size=(k, n), dtype=np.uint8))
 
 
 def rank_deficient_matrix():
@@ -177,7 +178,7 @@ def rank_deficient_matrix():
     a = mat.array.copy()
     a[3] = a[0]
     a[5] = mat.field.np_mul_table[2, a[1]]
-    return GeneratorMatrix(mat.field, a)
+    return oracle.GeneratorMatrix(mat.field, a)
 
 
 def gf16_tied_matrix():
@@ -188,7 +189,7 @@ def gf16_tied_matrix():
     rng = np.random.default_rng(10)
     a = rng.integers(0, f.q, size=(4, 9), dtype=np.uint8)
     a[:3][rng.random((3, 9)) < 0.3] = 0
-    return GeneratorMatrix(f, a)
+    return oracle.GeneratorMatrix(f, a)
 
 
 def binary_t25_code():
@@ -210,7 +211,7 @@ def deficient_second_window_matrix():
     f = make_field(2, 2)
     a = np.random.default_rng(4).integers(0, f.q, size=(9, 30), dtype=np.uint8)
     a[8, 9:] = a[0, 9:] ^ a[1, 9:]
-    return GeneratorMatrix(f, a)
+    return oracle.GeneratorMatrix(f, a)
 
 
 def coset_union_code(rng, s, m, bits):
@@ -246,8 +247,12 @@ def bench_exact_code(seed):
     return coset_union_code(random.Random(seed), 2, 3, 24)
 
 
+def target(code, extended):
+    return extend_code(code) if extended else code
+
+
 def cyclic_matrix(code, extended):
-    return extend_code(code) if extended else generator_matrix(code)
+    return oracle.extended_matrix(code) if extended else oracle.generator_matrix(code)
 
 
 def assert_codeword_of_weight(code, extended, witness, d):
@@ -288,11 +293,11 @@ def test_scan_matches_the_byte_gray_scan(case):
     # byte per symbol, and the exact d of the case, plain or extended, is
     # the scan's, with a codeword of that weight as witness
     code, extended = CYCLIC_CASES[case]()
-    ref_d, _, ref_hist = oracle.gray_scan(generator_matrix(code))
+    ref_d, _, ref_hist = oracle.gray_scan(oracle.generator_matrix(code))
     assert weight_distribution(code) == {w: int(c) for w, c in enumerate(ref_hist) if c}
     if extended:
-        ref_d = oracle.gray_scan(extend_code(code))[0]
-    r = exact_distance(code, extended=extended)
+        ref_d = oracle.gray_scan(oracle.extended_matrix(code))[0]
+    r = exact_distance(target(code, extended))
     assert r.exact == ref_d
     assert_codeword_of_weight(code, extended, r.witness, ref_d)
 
@@ -336,13 +341,13 @@ def test_one_window_finds_the_witness_of_the_byte_gray_scan(monkeypatch, setting
     for code in codes:
         for extended in (False, True):
             ref_d = oracle.gray_scan(cyclic_matrix(code, extended))[0]
-            r = exact_distance(code, extended=extended)
+            r = exact_distance(target(code, extended))
             assert r.exact == ref_d, (code.T.elems, extended)
             assert_codeword_of_weight(code, extended, r.witness, ref_d)
             if setting == "pass-64":
                 with monkeypatch.context() as patch:
                     patch.setattr(distance, "_PASS_WORDS", 64)
-                    assert exact_distance(code, extended=extended).witness == r.witness
+                    assert exact_distance(target(code, extended)).witness == r.witness
 
 
 def test_enumeration_visits_at_most_twice_the_scan():
@@ -391,21 +396,20 @@ def test_systematic_form_is_the_rref_of_the_generator():
 
 def test_weight_distribution_matches_the_byte_gray_scan():
     for code in one_engine_codes():
-        ref = oracle.gray_scan(generator_matrix(code))[2]
+        ref = oracle.gray_scan(oracle.generator_matrix(code))[2]
         assert weight_distribution(code) == {w: int(c) for w, c in enumerate(ref) if c}, \
             code.T.elems
 
 
 def test_exact_distance_and_the_tally_build_no_matrix(monkeypatch):
-    # the window's systematic form comes from g: no generator matrix, plain
-    # or extended, and no row reduction
+    # the window's systematic form comes from g, plain or extended, with
+    # no row reduction
     def refuse(*args, **kwargs):
-        raise AssertionError("a generator matrix was built or row-reduced")
+        raise AssertionError("a matrix was row-reduced")
 
     monkeypatch.setattr(cyclic, "row_reduce", refuse)
-    monkeypatch.setattr(cyclic, "generator_matrix", refuse)
     _, c0, c1 = gf16_codes()
-    assert [exact_distance(c, extended=extended).exact
+    assert [exact_distance(target(c, extended)).exact
             for extended in (False, True) for c in (c0, c1)] == [3, 5, 4, 6]
     assert exact_distance(bench_exact_code(0)).exact == 14
     tally = weight_distribution(c1)
@@ -499,9 +503,9 @@ def test_weight_distribution_does_not_depend_on_the_modulus(parity):
 
         def profile(field):
             code = code_from_T(field, build_T(q, m, parity))
-            extended_hist = oracle.gray_scan(extend_code(code))[2]
+            extended_hist = oracle.gray_scan(oracle.extended_matrix(code))[2]
             return [weight_distribution(code), extended_hist.tolist(),
-                    exact_distance(code).exact, exact_distance(code, extended=True).exact]
+                    exact_distance(code).exact, exact_distance(extend_code(code)).exact]
 
         want = profile(make_field(s, m))
         assert make_field(s, m).ext_modulus in moduli
@@ -544,8 +548,7 @@ def test_sampled_upper_results_are_pinned_at_n63(parity, extended, seed):
     # how the candidates are computed, never which word wins
     _, *codes = gf64_codes()
     code = codes[parity]
-    r = sampled_upper(extend_code(code) if extended else code, trials=2048,
-                      seed=seed)
+    r = sampled_upper(target(code, extended), trials=2048, seed=seed)
     assert (r.upper, digest(r.witness)) == PINNED_N63[parity, extended, seed]
 
 
@@ -640,7 +643,6 @@ def test_pair_scan_skips_pairs_that_cancel():
     weights, words = distance._lightest(packed.scalar_masks(f), f.np_inv_table, stack, 9, True)
     assert weights[0] == 1
     assert np.array_equal(packed.unpack(words[..., 0], 9), expect)
-    assert sampled_upper(GeneratorMatrix(f, a), trials=1).upper == 1
 
 
 @pytest.mark.parametrize("n", [7, 15, 63, 64, 255, 1023, 4095])
@@ -795,25 +797,21 @@ def test_duadic_distance_equality_domain():
             verify_duadic_distance_equality(q, m)
 
 
-def rank(field, array):
-    return len(row_reduce(field, packed.pack(array, field.s)[..., None])[1][0])
-
-
 def test_negation_permutation_maps_pair_members():
     # odd m: the coordinate permutation j -> -j carries parity-0 codewords
     # onto parity-1 codewords (row-space equality of permuted generators)
     f, c0, c1 = gf64_codes()
-    G0 = generator_matrix(c0).array
-    G1 = generator_matrix(c1).array
+    G0 = oracle.generator_matrix(c0).array
+    G1 = oracle.generator_matrix(c1).array
     perm = [(-j) % 63 for j in range(63)]
     stacked = np.concatenate([G1, G0[:, perm]], axis=0)
-    assert rank(f, stacked) == 32
+    assert oracle.matrix_rank(oracle.GeneratorMatrix(f, stacked)) == 32
     # even m: the same permutation fixes each code
     f2, d0, _ = gf16_codes()
-    G = generator_matrix(d0).array
+    G = oracle.generator_matrix(d0).array
     perm15 = [(-j) % 15 for j in range(15)]
     stacked = np.concatenate([G, G[:, perm15]], axis=0)
-    assert rank(f2, stacked) == 9
+    assert oracle.matrix_rank(oracle.GeneratorMatrix(f2, stacked)) == 9
 
 
 def test_sampled_upper_handles_large_dimension():
