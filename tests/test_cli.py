@@ -10,8 +10,11 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+import oracle
+
 import tdcodes
 from tdcodes.cli import main
+from tdcodes.gf import make_field
 
 
 @pytest.fixture
@@ -226,7 +229,7 @@ def test_distance_rejects_an_oversized_generator_matrix(runner, monkeypatch,
     res = runner.invoke(main, ["distance", "--q", "4", "--m", "8",
                                "--variant", variant])
     assert res.exit_code == 2
-    assert f"the {size} generator matrix needs" in res.stderr
+    assert f"the {size} systematic form needs" in res.stderr
     assert "bytes" in res.stderr
 
 
@@ -296,6 +299,21 @@ def test_verify_pass_and_exit_codes(runner):
     assert res.stdout.count("[pass]") == 4
     res = runner.invoke(main, ["verify", "--id", "thm8", "--q", "4", "--m", "2"])
     assert res.exit_code == 2
+
+
+def test_verify_thm3_is_unchanged_under_another_primitive_modulus(runner, tmp_path):
+    # n = 65535: the hull claim needs g, which the modulus changes
+    field = oracle.second_primitive_field(2, 8)
+    assert field.ext_modulus != make_field(2, 8).ext_modulus
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(oracle.field_spec_to_json(field)))
+    args = ["verify", "--id", "thm3", "--q", "4", "--m", "8", "--format", "json"]
+    default = runner.invoke(main, args)
+    other = runner.invoke(main, args + ["--field-spec", str(path)])
+    assert default.exit_code == other.exit_code == 0
+    checks = json.loads(default.stdout)["checks"]
+    assert len(checks) == 4 and all(c["status"] == "pass" for c in checks)
+    assert json.loads(other.stdout)["checks"] == checks
 
 
 def test_verify_lemma1_json(runner):

@@ -417,6 +417,18 @@ def test_hull_dimension():
     assert hull_dimension(codd) == 31
 
 
+@pytest.mark.parametrize("q,m", [(4, 4), (16, 2), (4, 8), (4, 3)])
+def test_hull_zero_agrees_with_the_yang_massey_criterion(q, m):
+    """A check of the hull beside the gcd: a cyclic code is LCD exactly
+    when its g is self-reciprocal, g reversed = g(0) g (Yang and Massey).
+    Both codes of an even-m pair are; at odd m neither is."""
+    f = make_field(q.bit_length() - 1, m)
+    for c in pair(f, q, m):
+        g = c.generator
+        self_reciprocal = g[::-1] == tuple(f.np_mul_table[g[0]][list(g)].tolist())
+        assert (hull_dimension(c) == 0) == self_reciprocal == (m % 2 == 0)
+
+
 @pytest.mark.parametrize("s,m", [(2, 5), (4, 3), (2, 6), (3, 4)])
 def test_hull_dimension_beyond_the_dense_oracle(s, m):
     """n = 1023 and 4095: the hull of C is the hull of its dual, and its

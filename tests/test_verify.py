@@ -9,13 +9,12 @@ import oracle
 from tdcodes import bounds, coset, cyclic
 from tdcodes.bounds import DomainError
 from tdcodes.gf import FieldError, make_field
-from tdcodes.verify import (STRUCTURE_CHECK_MAX_N, SUITES, _ImplicitT, run_suite,
-                            verify_thm2, verify_thm3)
+from tdcodes.verify import SUITES, _ImplicitT, run_suite, verify_thm2, verify_thm3
 
 
 def all_ok(checks):
     assert checks, "suite returned no checks"
-    bad = [c for c in checks if c.ok is False]
+    bad = [c for c in checks if not c.ok]
     assert not bad, bad
     return checks
 
@@ -107,30 +106,12 @@ def test_thm2_folds_only_the_pair_generators(monkeypatch):
 
 
 @pytest.mark.parametrize("claim,q,m", [("thm3", 8, 4), ("thm2", 2, 13),
-                                       ("thm3", 2, 14)])  # n = 16383, the limit
-def test_structure_suites_check_every_claim_up_to_the_limit(claim, q, m):
-    assert q ** m - 1 <= STRUCTURE_CHECK_MAX_N
+                                       ("thm3", 2, 14),  # n = 16383
+                                       ("thm2", 4, 9),   # n = 262143
+                                       ("thm3", 4, 8)])  # n = 65535
+def test_structure_suites_check_every_claim(claim, q, m):
     checks = run_suite(claim, q, m)
-    assert all(c.ok is True for c in checks), checks
-
-
-@pytest.mark.parametrize("claim,q,m,skipped", [
-    ("thm3", 4, 8, ["hull dimension is 0 (polynomial level)"]),
-    ("thm2", 8, 5, ["extended codes are self-dual"]),
-])
-def test_structure_suites_skip_above_the_limit(monkeypatch, claim, q, m, skipped):
-    def refuse(*args):
-        raise AssertionError("a generator polynomial was built")
-
-    monkeypatch.setattr(cyclic, "generator_polynomial", refuse)
-    assert STRUCTURE_CHECK_MAX_N == 16383
-    checks = all_ok(run_suite(claim, q, m))
-    assert [c.claim for c in checks if c.ok is None] == skipped
-    limited = [c for c in checks if "limit" in c.detail]
-    # thm2 still checks the even-like dimensions, and says what it skipped
-    assert len(limited) == (1 if claim == "thm3" else 2)
-    for c in limited:
-        assert f"n={q ** m - 1}" in c.detail and "16383" in c.detail
+    assert len(checks) == 4 and all(c.ok is True for c in checks), checks
 
 
 @pytest.mark.parametrize("claim,m,claims", [
