@@ -127,7 +127,8 @@ def construct(q, m, parity, variant, fmt, pretty_flag, field_spec_path, out):
     data = cyclic.code_to_json(code, parity=parity,
                                variant=None if variant == "plain" else variant)
     text = (f"[{code.n}, {code.k}] code over GF({q}), defining set size "
-            f"{len(code.T)}\ng(x) = {cyclic.poly_pretty(field, code.generator)}")
+            f"{len(code.T)}\ng(x) = {cyclic.poly_pretty(field, code.generator)}"
+            if fmt == "pretty" else None)
     _emit(data, fmt, out, text)
 
 

@@ -22,9 +22,11 @@ lies in k windows, so k wt(c) >= n(w + 1).
 Codewords are bit-sliced words (:mod:`tdcodes.packed`): s bit-planes of
 ceil(n/64) uint64 values, so a row XOR touches s*ceil(n/64) machine words
 and a weight is the popcount of the OR of the planes.  The upper-bound
-search draws its only random candidates, information-set forms, from one
-seeded stream, and every argmin tie goes to the first candidate in a fixed
-order, so a result depends on the seed and on max(1, trials // 16) alone.
+search's only random candidates are information-set forms.  Form f's
+column order is the argsort of n SplitMix64 outputs at counters fixed by
+(seed, f, n), and every argmin tie goes to the first candidate in a fixed
+order, so a result depends on the seed and on max(1, trials // 16) alone,
+not on the numpy version.
 A form is the systematic form S = [I | R] of the window, with the
 overall-sum column for an extended code, its columns permuted by a random
 Pi: S spans the rows of the generator matrix G, so S Pi has the rref of
@@ -316,6 +318,28 @@ def _lightest(masks: np.ndarray, inverse: np.ndarray, stack: np.ndarray, n: int,
     return best_w, best
 
 
+def _permutations(seed: int, first: int, count: int, n: int) -> np.ndarray:
+    """The column orders of forms first..first + count - 1, one a row: row
+    f is the argsort of the SplitMix64 outputs (Steele, Lea and Flood 2014)
+    of the counters (first + f) n + i + 1, i < n, from a state mixed from
+    each 64-bit word of the seed in turn.  The output function is a
+    bijection of 64-bit words, so the keys are distinct and any sort gives
+    the same order."""
+    ones, gamma = (1 << 64) - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):  # on a Python int or a uint64 array
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & ones
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & ones
+        return z ^ z >> 31
+
+    state = 0
+    for shift in range(0, max(1, seed.bit_length()), 64):
+        state = mix((state + (seed >> shift) + gamma) & ones)
+    counters = np.arange(first * n + 1, (first + count) * n + 1, dtype=np.uint64)
+    keys = mix(counters * np.uint64(gamma) + np.uint64(state))
+    return keys.reshape(count, n).argsort(axis=1)
+
+
 def sampled_upper(target: CyclicCode | ExtendedCode, trials: int = 2048, seed: int = 0,
                   lower: int = 1) -> DistanceReport:
     """Reproducible upper bound on the minimum distance of a cyclic code or
@@ -333,8 +357,9 @@ def sampled_upper(target: CyclicCode | ExtendedCode, trials: int = 2048, seed: i
     permuted by a random Pi.  It is reduced from S Pi, S = [I | R] the
     systematic form built from g (extended like G), which has the same
     rref, and row_reduce is told where Pi took each row's unit column, so
-    it pivots there with no row operation.  A stack's permutations are
-    drawn in one call, which numpy makes the same as one call per form.
+    it pivots there with no row operation.  Form f's Pi is row 0 of
+    _permutations(seed, f, 1, n), so a stack's forms, drawn in one call,
+    are those of one call per form.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -361,7 +386,6 @@ def sampled_upper(target: CyclicCode | ExtendedCode, trials: int = 2048, seed: i
     del rows
     rows = _systematic(code, extended)
 
-    rng_sys = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + 1) & (2**63 - 1))
     forms = max(1, trials // 16)
     # all of a call's forms share one reduction sweep, and so its per-column
     # cost, when they fit in twice _STACK_WORDS words; more are spread over
@@ -372,9 +396,9 @@ def sampled_upper(target: CyclicCode | ExtendedCode, trials: int = 2048, seed: i
     # budget: the [1023, 512]_4 forms, 0.5 MB each, go one by one
     group = max(1, 2 * _STACK_WORDS * packed.WORD.itemsize // rows.size)
     for start in range(0, forms, per_stack):
-        # one draw for the stack's permutations, the same as one draw each
+        # the stack's permutations, each a function of (seed, start + f, n)
         count = min(per_stack, forms - start)
-        perms = rng_sys.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+        perms = _permutations(seed, start, count, n)
         stack = np.empty(gen.shape + (count,), dtype=packed.WORD)
         for lo in range(0, count, group):
             stack[..., lo:lo + group] = packed.pack(rows.take(perms[lo:lo + group], axis=1),

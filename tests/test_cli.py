@@ -30,6 +30,20 @@ def test_construct_json(runner):
     assert data["k"] == 7 and data["n"] == 15 and data["parity"] == 1
 
 
+def test_construct_json_formats_no_pretty_text(runner, monkeypatch):
+    from tdcodes import cyclic
+    args = ["construct", "--q", "4", "--m", "3", "--parity", "1"]
+    want = runner.invoke(main, args).stdout
+
+    def refuse(*a, **k):
+        raise AssertionError("pretty text formatted for JSON output")
+
+    monkeypatch.setattr(cyclic, "poly_pretty", refuse)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.stdout == want
+
+
 def test_construct_pretty_prints_the_reference_generator(runner):
     res = runner.invoke(main, ["construct", "--q", "4", "--m", "3",
                                "--parity", "0", "--pretty"])
@@ -246,17 +260,16 @@ def _stdout(exact, lower, method, seed, upper, support, n):
      _stdout(4, 3, "exhaustive", "null", 4, {4, 9, 14, 15}, 16)),
     (["--q", "4", "--m", "3"],
      _stdout("null", 11, "sampled", 0, 16,
-             {1, 7, 11, 13, 16, 27, 38, 39, 40, 42, 46, 47, 51, 54, 56, 57}, 64)),
+             {6, 12, 16, 18, 21, 32, 43, 44, 45, 47, 51, 52, 56, 59, 61, 62}, 64)),
     (["--q", "4", "--m", "3", "--parity", "1"],
      _stdout("null", 11, "sampled", 0, 16,
-             {3, 4, 6, 9, 13, 14, 18, 20, 21, 22, 33, 44, 47, 49, 53, 59}, 64)),
+             {3, 5, 10, 11, 14, 24, 26, 31, 32, 35, 45, 47, 52, 53, 56, 63}, 64)),
     (["--q", "8", "--m", "2", "--parity", "1"],
      _stdout("null", 5, "sampled", 0, 10, {2, 9, 16, 23, 30, 37, 44, 51, 58, 63}, 64)),
 ], ids=["4-2-exact", "4-3-p0", "4-3-p1", "8-2-p1"])
 def test_distance_of_the_extended_code_is_pinned(runner, args, stdout):
     # the [n + 1, k] extension: exact at (4,2), sampled past the enumeration
-    # cap; the stdout of the engine that reduced the extension's permuted
-    # generator matrix without a unit map, byte for byte
+    # cap, from the forms of the SplitMix64 column orders, byte for byte
     res = runner.invoke(main, ["distance", "--variant", "extended"] + args)
     assert res.exit_code == 0, res.output
     assert res.stdout == stdout
@@ -445,6 +458,27 @@ def test_cli_import_does_not_load_sympy():
     subprocess.run([sys.executable, "-c",
                     "import sys, tdcodes.cli; assert 'sympy' not in sys.modules"],
                    env=env, check=True)
+
+
+@pytest.mark.parametrize("script", [
+    "from tdcodes.coset import build_T\n"
+    "from tdcodes.cyclic import code_from_T\n"
+    "from tdcodes.distance import sampled_upper\n"
+    "from tdcodes.gf import make_field\n"
+    "code = code_from_T(make_field(2, 3), build_T(4, 3, 0))\n"
+    "assert sampled_upper(code, trials=2048, seed=0).upper == 15",
+    "from tdcodes.cli import main\n"
+    "main.main(args=['distance', '--q', '4', '--m', '3'], standalone_mode=False)",
+], ids=["sampled_upper", "cli"])
+def test_the_sampled_distance_does_not_load_numpy_random(script):
+    # the test process itself imports numpy.random, so each check runs in
+    # an interpreter of its own
+    src = os.path.dirname(os.path.dirname(tdcodes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", script + "\nimport sys\n"
+                    "assert 'numpy.random' not in sys.modules"],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def test_in_process_calls_do_not_keep_their_output_alive():

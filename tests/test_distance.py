@@ -535,17 +535,17 @@ def digest(word):
 
 # (parity, extended, seed) -> (upper, sha256 prefix of the witness bytes)
 PINNED_N63 = {
-    (0, False, 0): (15, "42747cd090cf42dc"), (0, False, 1): (15, "8fb2175d0a315ed7"),
-    (0, True, 0): (16, "b41c20df8a516579"), (0, True, 1): (16, "86ab0ec4f3038d31"),
-    (1, False, 0): (15, "06cdb1a53a5b6dda"), (1, False, 1): (15, "ff3184842df412d7"),
-    (1, True, 0): (16, "d342de2d694146ff"), (1, True, 1): (16, "298bfbbf0c0afa86"),
+    (0, False, 0): (15, "a2d7b749d7d2e94a"), (0, False, 1): (15, "52867e283d921782"),
+    (0, True, 0): (16, "ac2008ab40a3f510"), (0, True, 1): (16, "bf6eaa2db9df5d5b"),
+    (1, False, 0): (15, "2add417e4fc59a2a"), (1, False, 1): (15, "80e8fdcc6fb4c971"),
+    (1, True, 0): (16, "6f8e12784a0cc318"), (1, True, 1): (16, "ce447139aaa535b9"),
 }
 
 
 @pytest.mark.parametrize("parity,extended,seed", sorted(PINNED_N63))
 def test_sampled_upper_results_are_pinned_at_n63(parity, extended, seed):
-    # the values of the byte-per-symbol engine: the packed words change
-    # how the candidates are computed, never which word wins
+    # the forms of the SplitMix64 column orders; how the candidates are
+    # computed (packed words, stacks, unit maps) never changes which wins
     _, *codes = gf64_codes()
     code = codes[parity]
     r = sampled_upper(target(code, extended), trials=2048, seed=seed)
@@ -563,11 +563,12 @@ def test_exact_distance_results_are_pinned_gf16():
 
 
 def test_sampled_upper_results_are_pinned_at_n1023():
+    # 4 forms in one stack, of the SplitMix64 column orders
     f = make_field(2, 5)
     got = [sampled_upper(code_from_T(f, build_T(4, 5, p)), trials=64, seed=0)
            for p in (0, 1)]
     assert [(r.upper, digest(r.witness)) for r in got] == \
-        [(348, "fb745ee85d321e48"), (351, "c750656f869d6486")]
+        [(346, "a1d41ff613c79e67"), (349, "857273c112c4fe81")]
 
 
 def test_sampled_upper_results_are_pinned_at_n4095():
@@ -575,19 +576,19 @@ def test_sampled_upper_results_are_pinned_at_n4095():
     # the words to their right through the tables
     f = make_field(2, 6)
     r = sampled_upper(code_from_T(f, build_T(4, 6, 1)), trials=16, seed=0)
-    assert (r.upper, digest(r.witness)) == (1467, "6d7692cabf61e314")
+    assert (r.upper, digest(r.witness)) == (1472, "aaae9262936a0094")
 
 
 def test_sampled_upper_results_are_pinned_across_form_stacks():
     # 10 systematic forms of the [1023, 512]_4 codes, 2 x 16 x 512 words
-    # each, fill several stacks of row reductions; the values of the
-    # one-form-at-a-time engine
+    # each, fill several stacks of row reductions; a stack's forms are the
+    # ones drawn one at a time, so the first 4 are those of the n = 1023 pins
     assert 10 * 2 * 16 * 512 > 2 * (2 * distance._STACK_WORDS)
     f = make_field(2, 5)
     got = [sampled_upper(code_from_T(f, build_T(4, 5, p)), trials=160, seed=0)
            for p in (0, 1)]
     assert [(r.upper, digest(r.witness)) for r in got] == \
-        [(348, "fb745ee85d321e48"), (350, "39f40112638aa2d9")]
+        [(346, "a1d41ff613c79e67"), (348, "eaeed4a9112f1899")]
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -645,18 +646,52 @@ def test_pair_scan_skips_pairs_that_cancel():
     assert np.array_equal(packed.unpack(words[..., 0], 9), expect)
 
 
-@pytest.mark.parametrize("n", [7, 15, 63, 64, 255, 1023, 4095])
-def test_one_draw_of_a_stack_of_permutations_is_one_draw_each(n):
-    # sampled_upper draws a stack's column permutations in one call; numpy's
-    # permuted along rows must give the permutations, and leave the stream
-    # where, one call per form, permutation would, or every pinned witness
-    # moves
-    for forms in (1, 2, 4, 10, 128):
-        for seed in (0, 1, 2, 7):
-            one, each = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = one.permuted(np.tile(np.arange(n), (forms, 1)), axis=1)
-            assert np.array_equal(got, np.stack([each.permutation(n) for _ in range(forms)]))
-            assert one.integers(1 << 62) == each.integers(1 << 62)
+@pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 1023])
+def test_every_drawn_column_order_is_a_permutation(n):
+    for seed, first in ((0, 0), (1, 5), (7, 1000), (2 ** 64 + 3, 2)):
+        perms = distance._permutations(seed, first, 9, n)
+        assert perms.shape == (9, n)
+        assert (np.sort(perms, axis=1) == np.arange(n)).all()
+
+
+@pytest.mark.parametrize("n", [7, 64, 255])
+def test_a_stack_of_column_orders_is_its_forms_drawn_one_at_a_time(n):
+    # form f's order depends on (seed, f, n) alone, however the forms are
+    # split into stacks
+    for seed, a, b, c in ((0, 0, 1, 1), (1, 0, 4, 6), (7, 3, 10, 128), (2 ** 70, 2, 5, 5)):
+        whole = distance._permutations(seed, a, b + c, n)
+        parts = np.vstack([distance._permutations(seed, a, b, n),
+                           distance._permutations(seed, a + b, c, n)])
+        assert np.array_equal(whole, parts)
+        assert np.array_equal(whole[0], distance._permutations(seed, a, 1, n)[0])
+
+
+def test_drawn_column_orders_are_uniform_over_positions():
+    # 4096 orders of 8 columns: each (position, value) count is
+    # Binomial(4096, 1/8), mean 512 and sigma sqrt(448) ~ 21.2
+    perms = distance._permutations(0, 0, 4096, 8)
+    counts = np.stack([np.bincount(col, minlength=8) for col in perms.T])
+    assert np.abs(counts - 512).max() < 5 * math.sqrt(4096 * 7 / 64)
+
+
+def test_seeds_are_folded_over_all_their_bits():
+    orders = [distance._permutations(seed, 0, 4, 63).tobytes()
+              for seed in (0, 1, 2 ** 64, 2 ** 64 + 1, 2 ** 70)]
+    assert len(set(orders)) == len(orders)
+    _, c0, _ = gf64_codes()
+    r = sampled_upper(c0, trials=64, seed=2 ** 70)
+    assert r.seed == 2 ** 70 and r.upper <= 16
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_sampled_upper_is_the_same_one_form_per_stack(monkeypatch, extended):
+    _, c0, _ = gf64_codes()
+    code = code_from_T(make_field(2, 4), build_T(4, 4, 0))  # 64 forms, two stacks
+    want = [sampled_upper(target(c, extended), trials=t, seed=3)
+            for c, t in ((c0, 512), (code, 1024))]
+    monkeypatch.setattr(distance, "_STACK_WORDS", 1)
+    assert [sampled_upper(target(c, extended), trials=t, seed=3)
+            for c, t in ((c0, 512), (code, 1024))] == want
 
 
 def test_sampled_upper_rejects_a_negative_seed():
@@ -670,7 +705,7 @@ def test_sampled_upper_working_memory_does_not_grow_with_k():
     c = code_from_T(f, build_T(4, 4, 0))  # [255, 129]
     # 64 systematic forms of 2 x 4 x 129 words fill two stacks
     assert 64 * 2 * 4 * 129 > 2 * distance._STACK_WORDS
-    assert sampled_upper(c, trials=1024, seed=0).upper == 75
+    assert sampled_upper(c, trials=1024, seed=0).upper == 74
     # a (trials, k, n) gather of the messages would take 16.8 MB
     assert peak_traced_bytes(sampled_upper, c, trials=1024, seed=0) < 4 * 2 ** 20
 
