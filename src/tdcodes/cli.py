@@ -26,7 +26,9 @@ from tdcodes.bounds import DomainError
 from tdcodes.gf import FieldError, FieldSpec, check_field_size, load_field_spec, make_field
 
 VARIANTS = ("plain", "even_like", "dual", "complement", "extended")
-DISTANCE_MAX_BYTES = 1 << 28  # largest k x cols systematic form `distance` builds
+# the largest k x cols systematic form S, a byte a symbol, that `distance`
+# builds: S is the call's largest array, and a call needs about 1.3 S in all
+DISTANCE_MAX_BYTES = 1 << 28
 # the theorems whose BOUND_CASES rows each `table` section lists
 TABLE_SECTIONS = {"16": ("thm8",), "18": ("thm12", "thm15")}
 

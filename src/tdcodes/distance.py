@@ -360,6 +360,14 @@ def sampled_upper(target: CyclicCode | ExtendedCode, trials: int = 2048, seed: i
     it pivots there with no row operation.  Form f's Pi is row 0 of
     _permutations(seed, f, 1, n), so a stack's forms, drawn in one call,
     are those of one call per form.
+
+    S, k x n bytes (n counts the overall-sum column when extended), is the
+    largest array of a call.  The generator rows' bytes are dropped once
+    packed and their words once scored, a stack's forms are gathered from S
+    a block of rows at a time and packed into it, and S is dropped before
+    the last stack is reduced.  So with one stack a call needs about 1.3 S
+    (the tracemalloc peak of [4095, 2049]_4 at 16 trials); each stack but
+    the last is reduced beside S, about 1.9 S in all at 64 trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -377,35 +385,43 @@ def sampled_upper(target: CyclicCode | ExtendedCode, trials: int = 2048, seed: i
     if extended:
         rows[:, -1] = np.bitwise_xor.reduce(g)
     gen = packed.pack(rows, field.s)
+    del rows
     pair_scan = k <= _PAIR_SCAN_MAX_K
     weights, words = _lightest(masks, field.np_inv_table, gen[..., None], n, pair_scan)
     best_w, best_cw = int(weights[0]), packed.unpack(words[..., 0], n)
+    # a form is packed like the generator rows: only their shape and size
+    # are kept past their scoring
+    shape, size = gen.shape, gen.size
+    del gen
     # the forms permute the systematic form S = [I | R], which spans the
-    # generator rows, so row_reduce pivots on each row's unit column for
-    # free; S is built once the rows' bytes are packed and dropped
-    del rows
+    # generator rows, so row_reduce pivots on each row's unit column for free
     rows = _systematic(code, extended)
 
     forms = max(1, trials // 16)
     # all of a call's forms share one reduction sweep, and so its per-column
     # cost, when they fit in twice _STACK_WORDS words; more are spread over
     # the fewest stacks of that size, ceil(forms / stacks) to a stack
-    fit = max(1, 2 * _STACK_WORDS // gen.size)
+    fit = max(1, 2 * _STACK_WORDS // size)
     per_stack = -(-forms // -(-forms // fit))
-    # forms are packed a group at a time, whose byte gather fits in the same
-    # budget: the [1023, 512]_4 forms, 0.5 MB each, go one by one
-    group = max(1, 2 * _STACK_WORDS * packed.WORD.itemsize // rows.size)
     for start in range(0, forms, per_stack):
         # the stack's permutations, each a function of (seed, start + f, n)
         count = min(per_stack, forms - start)
         perms = _permutations(seed, start, count, n)
-        stack = np.empty(gen.shape + (count,), dtype=packed.WORD)
-        for lo in range(0, count, group):
-            stack[..., lo:lo + group] = packed.pack(rows.take(perms[lo:lo + group], axis=1),
-                                                    field.s)
+        stack = np.empty(shape + (count,), dtype=packed.WORD)
+        # the forms are gathered from S a block of rows at a time, the
+        # block's bytes across the stack's forms within 2 _STACK_WORDS, and
+        # packed into the stack, so no whole form is ever a byte array: 64
+        # rows of a lone [1023, 512]_4 form, 16 of the four at 64 trials
+        block = max(1, 2 * _STACK_WORDS // (count * n))
+        for r0 in range(0, k, block):
+            stack[:, :, r0:r0 + block] = packed.pack(rows[r0:r0 + block].take(perms, axis=1),
+                                                     field.s)
+        if start + count == forms:
+            del rows  # S's last use: the last reduction runs without it
         # row j's unit column in a form: where its permutation took column j
         reduced, _ = cyclic.row_reduce(field, stack, perms.argsort(axis=1)[:, :k].T)
         weights, words = _lightest(masks, field.np_inv_table, reduced, n, pair_scan)
+        del reduced  # so the next stack's reduction runs without it
         for j, perm in enumerate(perms):  # in draw order, so ties go to the first
             if weights[j] < best_w:
                 best_w = int(weights[j])

@@ -11,23 +11,37 @@ s x s GF(2) matrix of x -> a*x.  A stack of words keeps its stack axes last,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 WORD = np.dtype("<u8")
+_PACK_BYTES = 1 << 18  # symbols in a block of pack's input, which bounds its temporaries
 
 
 def pack(symbols, s: int) -> np.ndarray:
-    """(..., n) symbols in 0..2^s - 1 -> (s, W, ...) planes."""
+    """(..., n) symbols in 0..2^s - 1 -> (s, W, ...) planes.  The leading
+    axes are packed as one axis of words, a block of about _PACK_BYTES
+    symbols at a time, into the output."""
     a = np.asarray(symbols, dtype=np.uint8)
-    n = a.shape[-1]
-    octets = np.zeros((s,) + a.shape[:-1] + (8 * ((n + 63) // 64),), dtype=np.uint8)
-    bits = np.empty_like(a)  # one plane at a time through one temporary
-    for t in range(s):
-        np.right_shift(a, t, out=bits)
-        bits &= 1
-        octets[t, ..., :(n + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
-    lanes = tuple(range(1, a.ndim))
-    return np.ascontiguousarray(octets.view(WORD).transpose((0, a.ndim) + lanes))
+    lead, n = a.shape[:-1], a.shape[-1]
+    nwords = (n + 63) // 64
+    a = a.reshape(math.prod(lead), n)
+    out = np.empty((s, nwords, a.shape[0]), dtype=WORD)
+    step = max(1, min(a.shape[0], _PACK_BYTES // max(1, n)))
+    # one plane of one block at a time through one temporary each, the
+    # octets' tail past (n + 7) // 8 left zero
+    bits = np.empty((step, n), dtype=np.uint8)
+    octets = np.zeros((s, step, 8 * nwords), dtype=np.uint8)
+    for r0 in range(0, a.shape[0], step):
+        block = a[r0:r0 + step]
+        plane, words = bits[:len(block)], octets[:, :len(block)]
+        for t in range(s):
+            np.right_shift(block, t, out=plane)
+            plane &= 1
+            words[t, :, :(n + 7) // 8] = np.packbits(plane, axis=-1, bitorder="little")
+        out[:, :, r0:r0 + len(block)] = words.view(WORD).transpose(0, 2, 1)
+    return out.reshape((s, nwords) + lead)
 
 
 def unpack(planes: np.ndarray, n: int) -> np.ndarray:

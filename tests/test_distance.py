@@ -706,8 +706,20 @@ def test_sampled_upper_working_memory_does_not_grow_with_k():
     # 64 systematic forms of 2 x 4 x 129 words fill two stacks
     assert 64 * 2 * 4 * 129 > 2 * distance._STACK_WORDS
     assert sampled_upper(c, trials=1024, seed=0).upper == 74
-    # a (trials, k, n) gather of the messages would take 16.8 MB
+    # the two stacks are drawn, reduced and dropped one after the other: the
+    # call peaks near 1.7 MiB, and one stack of all 64 forms near 3.5 MiB
     assert peak_traced_bytes(sampled_upper, c, trials=1024, seed=0) < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_sampled_upper_holds_the_systematic_form_and_little_else(extended):
+    c = code_from_T(make_field(2, 6), build_T(4, 6, 0))  # [4095, 2049]_4
+    cols = c.n + extended
+    # S, k x cols bytes, the largest array, beside one packed form of a
+    # quarter its size and blocks of a fixed size: about 1.3 S in all; a
+    # byte copy of S (a whole gathered form, or pack's shifted planes) fails
+    assert peak_traced_bytes(sampled_upper, target(c, extended), trials=16, seed=0) \
+        < 2 * c.k * cols
 
 
 def test_sampled_upper_witness_is_a_codeword():

@@ -70,6 +70,21 @@ def test_pack_unpack_and_weights_across_word_boundaries(s, n):
     assert np.array_equal(packed.weights(planes), np.count_nonzero(words, axis=-1))
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 1023])
+@pytest.mark.parametrize("s", [1, 2, 3, 8])
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_pack_across_its_blocks_is_each_leading_row_packed_alone(ndim, s, n):
+    rows = packed._PACK_BYTES // n + 7  # one block and part of another
+    lead = (rows,) if ndim == 2 else (5, -(-rows // 5))  # the block ends inside a row
+    rng = np.random.default_rng(1000 * s + n)
+    words = rng.integers(0, 1 << s, size=lead + (n,), dtype=np.uint8)
+    planes = packed.pack(words, s)
+    assert planes.shape == (s, (n + 63) // 64) + lead
+    alone = np.stack([packed.pack(row, s) for row in words.reshape(-1, n)], axis=-1)
+    assert np.array_equal(planes.reshape(alone.shape), alone)
+    assert np.array_equal(packed.unpack(planes, n), words)
+
+
 def systematic(p):
     """[I | P] for a k x (n - k) matrix P."""
     return np.concatenate([np.eye(p.shape[0], dtype=np.uint8), p], axis=1)
